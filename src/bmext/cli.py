@@ -25,8 +25,9 @@ A scenario file is JSON with this layout (unknown fields are rejected):
 Intervals are listed in increasing order; function definitions carry one
 part per interval, in the same order, as (lo, hi, dx-rate, singular-rate)
 cells.  Endpoints accept the strings "inf" and "-inf"; block weights accept
-numbers or exact fraction strings.  Schema violations exit with code 2,
-semantic failures (overlapping intervals, impossible requests) with 1.
+numbers or exact fraction strings.  Schema violations and out-of-range
+options (a negative --depth, a count below 1) exit with code 2, semantic
+failures (overlapping intervals, impossible requests) with 1.
 
 Every command prints one JSON document that embeds the scenario hash, the
 working depth, and the seed; bulk tables (atoms, paths, occupation counts,
@@ -92,6 +93,7 @@ from .verify import DEFAULT_SEED, run_all
 
 __all__ = [
     "ScenarioError",
+    "UsageError",
     "CommandError",
     "Scenario",
     "parse_scenario",
@@ -124,6 +126,10 @@ _EXPERIMENT_KEYS = {
 
 class ScenarioError(ValueError):
     """The input cannot be parsed against the scenario schema."""
+
+
+class UsageError(ValueError):
+    """An option value that no command accepts."""
 
 
 class CommandError(ValueError):
@@ -423,6 +429,8 @@ class _Context:
 
 
 def _load_context(args) -> _Context:
+    if args.depth < 0:
+        raise UsageError(f"--depth must be non-negative, got {args.depth}")
     if getattr(args, "scenario", None):
         sc = load_scenario(args.scenario)
         ctx = _Context(
@@ -460,6 +468,24 @@ def _require_valid(ctx: _Context) -> None:
 
 def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else int(args.seed)
+
+
+def _count(args, name: str, default: int) -> int:
+    """A positive count option, or ``default`` when it is not given."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise UsageError(f"--{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _index(ctx: _Context, index) -> int:
+    """An interval index of the configuration, else a CommandError."""
+    count = len(ctx.config.intervals)
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < count:
+        raise CommandError(f"interval index {index!r} out of range ({count} intervals)")
+    return index
 
 
 def _resolve_function(ctx: _Context, name) -> PiecewiseFn:
@@ -572,7 +598,7 @@ def cmd_decompose(args) -> int:
             if math.isfinite(x)
         ]
         w_lo, w_hi = (min(pts), max(pts)) if pts else (0.0, 1.0)
-        count = args.samples or 101
+        count = _count(args, "samples", 101)
         rows = []
         for i in range(count):
             x = w_lo + (w_hi - w_lo) * i / max(count - 1, 1)
@@ -592,7 +618,7 @@ def cmd_decompose(args) -> int:
 def cmd_darn(args) -> int:
     ctx = _load_context(args)
     _require_valid(ctx)
-    index = 0 if args.index is None else args.index
+    index = _index(ctx, 0 if args.index is None else args.index)
     spec = darn(ctx.config, index, depth=args.depth)
     at_lo, at_hi = spec.slow_reflection()
     result = {
@@ -696,9 +722,11 @@ def _hitting_grid(args, ctx):
                 f"x0={x0} lies in the trap complement; pass --index to pick"
                 " an interval"
             )
+    else:
+        index = _index(ctx, index)
     left = float(_need(args, "left"))
     right = float(_need(args, "right"))
-    cells = args.cells or 48
+    cells = _count(args, "cells", 48)
     grid = snap_grid(ctx.config, index, left, right, cells, depth=args.depth)
     chain = build_chain(ctx.config, index, grid)
     used = float(grid[int(np.argmin(np.abs(grid - x0)))])
@@ -708,10 +736,10 @@ def _hitting_grid(args, ctx):
 def _sim_hitting(args, ctx) -> int:
     seed = _seed(args)
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
-    samples = args.samples or 100_000
+    samples = _count(args, "samples", 100_000)
     est = hitting_probability(
         chain, used, left, right, samples,
-        seed=seed, budget=args.budget or 10_000_000,
+        seed=seed, budget=_count(args, "budget", 10_000_000),
     )
     result = {
         "kind": "hitting",
@@ -732,7 +760,7 @@ def _sim_hitting(args, ctx) -> int:
 def _sim_path(args, ctx) -> int:
     seed = _seed(args)
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
-    steps = args.steps or 10_000
+    steps = _count(args, "steps", 10_000)
     sample = simulate_path(chain, used, budget=steps, seed=seed)
     result = {
         "kind": "path",
@@ -768,10 +796,10 @@ def _sim_trace(args, ctx) -> int:
     mu = build_trace_measure(ctx.config)
     mode = args.mode or "extension"
     x0 = float(_need(args, "x0"))
-    steps = args.steps or 100_000
+    steps = _count(args, "steps", 100_000)
     table = simulate_trace_chain(
         ctx.config, mu, sites, x0, steps,
-        seed=seed, mode=mode, cells=args.cells or 16,
+        seed=seed, mode=mode, cells=_count(args, "cells", 16),
     )
     support = table.support()
     result = {
@@ -801,14 +829,14 @@ def _sim_trace(args, ctx) -> int:
 
 def _sim_darned(args, ctx) -> int:
     seed = _seed(args)
-    index = 0 if args.index is None else args.index
+    index = _index(ctx, 0 if args.index is None else args.index)
     spec = darn(ctx.config, index, depth=args.depth)
     sites = sorted({float(loc) for loc, _ in spec.atoms})
     if not sites:
         raise CommandError("the darned image has no atoms at this depth")
     x0 = sites[len(sites) // 2] if args.x0 is None else float(args.x0)
     x0 = min(sites, key=lambda s: abs(s - x0))
-    steps = args.steps or 100_000
+    steps = _count(args, "steps", 100_000)
     occ = simulate_darned(spec, sites, x0, steps, seed=seed)
     result = {
         "kind": "darned",
@@ -856,7 +884,7 @@ def cmd_verify(args) -> int:
     seed = _seed(args)
     rows = run_all(seed)
     width = max(len(r.name) for r in rows)
-    lines = ["bmext verification battery", f"seed={seed} depth={args.depth} tol={args.tol}"]
+    lines = ["bmext verification battery", f"seed={seed}"]
     if not args.deterministic:
         lines.append("ran at " + time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     lines.append("")
@@ -874,7 +902,15 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _add_run_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"random seed (default {DEFAULT_SEED})")
+    p.add_argument("--deterministic", action="store_true",
+                   help="omit wall-clock stamps so reruns are byte-identical")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_run_options(p)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--scenario", metavar="PATH", help="scenario file (JSON)")
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in configuration")
@@ -882,14 +918,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="enumeration depth for gaps, atoms, and grids")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="tolerance used in yes/no judgements")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random seed (default {DEFAULT_SEED})")
     p.add_argument("--samples", type=int, default=None,
                    help="walker count / sample point count")
     p.add_argument("--out", metavar="DIR", default=None,
                    help="directory for CSV tables")
-    p.add_argument("--deterministic", action="store_true",
-                   help="omit wall-clock stamps so reruns are byte-identical")
     p.add_argument("--experiment", type=int, default=None, metavar="I",
                    help="preload parameters from the scenario's experiment I")
 
@@ -934,7 +966,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("verify", help="run the self-check battery")
-    _add_common(p)
+    _add_run_options(p)
 
     return top
 
@@ -954,8 +986,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ScenarioError as exc:
-        print(json.dumps({"error": {"type": "ScenarioError", "message": str(exc)}},
+    except (ScenarioError, UsageError) as exc:
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
                          sort_keys=True, indent=2))
         return 2
     except ValueError as exc:

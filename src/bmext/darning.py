@@ -37,31 +37,36 @@ class DegenerateDarning(ValueError):
     """The interval carries no singular mass, so there is nothing to darn."""
 
 
-def _w_items(scale):
-    """Singular-support components in order: stacks and blocks, as (lo, hi, obj)."""
-    items = []
-    for blk in scale.blocks:
-        items.append((blk.lo, blk.hi, ("block", blk)))
-    for s in scale.stacks():
-        if s.side == "lo":
-            items.append((s.at, s.at + s.delta, ("stack", s)))
-        else:
-            items.append((s.at - s.delta, s.at, ("stack", s)))
-    items.sort(key=lambda it: it[0])
-    return items
+def _supports(config: ExtensionConfig, n: int, depth: int):
+    """Interval n, its singular support at depth, and the closed span darned.
+
+    The span runs from each included endpoint, or else from the outermost
+    support, which at an excluded finite endpoint is the stack's tail.
+    """
+    iv = config.intervals[n]
+    sups = iv.scale.w_supports(depth)
+    if not sups:
+        raise DegenerateDarning(f"interval {n} {iv.describe()} has no singular part")
+    r_lo = Fraction(iv.lo) if iv.include_lo else sups[0].lo
+    r_hi = Fraction(iv.hi) if iv.include_hi else sups[-1].hi
+    return iv, sups, r_lo, r_hi
 
 
-def _signed_w_mass(scale, x) -> Fraction | float:
-    """Exact image coordinate: W-mass between the anchor and x, signed."""
-    fx = Fraction(x)
-    fe = Fraction(scale.e)
-    if fx == fe:
-        return Fraction(0)
-    lo, hi = (fe, fx) if fx > fe else (fx, fe)
-    m = scale._singular_exact(lo, hi)
-    if m == math.inf:
-        return math.inf if fx > fe else -math.inf
-    return m if fx > fe else -m
+def _images(scale, sups) -> tuple[Fraction, list[Fraction]]:
+    """Where the image walk starts, the image where each support starts, and the end.
+
+    Supports are entered at their left end, a left stack's tail at its right
+    end, as its image is infinite at the endpoint.  Only the walk's start
+    needs an exact mass evaluation; each later image adds the weight passed.
+    """
+    start = sups[0].hi if scale.stack_lo else sups[0].lo
+    j = scale.signed_mass(start)
+    images = [j]
+    for sup in sups:
+        if sup.block is not None:
+            j += sup.block.weight
+        images.append(j)
+    return start, images
 
 
 def darning_map(config: ExtensionConfig, n: int, x) -> float:
@@ -71,20 +76,13 @@ def darning_map(config: ExtensionConfig, n: int, x) -> float:
     singular mass.  x must lie in the span of the singular support (with
     the interval's own endpoints when they are part of the state space).
     """
-    iv = config.intervals[n]
-    scale = iv.scale
-    items = _w_items(scale)
-    if not items:
-        raise DegenerateDarning(f"interval {n} {iv.describe()} has no singular part")
-    r_lo = Fraction(iv.lo) if math.isfinite(iv.lo) else items[0][0]
-    r_hi = Fraction(iv.hi) if math.isfinite(iv.hi) else items[-1][1]
+    iv, _, r_lo, r_hi = _supports(config, n, 0)
     fx = Fraction(x)
     # the closure is allowed: j extends continuously, with an infinite
     # image at a stacked endpoint
     if not r_lo <= fx <= r_hi:
         raise ValueError(f"{x} outside the darning domain of interval {n}")
-    m = _signed_w_mass(scale, fx)
-    return m if m in (math.inf, -math.inf) else float(m)
+    return float(iv.scale.signed_mass(fx))
 
 
 @dataclass(frozen=True)
@@ -123,64 +121,28 @@ class DarnedSpec:
 
 def darn(config: ExtensionConfig, n: int, depth: int = 8) -> DarnedSpec:
     """Collapse interval n at the given enumeration depth."""
-    iv = config.intervals[n]
-    scale = iv.scale
-    items = _w_items(scale)
-    if not items:
-        raise DegenerateDarning(f"interval {n} {iv.describe()} has no singular part")
-
-    def image(x) -> float:
-        m = _signed_w_mass(scale, x)
-        return m if m in (math.inf, -math.inf) else float(m)
-
-    r_lo = Fraction(iv.lo) if math.isfinite(iv.lo) else items[0][0]
-    r_hi = Fraction(iv.hi) if math.isfinite(iv.hi) else items[-1][1]
-    if math.isfinite(iv.lo) and not iv.include_lo:
-        image_lo = -math.inf
-    else:
-        image_lo = image(r_lo)
-    if math.isfinite(iv.hi) and not iv.include_hi:
-        image_hi = math.inf
-    else:
-        image_hi = image(r_hi)
-
+    iv, sups, r_lo, r_hi = _supports(config, n, depth)
+    _, images = _images(iv.scale, sups)
     atoms: list[tuple[float, Fraction]] = []
     residue: list[tuple[float, Fraction]] = []
-
-    def flat_atom(lo, hi):
-        # a stretch without singular mass collapses to one image point
-        if hi > lo:
-            atoms.append((image(lo), Fraction(hi) - Fraction(lo)))
-
-    def enumerate_block(blk):
-        for _, glo, ghi, _ in blk.gaps(depth):
-            atoms.append((image(glo), ghi - glo))
-        for rlo, rhi, _ in blk.remnants(depth):
-            # aggregate sits mid-span in image coordinates, clear of the
-            # dyadic positions that gap atoms occupy
-            mid = (_signed_w_mass(scale, rlo) + _signed_w_mass(scale, rhi)) / 2
-            residue.append((float(mid), rhi - rlo))
-
+    # a stretch without singular mass collapses to one image point
     prev_hi = r_lo if iv.include_lo else None
-    for lo, hi, (kind, obj) in items:
-        if prev_hi is not None:
-            flat_atom(prev_hi, lo)
-        prev_hi = hi
-        if kind == "block":
-            enumerate_block(obj)
+    for sup, j in zip(sups, images):
+        if prev_hi is not None and sup.lo > prev_hi:
+            atoms.append((float(j), sup.lo - prev_hi))
+        prev_hi = sup.hi
+        blk = sup.block
+        if blk is None:
+            # the unresolved stack tail sits at the image of its interior edge
+            residue.append((float(j), sup.hi - sup.lo))
             continue
-        # boundary stack: enumerate the first ``depth`` shells, then carry
-        # the rest of the zone as one aggregate at the cutoff image
-        for k in range(depth):
-            enumerate_block(obj.shell(k))
-        tail = obj.delta * Fraction(1, 2**depth)
-        if obj.side == "lo":
-            cut = obj.at + tail
-        else:
-            cut = obj.at - tail
-        residue.append((image(cut), tail))
-    if iv.include_hi and prev_hi is not None:
-        flat_atom(prev_hi, r_hi)
+        atoms.extend((float(j + val), ghi - glo) for _, glo, ghi, val in blk.gaps(depth))
+        # each remnant's aggregate sits mid-span in image coordinates, clear
+        # of the dyadic positions that gap atoms occupy
+        half = blk.weight / 2 ** (depth + 1)
+        residue.extend((float(j + val + half), rhi - rlo) for rlo, rhi, val in blk.remnants(depth))
+    if iv.include_hi and r_hi > prev_hi:
+        atoms.append((float(images[-1]), r_hi - prev_hi))
 
     atoms.sort(key=lambda a: a[0])
     residue.sort(key=lambda a: a[0])
@@ -191,8 +153,8 @@ def darn(config: ExtensionConfig, n: int, depth: int = 8) -> DarnedSpec:
         source_hi=float(r_hi),
         include_lo=iv.include_lo,
         include_hi=iv.include_hi,
-        image_lo=image_lo,
-        image_hi=image_hi,
+        image_lo=-math.inf if iv.scale.stack_lo else float(images[0]),
+        image_hi=math.inf if iv.scale.stack_hi else float(images[-1]),
         atoms=tuple(atoms),
         residue=tuple(residue),
     )
@@ -244,15 +206,12 @@ def energy_equivalence_check(
     nodes the true image is linear, so the two energies agree up to rounding.
     Returns (source, image, relative gap).
     """
-    iv = config.intervals[n]
-    scale = iv.scale
     part = f.parts[n]
     if any(u != 0.0 for _, _, u, _ in part.pieces):
         raise ValueError("interval part carries a Lebesgue rate; not in the complement")
 
-    items = _w_items(scale)
-    if not items:
-        raise DegenerateDarning(f"interval {n} {iv.describe()} has no singular part")
+    iv, sups, r_lo, r_hi = _supports(config, n, depth)
+    scale = iv.scale
     source = 0.5 * math.fsum(
         w * w * _singular_mass(scale, lo, hi) for lo, hi, _, w in part.pieces if w
     )
@@ -261,29 +220,19 @@ def energy_equivalence_check(
 
     # walk the singular support left to right in image coordinates: inside a
     # block the remnant grid at this depth gives the images exactly, so only
-    # the walk endpoints and the piece breakpoints need a mass evaluation
-    r_lo = Fraction(iv.lo) if math.isfinite(iv.lo) else items[0][0]
-    r_hi = Fraction(iv.hi) if math.isfinite(iv.hi) else items[-1][1]
-    sub = []
-    for _, _, (kind, obj) in items:
-        if kind == "block":
-            sub.append((obj, depth))
-        else:
-            ks = range(depth - 1, -1, -1) if obj.side == "lo" else range(depth)
-            # deeper shells are geometrically small; resolve them coarser
-            sub.extend((obj.shell(k), max(2, depth - k)) for k in ks)
-
+    # the walk start and the piece breakpoints need a mass evaluation; the
     # density switches at the images of the interior breakpoints
     i0 = next(i for i, p in enumerate(part.pieces) if p[1] > r_lo)
     dens = Fraction(part.pieces[i0][3])
     switches = [
-        (_signed_w_mass(scale, Fraction(p[0])), Fraction(p[3]))
+        (scale.signed_mass(Fraction(p[0])), Fraction(p[3]))
         for p in part.pieces[i0 + 1 :]
         if Fraction(p[0]) <= r_hi
     ]
 
-    j_prev = _signed_w_mass(scale, sub[0][0].lo)
-    v = f.eval(float(r_lo) if math.isfinite(_signed_w_mass(scale, r_lo)) else float(sub[0][0].lo))
+    start, images = _images(scale, sups)
+    j_prev = images[0]
+    v = f.eval(float(start if scale.stack_lo else r_lo))
     nodes = [(float(j_prev), v)]
 
     def advance(j_next):
@@ -297,14 +246,16 @@ def energy_equivalence_check(
         nodes.append((float(j_next), v))
         j_prev = j_next
 
-    cum = j_prev
-    for blk, d in sub:
-        step = blk.weight * Fraction(1, 2**d)
-        for k in range(1, 2**d):
-            advance(cum + k * step)
-        cum += blk.weight
-        advance(cum)
-    if math.isfinite(_signed_w_mass(scale, r_hi)):
+    for sup, j in zip(sups, images):
+        blk = sup.block
+        if blk is None:
+            continue
+        cells = 2 ** sup.resolution(depth)
+        step = blk.weight * Fraction(1, cells)
+        for k in range(1, cells):
+            advance(j + k * step)
+        advance(j + blk.weight)
+    if not scale.stack_hi:
         advance(j_prev)  # the trailing stretch collapses onto the last image
 
     # collapsed stretches give repeated image positions; keep the first

@@ -37,18 +37,11 @@ __all__ = [
 
 def _singular_mass(scale: ScaleFunction, lo: float, hi: float) -> float:
     """W-mass of (lo, hi) with infinite bounds clipped to the singular support."""
-    support: list[float] = []
-    for blk in scale.blocks:
-        support.extend((float(blk.lo), float(blk.hi)))
-    for s in scale.stacks():
-        if s.side == "lo":
-            support.extend((float(s.at), float(s.at + s.delta)))
-        else:
-            support.extend((float(s.at - s.delta), float(s.at)))
-    if not support:
+    hull = scale.w_supports(0)
+    if not hull:
         return 0.0
-    lo = max(lo, min(support))
-    hi = min(hi, max(support))
+    lo = max(lo, float(hull[0].lo))
+    hi = min(hi, float(hull[-1].hi))
     if hi <= lo:
         return 0.0
     return scale.singular_between(lo, hi)

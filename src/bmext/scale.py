@@ -27,14 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cantor import CantorBlock, cantor_fraction, cantor_integral
 
-__all__ = ["ScaleFunction", "make_scale", "anchor_point"]
-
-# Stack shells with index >= this bound are never materialized individually;
-# geometry below 2**-60 of the shell width is beyond double resolution anyway.
-_STACK_ENUM_CAP = 60
+__all__ = ["ScaleFunction", "WSupport", "make_scale", "anchor_point"]
 
 
 def anchor_point(lo: float, hi: float) -> float:
@@ -48,6 +45,23 @@ def anchor_point(lo: float, hi: float) -> float:
     if hi_fin:
         return hi - 1.0
     return 0.0
+
+
+class WSupport(NamedTuple):
+    """One piece of the singular support, as :meth:`ScaleFunction.w_supports` yields it.
+
+    ``block`` is an explicit block, or stack shell number ``shell``; it is
+    None on a stack's unresolved tail zone, whose mass is infinite.
+    """
+
+    lo: Fraction
+    hi: Fraction
+    block: CantorBlock | None
+    shell: int | None = None
+
+    def resolution(self, depth: int) -> int:
+        """Depth of trace cells and energy grids; small deep shells get coarser ones."""
+        return depth if self.shell is None else max(2, depth - self.shell)
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,15 @@ class _Stack:
             return CantorBlock(lo, self.at + self.delta / 2**k, 1)
         hi = self.at - self.delta / 2 ** (k + 1)
         return CantorBlock(self.at - self.delta / 2**k, hi, 1)
+
+    def supports(self, depth: int) -> list[WSupport]:
+        """Shells k < depth, then the tail zone they leave, in increasing position."""
+        blocks = [self.shell(k) for k in range(depth)]
+        shells = [WSupport(b.lo, b.hi, b, k) for k, b in enumerate(blocks)]
+        tail = self.delta / 2**depth
+        if self.side == "lo":
+            return [WSupport(self.at, self.at + tail, None)] + shells[::-1]
+        return shells + [WSupport(self.at - tail, self.at, None)]
 
     def _shell_index(self, r: Fraction) -> int:
         """Index k with 1/2**(k+1) < r <= 1/2**k for r in (0, 1]."""
@@ -283,6 +306,14 @@ class ScaleFunction:
         m = self._singular_exact(Fraction(u), Fraction(v), depth)
         return m if m == math.inf else float(m)
 
+    def signed_mass(self, x, depth: int | None = None) -> Fraction | float:
+        """Exact W-mass from the anchor to x, signed: the darning image of x."""
+        fx = Fraction(x)
+        fe = Fraction(self.e)
+        if fx >= fe:
+            return self._singular_exact(fe, fx, depth)
+        return -self._singular_exact(fx, fe, depth)
+
     def eval(self, x, depth: int | None = None) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.
 
@@ -294,14 +325,7 @@ class ScaleFunction:
         if x == self.hi and not self.include_hi:
             return math.inf
         self._check_in_closure(float(x))
-        fx = Fraction(x)
-        fe = Fraction(self.e)
-        if fx == fe:
-            return 0.0
-        sing = self._singular_exact(min(fx, fe), max(fx, fe), depth)
-        if fx > fe:
-            return float(fx - fe + sing)
-        return float(fx - fe - sing)
+        return float(Fraction(x) - Fraction(self.e) + self.signed_mass(x, depth))
 
     __call__ = eval
 
@@ -429,19 +453,20 @@ class ScaleFunction:
 
     # -- W-support enumeration --------------------------------------------
 
-    def w_supports(self, stack_shells: int = 24) -> list[CantorBlock]:
-        """Blocks carrying the singular mass, sorted by position.
+    def w_supports(self, depth: int) -> list[WSupport]:
+        """The singular support resolved at ``depth``, in increasing position.
 
-        Stacks contribute their first ``stack_shells`` shells; deeper shells
-        remain unmaterialized (they hug the excluded endpoint).
+        Every explicit block comes whole.  Each boundary stack gives its
+        shells k < depth and then its unresolved tail zone, within
+        delta/2**depth of the stacked endpoint; at depth 0 the tails are the
+        whole stack zones.  Darning, trace cells, grid snapping and the mass
+        hull all walk the support through this one enumerator.
         """
-        out = list(self.blocks)
-        shells = min(stack_shells, _STACK_ENUM_CAP)
-        if self.stack_lo:
-            out.extend(self._left_stack().shell(k) for k in range(shells))
-        if self.stack_hi:
-            out.extend(self._right_stack().shell(k) for k in range(shells))
-        return sorted(out, key=lambda b: b.lo)
+        if depth < 0:
+            raise ValueError(f"depth must be non-negative, got {depth}")
+        lo = self._left_stack().supports(depth) if self.stack_lo else []
+        hi = self._right_stack().supports(depth) if self.stack_hi else []
+        return lo + [WSupport(b.lo, b.hi, b) for b in self.blocks] + hi
 
     def total_block_weight(self) -> float:
         """Total weight of the explicit blocks (stacks are infinite)."""

@@ -171,8 +171,9 @@ def snap_grid(
         raise ValueError("need at least one cell")
     scale = config.interval(n).scale
     targets: set[float] = set()
-    for blk in scale.w_supports(stack_shells=depth):
-        if float(blk.hi) < lo or float(blk.lo) > hi:
+    for sup in scale.w_supports(depth):
+        blk = sup.block
+        if blk is None or float(blk.hi) < lo or float(blk.lo) > hi:
             continue
         targets.add(float(blk.lo))
         targets.add(float(blk.hi))
@@ -299,12 +300,10 @@ def simulate_path(
     x0: float,
     budget: int = 1_000_000,
     seed: int = 0,
-    stochastic_time: bool = False,
 ) -> PathSample:
     """Walk the chain from x0 until absorption or the step budget runs out.
 
-    Time advances by the mean holding of each visited site; in stochastic
-    mode every holding is scaled by an independent unit exponential.
+    Time advances by the mean holding of each visited site.
     """
     i = chain.site_index(x0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -316,10 +315,7 @@ def simulate_path(
             exhausted = True
             break
         j = idx[-1]
-        h = float(chain.mean_holding[j])
-        if stochastic_time:
-            h *= float(rng.exponential())
-        times.append(times[-1] + h)
+        times.append(times[-1] + float(chain.mean_holding[j]))
         idx.append(j + 1 if rng.random() < chain.p_right[j] else j - 1)
     return PathSample(chain.sites[np.array(idx)], np.array(times), exhausted, seed)
 

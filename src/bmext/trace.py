@@ -44,18 +44,11 @@ def _interval_cells(iv, depth):
         out.append((Fraction(sc.lo), Fraction(sc.lo)))
     if sc.include_hi:
         out.append((Fraction(sc.hi), Fraction(sc.hi)))
-    for blk in sc.blocks:
-        out.extend((rlo, rhi) for rlo, rhi, _ in blk.remnants(depth))
-    for s in sc.stacks():
-        for k in range(depth):
-            # deeper shells are geometrically small; resolve them coarser
-            shell = s.shell(k)
-            out.extend((rlo, rhi) for rlo, rhi, _ in shell.remnants(max(2, depth - k)))
-        tail = s.delta / 2**depth
-        if s.side == "lo":
-            out.append((s.at, s.at + tail))
+    for sup in sc.w_supports(depth):
+        if sup.block is None:
+            out.append((sup.lo, sup.hi))
         else:
-            out.append((s.at - tail, s.at))
+            out.extend((rlo, rhi) for rlo, rhi, _ in sup.block.remnants(sup.resolution(depth)))
     return out
 
 

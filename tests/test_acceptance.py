@@ -62,4 +62,5 @@ def test_verify_reports_are_byte_identical(capsys):
     out2 = capsys.readouterr().out
     assert code1 == 0 and code2 == 0
     assert out1 == out2
+    assert out1.splitlines()[1] == f"seed={SEED}"
     assert "10 passed, 0 failed" in out1

@@ -356,3 +356,61 @@ def test_experiment_command_mismatch_exits_1(tmp_path, capsys):
     code, out = run(capsys, "energy", "--scenario", path, "--experiment", "0")
     assert code == 1
     assert "simulate" in json.loads(out)["error"]["message"]
+
+
+# -- refused options ----------------------------------------------------------------
+
+
+def refused(capsys, code, *argv):
+    got, out = run(capsys, *argv)
+    assert got == code
+    return json.loads(out)["error"]
+
+
+def test_darn_index_past_the_end_exits_1(capsys):
+    err = refused(capsys, 1, "darn", "--preset", "ex215", "--index", "1")
+    assert err["type"] == "CommandError" and "out of range" in err["message"]
+
+
+def test_darn_negative_index_is_not_taken_from_the_end(capsys):
+    err = refused(capsys, 1, "darn", "--preset", "ex216", "--index", "-1")
+    assert err["type"] == "CommandError"
+
+
+def test_simulate_darned_index_past_the_end_exits_1(capsys):
+    err = refused(capsys, 1, "simulate", "darned", "--preset", "ex215", "--index", "2")
+    assert err["type"] == "CommandError"
+
+
+def test_simulate_hitting_index_past_the_end_exits_1(capsys):
+    err = refused(
+        capsys, 1, "simulate", "hitting", "--preset", "ex215",
+        "--x0", "0.5", "--left", "0", "--right", "1", "--index", "3",
+    )
+    assert err["type"] == "CommandError"
+
+
+def test_negative_depth_exits_2(capsys):
+    err = refused(capsys, 2, "darn", "--preset", "ex215", "--depth", "-2")
+    assert err["type"] == "UsageError" and "--depth" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "path", "--steps", "0"),
+        ("simulate", "hitting", "--samples", "-5"),
+        ("simulate", "hitting", "--cells", "0"),
+        ("simulate", "hitting", "--budget", "0"),
+    ],
+)
+def test_non_positive_count_exits_2(capsys, argv):
+    window = ("--preset", "ex215", "--x0", "0.5", "--left", "0", "--right", "1")
+    err = refused(capsys, 2, *argv, *window)
+    assert err["type"] == "UsageError" and argv[2] in err["message"]
+
+
+def test_verify_takes_only_seed_and_deterministic():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--depth", "3"])
+    assert exc.value.code == 2

@@ -1,9 +1,12 @@
 """Darning transform, image measure, and the energy-preserving representation."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmext.config import ExtensionConfig, IntervalSpec, preset
 from bmext.darning import (
@@ -14,7 +17,7 @@ from bmext.darning import (
     energy_equivalence_check,
 )
 from bmext.forms import IntervalPart, PiecewiseFn, named_function
-from bmext.scale import make_scale
+from bmext.scale import anchor_point, make_scale
 
 EX215 = preset("ex215")
 SOJOURN = preset("darning-sojourn")
@@ -154,3 +157,62 @@ def test_darn_deterministic():
     a = darn(EX215, 0, depth=6)
     b = darn(EX215, 0, depth=6)
     assert a == b
+
+
+# -- the singular-support walk on random scales ---------------------------------------
+
+
+@st.composite
+def random_scales(draw):
+    """Scales with random shape, stacked or included ends, and block layout."""
+    lo = draw(st.sampled_from([-math.inf, -2.0, -1.0, 0.0]))
+    hi = draw(st.sampled_from([math.inf, 1.0, 2.0, 3.0]))
+    include_lo = math.isfinite(lo) and draw(st.booleans())
+    include_hi = math.isfinite(hi) and draw(st.booleans())
+    e = Fraction(anchor_point(lo, hi))
+    # blocks must keep clear of the stack zones, which reach delta <= 1 inwards
+    a = e - 3 if not math.isfinite(lo) else Fraction(lo)
+    b = e + 3 if not math.isfinite(hi) else Fraction(hi)
+    if math.isfinite(lo) and not include_lo:
+        a += min(Fraction(1), (e - a) / 2)
+    if math.isfinite(hi) and not include_hi:
+        b -= min(Fraction(1), (b - e) / 2)
+    cuts = sorted(draw(st.sets(st.integers(0, 64), max_size=6)))
+    pairs = list(zip(cuts[::2], cuts[1::2]))
+    weights = draw(st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=6),
+                            min_size=len(pairs), max_size=len(pairs)))
+    blocks = [
+        (a + (b - a) * i / 64, a + (b - a) * j / 64, w) for (i, j), w in zip(pairs, weights)
+    ]
+    return make_scale(lo, hi, include_lo, include_hi, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=random_scales(), depth=st.integers(0, 5))
+def test_w_supports_ordered_with_tails_on_stacked_ends(scale, depth):
+    sups = scale.w_supports(depth)
+    assert all(s.lo < s.hi for s in sups)
+    assert all(p.hi <= q.lo for p, q in zip(sups, sups[1:]))
+    tails = [s for s in sups if s.block is None]
+    assert len(tails) == scale.stack_lo + scale.stack_hi
+    if scale.stack_lo:
+        assert sups[0] in tails and sups[0].lo == Fraction(scale.lo)
+    if scale.stack_hi:
+        assert sups[-1] in tails and sups[-1].hi == Fraction(scale.hi)
+    shells = sorted(s.shell for s in sups if s.shell is not None)
+    assert shells == sorted(list(range(depth)) * (scale.stack_lo + scale.stack_hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scale=random_scales(), depth=st.integers(0, 5))
+def test_darn_walk_matches_direct_images(scale, depth):
+    sups = scale.w_supports(depth)
+    assume(sups)
+    spec = darn(ExtensionConfig((IntervalSpec(scale),)), 0, depth)
+    assert spec.total_mass() == Fraction(spec.source_hi) - Fraction(spec.source_lo)
+    # every gap atom sits at the exact image of its gap, evaluated directly
+    atoms = Counter(spec.atoms)
+    for sup in sups:
+        if sup.block is not None:
+            for _, glo, ghi, _ in sup.block.gaps(depth):
+                assert atoms[(float(scale.signed_mass(glo)), ghi - glo)] > 0

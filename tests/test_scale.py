@@ -176,10 +176,11 @@ def test_integral_t_with_stack():
 
 def test_w_supports_sorted():
     t = make_scale(0.0, 1.0, blocks=[(0.4, 0.6, 2)])
-    supports = t.w_supports(stack_shells=8)
-    los = [float(b.lo) for b in supports]
+    supports = t.w_supports(8)
+    los = [float(s.lo) for s in supports]
     assert los == sorted(los)
-    assert len(supports) == 1 + 2 * 8
+    # the block, eight shells per stack, and one tail per stack
+    assert len(supports) == 1 + 2 * 8 + 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -154,12 +154,6 @@ def test_path_seed_repeat_is_identical():
     assert not np.array_equal(a.sites, c.sites)
 
 
-def test_path_stochastic_time_keeps_time_increasing():
-    chain = build_chain(SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5])
-    path = simulate_path(chain, -1.0, budget=2_000, seed=6, stochastic_time=True)
-    assert np.all(np.diff(path.times) > 0)
-
-
 # -- hitting probabilities ---------------------------------------------------
 
 
