@@ -4,7 +4,8 @@ The standard Cantor function ``C`` on [0, 1] is evaluated by consuming
 ternary digits: digits 0 and 2 emit binary digits 0 and 1; the first
 digit 1 emits a final binary 1 and stops.  Inputs are converted to
 `fractions.Fraction`, so every float is handled exactly (floats are
-dyadic rationals).  Rational inputs whose ternary expansion cycles are
+dyadic rationals), and the digits are read off the integer numerator of
+the remainder.  Rational inputs whose ternary expansion cycles are
 resolved in closed form by remainder-cycle detection, which makes values
 such as C(1/4) = 1/3 exact rather than truncated.
 
@@ -17,7 +18,6 @@ bookkeeping exact at every truncation depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -39,14 +39,6 @@ _DIGIT_CAP = 256
 _CYCLE_DENOM_LIMIT = 10**6
 
 
-def _bits_value(bits: list[int]) -> Fraction:
-    value = Fraction(0)
-    for i, b in enumerate(bits):
-        if b:
-            value += Fraction(1, 2 ** (i + 1))
-    return value
-
-
 def cantor_fraction(x, depth: int | None = None) -> Fraction:
     """Standard Cantor function C(x) on [0, 1] as an exact Fraction.
 
@@ -65,40 +57,37 @@ def cantor_fraction(x, depth: int | None = None) -> Fraction:
     ValueError
         If x lies outside [0, 1].
     """
-    rem = Fraction(x)
-    if rem < 0 or rem > 1:
+    fx = Fraction(x)
+    if fx < 0 or fx > 1:
         raise ValueError(f"cantor_fraction: x={x} outside [0, 1]")
-    if rem == 1:
+    if fx == 1:
         return Fraction(1)
 
+    # the remainder after k digits is num/den; the binary digits emitted so
+    # far are the k low bits of ``bits``, most significant first
+    num, den = fx.numerator, fx.denominator
     exact = depth is None
     if exact:
-        limit = rem.denominator + 2 if rem.denominator <= _CYCLE_DENOM_LIMIT else _DIGIT_CAP
+        limit = den + 2 if den <= _CYCLE_DENOM_LIMIT else _DIGIT_CAP
     else:
         limit = depth
 
-    bits: list[int] = []
-    seen: dict[Fraction, int] = {}
+    bits = 0
+    seen: dict[int, int] = {}
     k = 0
-    while rem != 0 and k < limit:
+    while num and k < limit:
         if exact:
-            if rem in seen:
-                # Ternary expansion cycles: bits[j:] repeat forever.
-                j = seen[rem]
-                prefix = _bits_value(bits[:j])
-                cycle = _bits_value(bits[j:])
-                period = k - j
-                return prefix + cycle * Fraction(2**period, 2**period - 1) / 2**j
-            seen[rem] = k
-        rem *= 3
-        digit = int(rem)
-        rem -= digit
-        if digit == 1:
-            bits.append(1)
-            return _bits_value(bits)
-        bits.append(digit // 2)
+            j = seen.setdefault(num, k)
+            if j < k:
+                # the bits after the first j repeat forever with period p
+                p = k - j
+                return Fraction(bits - (bits >> p), ((1 << p) - 1) << j)
+        digit, num = divmod(3 * num, den)
+        bits = 2 * bits + (digit > 0)
         k += 1
-    return _bits_value(bits)
+        if digit == 1:
+            break
+    return Fraction(bits, 1 << k)
 
 
 def cantor_eval(x, depth: int | None = None) -> float:
@@ -137,17 +126,16 @@ def cantor_integral(x: float, depth: int = 40) -> float:
     return acc + mult * 0.25
 
 
-def _prefix_point(idx: int, ndigits: int) -> tuple[Fraction, Fraction]:
-    """Left endpoint and Cantor value after ``ndigits`` ternary digits taken
-    from the bits of ``idx`` (most significant bit first, 1 -> digit 2)."""
-    lo = Fraction(0)
-    value = Fraction(0)
-    for i in range(ndigits):
-        bit = (idx >> (ndigits - 1 - i)) & 1
-        if bit:
-            lo += Fraction(2, 3 ** (i + 1))
-            value += Fraction(1, 2 ** (i + 1))
-    return lo, value
+def _lefts(depth: int) -> list[int]:
+    """Integers a, left to right, with the level-``depth`` remnants at 2a/3**depth.
+
+    The ternary digits of a are the binary digits of the remnant's index i,
+    so the Cantor function equals i/2**depth at the remnant's left end.
+    """
+    lefts = [0]
+    for _ in range(depth):
+        lefts = [3 * a + b for a in lefts for b in (0, 1)]
+    return lefts
 
 
 def iter_gaps(depth: int) -> Iterator[tuple[int, Fraction, Fraction, Fraction]]:
@@ -159,20 +147,20 @@ def iter_gaps(depth: int) -> Iterator[tuple[int, Fraction, Fraction, Fraction]]:
     levels up to d the values are exactly {j/2^d : 1 <= j < 2^d}.
     """
     for level in range(1, depth + 1):
-        length = Fraction(1, 3**level)
-        for idx in range(2 ** (level - 1)):
-            lo, value = _prefix_point(idx, level - 1)
-            yield level, lo + length, lo + 2 * length, value + Fraction(1, 2**level)
+        den = 3**level
+        # the middle third of each remnant one level up
+        for i, a in enumerate(_lefts(level - 1)):
+            lo, hi = Fraction(6 * a + 1, den), Fraction(6 * a + 2, den)
+            yield level, lo, hi, Fraction(2 * i + 1, 2**level)
 
 
 def iter_remnants(depth: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
     """Yield the 2**depth closed level-``depth`` pieces left after removing
     all gaps of level <= depth, as ``(lo, hi, value_lo)`` with ``value_lo``
     the Cantor value at the left edge.  Pieces have length 3**-depth."""
-    length = Fraction(1, 3**depth)
-    for idx in range(2**depth):
-        lo, value = _prefix_point(idx, depth)
-        yield lo, lo + length, value
+    den = 3**depth
+    for i, a in enumerate(_lefts(depth)):
+        yield Fraction(2 * a, den), Fraction(2 * a + 1, den), Fraction(i, 2**depth)
 
 
 @dataclass(frozen=True)

@@ -493,11 +493,10 @@ def _resolve_function(ctx: _Context, name) -> PiecewiseFn:
         raise CommandError("pass --function NAME")
     if name in ctx.functions:
         return ctx.functions[name]
-    try:
-        return named_function(ctx.config, name)
-    except ValueError:
+    if name not in BUILTIN_NAMES:
         pool = ", ".join(list(ctx.functions) + list(BUILTIN_NAMES))
-        raise CommandError(f"unknown function {name!r}; available: {pool}") from None
+        raise CommandError(f"unknown function {name!r}; available: {pool}")
+    return named_function(ctx.config, name)
 
 
 def _jnum(x):
@@ -558,8 +557,8 @@ def cmd_validate(args) -> int:
 
 def cmd_energy(args) -> int:
     ctx = _load_context(args)
-    _require_valid(ctx)
     f = _resolve_function(ctx, args.function)
+    _require_valid(ctx)
     result = {
         "function": args.function,
         "energy": _jnum(energy(ctx.config, f)),
@@ -572,8 +571,8 @@ def cmd_energy(args) -> int:
 
 def cmd_decompose(args) -> int:
     ctx = _load_context(args)
-    _require_valid(ctx)
     f = _resolve_function(ctx, args.function)
+    _require_valid(ctx)
     f1, f2 = orthogonal_decompose(ctx.config, f)
     e, e1, e2 = (energy(ctx.config, g) for g in (f, f1, f2))
     cross = bilinear(ctx.config, f1, f2)
@@ -665,8 +664,8 @@ def _singular_densities(config: ExtensionConfig, f: PiecewiseFn) -> tuple:
 
 def cmd_trace(args) -> int:
     ctx = _load_context(args)
-    _require_valid(ctx)
     f = _resolve_function(ctx, args.function)
+    _require_valid(ctx)
     tf = trace_restriction(
         ctx.config, f, depth=args.depth,
         densities=_singular_densities(ctx.config, f),
@@ -791,8 +790,7 @@ def _sim_path(args, ctx) -> int:
 
 def _sim_trace(args, ctx) -> int:
     seed = _seed(args)
-    st = trace_structure(ctx.config, args.depth)
-    sites = sorted({x for cell in st.cells for x in cell})
+    sites = trace_structure(ctx.config, args.depth).sites()
     mu = build_trace_measure(ctx.config)
     mode = args.mode or "extension"
     x0 = float(_need(args, "x0"))

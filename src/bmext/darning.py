@@ -201,9 +201,10 @@ def energy_equivalence_check(
 ) -> tuple[float, float, float]:
     """Source-side vs image-side energy of a complement member on interval n.
 
-    The image function interpolates f on the dyadic image grid of each block
-    at the given depth, plus the images of f's breakpoints; between those
-    nodes the true image is linear, so the two energies agree up to rounding.
+    The image function interpolates f at the image end of each support
+    resolved at the given depth and at the images of f's breakpoints;
+    between those nodes the true image is linear, so the two energies agree
+    up to rounding.  ``depth`` sets how many stack shells are resolved.
     Returns (source, image, relative gap).
     """
     part = f.parts[n]
@@ -218,10 +219,10 @@ def energy_equivalence_check(
     if not math.isfinite(source):
         raise ValueError("source energy diverges; not in the L2 complement domain")
 
-    # walk the singular support left to right in image coordinates: inside a
-    # block the remnant grid at this depth gives the images exactly, so only
-    # the walk start and the piece breakpoints need a mass evaluation; the
-    # density switches at the images of the interior breakpoints
+    # walk the singular support left to right in image coordinates: each
+    # support adds its weight, so only the walk start and the piece
+    # breakpoints need a mass evaluation; the density switches at the images
+    # of the interior breakpoints
     i0 = next(i for i, p in enumerate(part.pieces) if p[1] > r_lo)
     dens = Fraction(part.pieces[i0][3])
     switches = [
@@ -247,14 +248,8 @@ def energy_equivalence_check(
         j_prev = j_next
 
     for sup, j in zip(sups, images):
-        blk = sup.block
-        if blk is None:
-            continue
-        cells = 2 ** sup.resolution(depth)
-        step = blk.weight * Fraction(1, cells)
-        for k in range(1, cells):
-            advance(j + k * step)
-        advance(j + blk.weight)
+        if sup.block is not None:
+            advance(j + sup.block.weight)
     if not scale.stack_hi:
         advance(j_prev)  # the trailing stretch collapses onto the last image
 

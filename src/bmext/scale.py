@@ -60,7 +60,7 @@ class WSupport(NamedTuple):
     shell: int | None = None
 
     def resolution(self, depth: int) -> int:
-        """Depth of trace cells and energy grids; small deep shells get coarser ones."""
+        """Depth of the trace cells on this support; deep, small shells get coarser ones."""
         return depth if self.shell is None else max(2, depth - self.shell)
 
 
@@ -196,12 +196,28 @@ class ScaleFunction:
     stack_lo: bool
     stack_hi: bool
     e: float = field(init=False)
+    stacks: tuple[_Stack, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "e", anchor_point(self.lo, self.hi))
-        self._validate()
+        self._check_endpoints()
+        # each stack reaches halfway to the anchor, at most one unit
+        fe = Fraction(self.e)
+        stacks = []
+        if self.stack_lo:
+            lo = Fraction(self.lo)
+            stacks.append(_Stack("lo", lo, min(Fraction(1), (fe - lo) / 2)))
+        if self.stack_hi:
+            hi = Fraction(self.hi)
+            stacks.append(_Stack("hi", hi, min(Fraction(1), (hi - fe) / 2)))
+        object.__setattr__(self, "stacks", tuple(stacks))
+        self._check_blocks()
 
     def _validate(self):
+        self._check_endpoints()
+        self._check_blocks()
+
+    def _check_endpoints(self):
         lo, hi = self.lo, self.hi
         if not lo < hi:
             raise ValueError(f"scale interval: need lo < hi, got <{lo}, {hi}>")
@@ -229,13 +245,12 @@ class ScaleFunction:
         elif self.stack_hi:
             raise ValueError("boundary stack is meaningless at an infinite endpoint")
 
-        zones = []
-        if self.stack_lo:
-            s = self._left_stack()
-            zones.append((self.lo, float(s.at + s.delta)))
-        if self.stack_hi:
-            s = self._right_stack()
-            zones.append((float(s.at - s.delta), self.hi))
+    def _check_blocks(self):
+        zones = [
+            (self.lo, float(s.at + s.delta)) if s.side == "lo"
+            else (float(s.at - s.delta), self.hi)
+            for s in self.stacks
+        ]
         prev_hi = None
         for blk in self.blocks:
             blo, bhi = float(blk.lo), float(blk.hi)
@@ -249,24 +264,6 @@ class ScaleFunction:
                     raise ValueError(
                         f"block [{blo}, {bhi}] overlaps the boundary-stack zone [{zlo}, {zhi}]"
                     )
-
-    # -- stacks ---------------------------------------------------------
-
-    def _left_stack(self) -> _Stack:
-        delta = min(Fraction(1), (Fraction(self.e) - Fraction(self.lo)) / 2)
-        return _Stack("lo", Fraction(self.lo), delta)
-
-    def _right_stack(self) -> _Stack:
-        delta = min(Fraction(1), (Fraction(self.hi) - Fraction(self.e)) / 2)
-        return _Stack("hi", Fraction(self.hi), delta)
-
-    def stacks(self) -> list[_Stack]:
-        out = []
-        if self.stack_lo:
-            out.append(self._left_stack())
-        if self.stack_hi:
-            out.append(self._right_stack())
-        return out
 
     # -- membership -----------------------------------------------------
 
@@ -290,7 +287,7 @@ class ScaleFunction:
         total: Fraction | float = Fraction(0)
         for blk in self.blocks:
             total += blk.mass_exact(u, v, depth)
-        for s in self.stacks():
+        for s in self.stacks:
             m = s.mass_between(u, v, depth)
             if m == math.inf:
                 return math.inf
@@ -445,10 +442,10 @@ class ScaleFunction:
         for blk in self.blocks:
             # signed mass from e is blockvalue(y) - blockvalue(e)
             total += blk.integral(u, v) - blk.value(e) * (v - u)
-        if self.stack_lo:
-            total -= self._left_stack().integral_mass(u, v)
-        if self.stack_hi:
-            total += self._right_stack().integral_mass(u, v)
+        for s in self.stacks:
+            # the stack mass counts negatively left of the anchor
+            m = s.integral_mass(u, v)
+            total += -m if s.side == "lo" else m
         return total
 
     # -- W-support enumeration --------------------------------------------
@@ -464,9 +461,10 @@ class ScaleFunction:
         """
         if depth < 0:
             raise ValueError(f"depth must be non-negative, got {depth}")
-        lo = self._left_stack().supports(depth) if self.stack_lo else []
-        hi = self._right_stack().supports(depth) if self.stack_hi else []
-        return lo + [WSupport(b.lo, b.hi, b) for b in self.blocks] + hi
+        out = [WSupport(b.lo, b.hi, b) for b in self.blocks]
+        for s in self.stacks:
+            out = s.supports(depth) + out if s.side == "lo" else out + s.supports(depth)
+        return out
 
     def total_block_weight(self) -> float:
         """Total weight of the explicit blocks (stacks are infinite)."""

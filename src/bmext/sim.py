@@ -295,6 +295,24 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
 # -- single trajectories -----------------------------------------------------
 
 
+def _walk(chain: GridChain, i0: int, steps: int, rng) -> np.ndarray:
+    """Site indices of a walk from i0: at most ``steps`` steps, stopping on absorption.
+
+    Uniforms are drawn in chunks; the stream is the same as one draw per step.
+    """
+    p = chain.p_right.tolist()
+    absorbing = chain.absorbing.tolist()
+    idx = [i0]
+    pos = i0
+    while len(idx) <= steps and not absorbing[pos]:
+        for u in rng.random(min(_CHUNK, steps + 1 - len(idx))).tolist():
+            pos = pos + 1 if u < p[pos] else pos - 1
+            idx.append(pos)
+            if absorbing[pos]:
+                break
+    return np.array(idx)
+
+
 def simulate_path(
     chain: GridChain,
     x0: float,
@@ -307,17 +325,10 @@ def simulate_path(
     """
     i = chain.site_index(x0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = [i]
-    times = [0.0]
-    exhausted = False
-    while not chain.absorbing[idx[-1]]:
-        if len(idx) > budget:
-            exhausted = True
-            break
-        j = idx[-1]
-        times.append(times[-1] + float(chain.mean_holding[j]))
-        idx.append(j + 1 if rng.random() < chain.p_right[j] else j - 1)
-    return PathSample(chain.sites[np.array(idx)], np.array(times), exhausted, seed)
+    idx = _walk(chain, i, budget, rng)
+    times = np.concatenate(([0.0], np.cumsum(chain.mean_holding[idx[:-1]])))
+    exhausted = not chain.absorbing[idx[-1]]
+    return PathSample(chain.sites[idx], times, exhausted, seed)
 
 
 # -- hitting statistics ------------------------------------------------------
@@ -389,24 +400,6 @@ def hitting_probability(
 
 
 # -- trace chains ------------------------------------------------------------
-
-
-def _walk_visits(chain: GridChain, i0: int, steps: int, rng) -> np.ndarray:
-    visits = np.zeros(chain.sites.size, dtype=np.int64)
-    visits[i0] += 1
-    p = chain.p_right.tolist()
-    absorbing = chain.absorbing.tolist()
-    pos = i0
-    consumed = 0
-    while consumed < steps and not absorbing[pos]:
-        block = rng.random(min(_CHUNK, steps - consumed)).tolist()
-        for u in block:
-            pos = pos + 1 if u < p[pos] else pos - 1
-            visits[pos] += 1
-            consumed += 1
-            if absorbing[pos]:
-                break
-    return visits
 
 
 def _brownian_chain(sites: np.ndarray) -> GridChain:
@@ -487,7 +480,8 @@ def simulate_trace_chain(
         raise ValueError(f"unknown mode {mode!r}; use 'extension' or 'brownian'")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    chain_visits = _walk_visits(chain, chain.site_index(x0), n_steps, rng)
+    idx = _walk(chain, chain.site_index(x0), n_steps, rng)
+    chain_visits = np.bincount(idx, minlength=chain.sites.size)
     visits = np.zeros(k_sites.size, dtype=np.int64)
     for a, s in enumerate(k_sites):
         try:

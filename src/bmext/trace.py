@@ -69,6 +69,10 @@ class TraceStructure:
     def span(self) -> tuple[float, float]:
         return self.cells[0][0], self.cells[-1][1]
 
+    def sites(self) -> list[float]:
+        """The cell ends in increasing order, each once: the sites of a trace walk."""
+        return sorted({x for cell in self.cells for x in cell})
+
 
 def trace_structure(config: ExtensionConfig, depth: int = 8) -> TraceStructure:
     """Resolve the trace set: all singular support plus retained endpoints."""
@@ -174,7 +178,7 @@ def trace_energy_ext(config: ExtensionConfig, tf: TraceFn) -> float:
         d = tf.densities[n]
         if d == 0.0:
             continue
-        if iv.scale.stacks():
+        if iv.scale.stack_lo or iv.scale.stack_hi:
             return math.inf
         w_terms.append(d * d * iv.scale.total_block_weight())
     jump = []

@@ -422,11 +422,6 @@ def check_hitting(seed: int) -> str:
 # -- confinement, traps, trace walks -----------------------------------------------
 
 
-def _dust_grid(config: ExtensionConfig) -> list[float]:
-    pieces = config.complement.dust[0].pieces()
-    return sorted({float(x) for piece in pieces for x in piece})
-
-
 def check_walk_structure(seed: int) -> str:
     # a wall at the excluded endpoint keeps the trap absorbing and unreachable
     cfg = preset("ex216")
@@ -446,12 +441,13 @@ def check_walk_structure(seed: int) -> str:
     assert walk.sites.min() >= iv.lo and walk.sites.max() <= iv.hi
 
     ext = simulate_trace_chain(
-        cfg18, None, _dust_grid(cfg18), 1 / 3, 50_000, seed=seed + 2, mode="extension"
+        cfg18, None, trace_structure(cfg18, 4).sites(), 1 / 3, 50_000,
+        seed=seed + 2, mode="extension",
     )
     assert set(ext.support().tolist()) == {1 / 3, 2 / 3}, "support beyond one gap"
 
     cfg5 = preset("ex218", depth=5)
-    dust5 = _dust_grid(cfg5)
+    dust5 = trace_structure(cfg5, 5).sites()
     assert len(dust5) == 64
     qual = simulate_trace_chain(
         cfg5, None, dust5, dust5[0], 100_000, seed=seed + 3, mode="brownian"

@@ -2,8 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmext.cantor import (
+    _CYCLE_DENOM_LIMIT,
     CantorBlock,
     cantor_eval,
     cantor_fraction,
@@ -75,6 +78,27 @@ def test_against_oracle_on_rationals():
         assert abs(got - want) <= Fraction(1, 2**70), x
 
 
+@st.composite
+def _rationals(draw):
+    # denominators on both sides of the cycle-detection limit
+    q = draw(
+        st.one_of(
+            st.integers(1, _CYCLE_DENOM_LIMIT),
+            st.integers(_CYCLE_DENOM_LIMIT + 1, 10**7),
+        )
+    )
+    return Fraction(draw(st.integers(0, q)), q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals(), st.integers(0, 60))
+def test_random_rationals_match_oracle_and_truncation(x, d):
+    exact = cantor_fraction(x)
+    assert abs(exact - oracle_cantor(x, depth=80)) <= Fraction(1, 2**70)
+    low = cantor_fraction(x, d)
+    assert low <= exact <= low + Fraction(1, 2**d)
+
+
 def test_monotone_and_bounds():
     xs = sorted(Fraction(p, 97) for p in range(98))
     vals = [cantor_fraction(x) for x in xs]
@@ -102,6 +126,15 @@ def test_plateau_values_at_depth():
         assert cantor_fraction(lo) == val
         assert cantor_fraction(hi) == val
         assert cantor_fraction((lo + hi) / 2) == val
+
+
+def test_gaps_come_level_by_level_left_to_right():
+    gaps = list(iter_gaps(6))
+    assert len(gaps) == 2**6 - 1
+    for (l1, lo1, _, _), (l2, lo2, _, _) in zip(gaps, gaps[1:]):
+        assert l1 <= l2
+        if l1 == l2:
+            assert lo1 < lo2
 
 
 def test_gap_and_remnant_lengths_telescope():

@@ -177,6 +177,19 @@ def test_unknown_function_exits_1(capsys):
     assert "available" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["energy", "decompose", "trace"])
+def test_unknown_function_is_refused_before_validation(capsys, monkeypatch, command):
+    def no_validation(config):
+        raise AssertionError("validated before the function name was checked")
+
+    monkeypatch.setattr(cli, "validate", no_validation)
+    code, out = run(capsys, command, "--preset", "ex218", "--function", "no-such-function")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CommandError"
+    assert error["message"].startswith("unknown function 'no-such-function'; available: ")
+
+
 def test_scenario_function_matches_library_energy(tmp_path, capsys):
     path = write(tmp_path, MIXED)
     code, out = run(capsys, "energy", "--scenario", path, "--function", "mixed")

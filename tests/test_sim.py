@@ -154,6 +154,24 @@ def test_path_seed_repeat_is_identical():
     assert not np.array_equal(a.sites, c.sites)
 
 
+def test_path_pinned_values():
+    # recorded values: the walk kernel must keep the draws, the path and the
+    # left-to-right time sums bit for bit
+    chain = build_chain(SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5])
+    absorbed = simulate_path(chain, -1.0, budget=200, seed=4)
+    assert not absorbed.exhausted and absorbed.steps == 47
+    assert absorbed.sites[-1] == 0.5
+    assert absorbed.times[-1] == 12.361111111111109
+    ex218 = preset("ex218", depth=4)
+    n = ex218.locate(0.5)
+    iv = ex218.interval(n)
+    chain = build_chain(ex218, n, np.linspace(iv.lo, iv.hi, 9))
+    long = simulate_path(chain, 0.5, budget=10_000, seed=5)
+    assert long.exhausted and long.steps == 10_000
+    assert long.sites[-1] == 0.5833333333333333
+    assert long.times[-1] == 17.361111111108166
+
+
 # -- hitting probabilities ---------------------------------------------------
 
 
@@ -229,6 +247,19 @@ def test_brownian_trace_visits_every_dust_site():
     assert (table.visits > 0).all()
     assert (table.frequency > 0).all()
     assert table.frequency.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_trace_visits_pinned_values():
+    config = preset("ex218", depth=4)
+    mu = build_trace_measure(config)
+    grid = _dust_grid(config)
+    ext = simulate_trace_chain(config, mu, grid, 1 / 3, 5_000, seed=7, mode="extension")
+    assert ext.visits.tolist() == [0] * 15 + [143, 245] + [0] * 15
+    bm = simulate_trace_chain(config, mu, grid, 0.0, 3_000, seed=8, mode="brownian")
+    assert bm.visits.tolist() == [
+        48, 105, 124, 89, 85, 135, 136, 70, 122, 207, 186, 125, 157, 251, 286, 164,
+        32, 56, 62, 47, 36, 61, 76, 43, 31, 61, 55, 28, 25, 38, 40, 20,
+    ]
 
 
 def test_trace_single_site_gets_all_mass():
