@@ -138,6 +138,15 @@ def _lefts(depth: int) -> list[int]:
     return lefts
 
 
+def _gap_numerators(depth: int) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(level, k, j)`` for each gap, in :func:`iter_gaps` order: the gap
+    is [k, k + 1] / 3**level and the Cantor function equals j / 2**level on it."""
+    for level in range(1, depth + 1):
+        # the middle third of each remnant one level up
+        for i, a in enumerate(_lefts(level - 1)):
+            yield level, 6 * a + 1, 2 * i + 1
+
+
 def iter_gaps(depth: int) -> Iterator[tuple[int, Fraction, Fraction, Fraction]]:
     """Yield middle-thirds gaps of [0, 1] at levels 1..depth.
 
@@ -146,12 +155,9 @@ def iter_gaps(depth: int) -> Iterator[tuple[int, Fraction, Fraction, Fraction]]:
     Gaps appear level by level, left to right within a level; across all
     levels up to d the values are exactly {j/2^d : 1 <= j < 2^d}.
     """
-    for level in range(1, depth + 1):
+    for level, k, j in _gap_numerators(depth):
         den = 3**level
-        # the middle third of each remnant one level up
-        for i, a in enumerate(_lefts(level - 1)):
-            lo, hi = Fraction(6 * a + 1, den), Fraction(6 * a + 2, den)
-            yield level, lo, hi, Fraction(2 * i + 1, 2**level)
+        yield level, Fraction(k, den), Fraction(k + 1, den), Fraction(j, 2**level)
 
 
 def iter_remnants(depth: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
@@ -231,22 +237,48 @@ class CantorBlock:
             inner = width * (sb - sa)
         return w * (inner + above)
 
+    def _frame(self) -> tuple[int, int, int]:
+        # integers with lo + (k / 3**L) * width == (off * 3**L + k * step) / (den * 3**L)
+        width = self.hi - self.lo
+        ln, ld = self.lo.numerator, self.lo.denominator
+        wn, wd = width.numerator, width.denominator
+        return ln * wd, wn * ld, ld * wd
+
     def gaps(self, depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
         """Materialized gaps up to ``depth`` in absolute coordinates.
 
         Returns ``(level, lo, hi, mass_value)`` where ``mass_value`` is the
-        block mass of [block.lo, gap] (constant across the gap)."""
+        block mass of [block.lo, gap] (constant across the gap).  Items come
+        in the order of :func:`iter_gaps`; each end is built as one Fraction
+        from integers."""
+        off, step, den = self._frame()
+        mn, md = self.weight.numerator, self.weight.denominator
         out = []
-        for level, glo, ghi, val in iter_gaps(depth):
+        for level, k, j in _gap_numerators(depth):
+            o, d = off * 3**level, den * 3**level
             out.append(
-                (level, self.lo + glo * self.width, self.lo + ghi * self.width, self.weight * val)
+                (
+                    level,
+                    Fraction(o + k * step, d),
+                    Fraction(o + (k + 1) * step, d),
+                    Fraction(mn * j, md << level),
+                )
             )
         return out
 
     def remnants(self, depth: int) -> list[tuple[Fraction, Fraction, Fraction]]:
         """Closed level-``depth`` pieces in absolute coordinates, with the
-        block mass value at each piece's left edge."""
-        out = []
-        for rlo, rhi, val in iter_remnants(depth):
-            out.append((self.lo + rlo * self.width, self.lo + rhi * self.width, self.weight * val))
-        return out
+        block mass value at each piece's left edge, in the order of
+        :func:`iter_remnants`."""
+        off, step, den = self._frame()
+        scale = 3**depth
+        o, d = off * scale, den * scale
+        mn, md = self.weight.numerator, self.weight.denominator
+        return [
+            (
+                Fraction(o + 2 * a * step, d),
+                Fraction(o + (2 * a + 1) * step, d),
+                Fraction(mn * i, md << depth),
+            )
+            for i, a in enumerate(_lefts(depth))
+        ]

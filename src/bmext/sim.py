@@ -323,6 +323,8 @@ def simulate_path(
 
     Time advances by the mean holding of each visited site.
     """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     i = chain.site_index(x0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = _walk(chain, i, budget, rng)
@@ -349,9 +351,17 @@ def hitting_probability(
     to (t(r) - t(x0)) / (t(r) - t(l)).  Walks still unresolved after
     ``budget`` steps, or frozen on an interior absorbing site, are excluded
     from the estimate and reported in ``excluded``.
+
+    Draw contract (the seeded results depend on it): walkers run in batches
+    of ``_BATCH``, each batch on a generator from its own child of
+    ``SeedSequence(seed).spawn``; each step draws one ``rng.random(n)`` for
+    the n walkers still live, one uniform per walker in walker order, and a
+    walker steps up when its uniform is below its site's ``p_right``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
     il = chain.site_index(l)
     ir = chain.site_index(r)
     i0 = chain.site_index(x0)
@@ -363,10 +373,13 @@ def hitting_probability(
         raise ValueError("need l <= x0 <= r on grid sites")
 
     p = chain.p_right
-    absorbing = chain.absorbing
+    # outcome of arriving at each site: 0 walks on, 1 hit l, 2 hit r, 3 stuck
+    code = np.where(chain.absorbing, 3, 0).astype(np.int8)
+    code[il] = 1
+    code[ir] = 2
     ss = np.random.SeedSequence(seed)
     n_batches = -(-n_samples // _BATCH)
-    succ = fail = excl = 0
+    tally = np.zeros(4, dtype=np.int64)
     remaining = n_samples
     for child in ss.spawn(n_batches):
         rng = np.random.default_rng(child)
@@ -375,19 +388,18 @@ def hitting_probability(
         pos = np.full(count, i0, dtype=np.int64)
         steps = 0
         while pos.size and steps < budget:
-            u = rng.random(pos.size)
-            pos = np.where(u < p[pos], pos + 1, pos - 1)
-            hit_l = pos == il
-            hit_r = pos == ir
-            stuck = absorbing[pos] & ~hit_l & ~hit_r
-            done = hit_l | hit_r | stuck
-            if done.any():
-                succ += int(hit_l.sum())
-                fail += int(hit_r.sum())
-                excl += int(stuck.sum())
-                pos = pos[~done]
+            up = rng.random(pos.size) < p[pos]
+            pos += up
+            pos += up
+            pos -= 1
+            c = code[pos]
+            if np.count_nonzero(c):
+                keep = c == 0
+                tally += np.bincount(c[~keep], minlength=4)
+                pos = pos[keep]
             steps += 1
-        excl += pos.size
+        tally[3] += pos.size
+    _, succ, fail, excl = tally.tolist()
     settled = succ + fail
     if settled == 0:
         return McEstimate(math.nan, math.nan, 0, seed, excluded=excl)
@@ -454,6 +466,8 @@ def simulate_trace_chain(
     brownian mode is a qualitative device: it certifies reachability, not a
     quantitative approximation of the time-changed process.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
     k_sites = _site_array(grid)
     weights = _site_weights(mu, k_sites)
     k0 = int(np.argmin(np.abs(k_sites - x0)))
@@ -521,8 +535,12 @@ def simulate_darned(
     lazy reflection half a cell beyond each window end, so its visit law is
     uniform across sites and holding-weighted occupation converges to the
     normalised image masses.  Atoms and, optionally, the unresolved residue
-    aggregates are assigned to their nearest sites, ties to the left.
+    aggregates are assigned to their nearest sites, ties to the left.  The
+    free walk is drawn and folded in ``_CHUNK``-step pieces, each starting
+    where the last one ended, so memory stays flat in ``n_steps``.
     """
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
     sites = _site_array(grid)
     if sites[0] < spec.image_lo or sites[-1] > spec.image_hi:
         raise ValueError("window must lie inside the image interval")
@@ -546,12 +564,16 @@ def simulate_darned(
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     m = sites.size
-    steps = rng.integers(0, 2, size=n_steps, dtype=np.int64) * 2 - 1
-    free = i0 + np.cumsum(steps)
-    # folding a free walk at half-integer walls gives the lazy reflected chain
-    folded = np.mod(free, 2 * m)
-    folded = np.where(folded >= m, 2 * m - 1 - folded, folded)
-    visits = np.bincount(folded, minlength=m)
+    visits = np.zeros(m, dtype=np.int64)
+    free = i0
+    for start in range(0, n_steps, _CHUNK):
+        steps = rng.integers(0, 2, size=min(_CHUNK, n_steps - start), dtype=np.int64) * 2 - 1
+        walk = free + np.cumsum(steps)
+        free = int(walk[-1])
+        # folding a free walk at half-integer walls gives the lazy reflected chain
+        folded = np.mod(walk, 2 * m)
+        folded = np.where(folded >= m, 2 * m - 1 - folded, folded)
+        visits += np.bincount(folded, minlength=m)
     visits[i0] += 1
     weighted = visits * site_mass
     total_w = weighted.sum()

@@ -184,6 +184,27 @@ def test_block_integral_matches_quadrature():
     assert abs(blk.integral(u, v) - riemann) < 5e-4
 
 
+def _fractions(lo=-(10**6), hi=10**6):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 10**5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions(), _fractions(1), _fractions(1), st.integers(0, 8))
+def test_block_gaps_and_remnants_match_the_fraction_formula(lo, width, weight, depth):
+    # reference: place each unit gap and remnant with Fraction products and sums
+    blk = CantorBlock(lo, lo + width, weight)
+    gaps = [
+        (level, lo + glo * width, lo + ghi * width, weight * val)
+        for level, glo, ghi, val in iter_gaps(depth)
+    ]
+    remnants = [
+        (lo + rlo * width, lo + rhi * width, weight * val)
+        for rlo, rhi, val in iter_remnants(depth)
+    ]
+    assert blk.gaps(depth) == gaps
+    assert blk.remnants(depth) == remnants
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         CantorBlock(1, 1, 1)

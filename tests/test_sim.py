@@ -10,6 +10,8 @@ from bmext.config import ExtensionConfig, IntervalSpec, build_trace_measure, pre
 from bmext.darning import darn
 from bmext.scale import make_scale
 from bmext.sim import (
+    _CHUNK,
+    McEstimate,
     build_chain,
     hitting_probability,
     simulate_darned,
@@ -144,6 +146,12 @@ def test_path_budget_exhaustion_returns_partial_path():
     assert path.steps == 3
 
 
+def test_path_refuses_a_negative_budget():
+    chain = build_chain(SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5])
+    with pytest.raises(ValueError, match="budget"):
+        simulate_path(chain, -1.0, budget=-1, seed=1)
+
+
 def test_path_seed_repeat_is_identical():
     chain = build_chain(SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5])
     a = simulate_path(chain, -1.0, budget=200, seed=4)
@@ -190,6 +198,9 @@ def test_hitting_ex215_scale_ratio():
     # (t(1) - t(1/3)) / (t(1) - t(0)) = (2 - 5/6) / 2
     assert est.within(7 / 12)
     assert est.excluded == 0
+    # recorded values: 100k walkers span two batches, so the pin covers the
+    # spawned child seeds as well as the per-step draws
+    assert est == McEstimate(0.58339, 0.0015590014059819954, 100_000, 20260814, excluded=0)
 
 
 def test_hitting_from_the_target_is_exact():
@@ -209,6 +220,22 @@ def test_hitting_reports_budget_exclusions():
     est2 = hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=2, budget=50)
     assert est2.samples + est2.excluded == 2_000
     assert est2.excluded > 0
+    assert est2 == McEstimate(0.49258542875564154, 0.012698616234831421, 1551, 2, excluded=449)
+
+
+def test_hitting_between_interior_sites_pinned_values():
+    # l and r are interior, non-absorbing sites: walkers stop on them all the same
+    grid = snap_grid(EX215, 0, 0.0, 1.0, 24, depth=6)
+    chain = build_chain(EX215, 0, grid)
+    assert not chain.absorbing[[4, 16]].any()
+    est = hitting_probability(chain, grid[8], grid[4], grid[16], 5_000, seed=7)
+    assert est == McEstimate(0.4502, 0.007036611029391619, 5_000, 7, excluded=0)
+
+
+def test_hitting_refuses_a_negative_budget():
+    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 13))
+    with pytest.raises(ValueError, match="budget"):
+        hitting_probability(chain, 0.5, 0.0, 1.0, 100, seed=1, budget=-1)
 
 
 def test_hitting_is_bitwise_deterministic():
@@ -260,6 +287,12 @@ def test_trace_visits_pinned_values():
         48, 105, 124, 89, 85, 135, 136, 70, 122, 207, 186, 125, 157, 251, 286, 164,
         32, 56, 62, 47, 36, 61, 76, 43, 31, 61, 55, 28, 25, 38, 40, 20,
     ]
+
+
+def test_trace_refuses_a_negative_step_count():
+    config = preset("ex218", depth=4)
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate_trace_chain(config, None, [0.0], 0.0, -1, seed=1)
 
 
 def test_trace_single_site_gets_all_mass():
@@ -338,6 +371,28 @@ def test_darned_window_validation():
         simulate_darned(spec, [-0.5, 0.5], 0.0, 100, seed=1)
     with pytest.raises(ValueError, match="grid site"):
         simulate_darned(spec, [0.0, 0.5], 0.3, 100, seed=1)
+
+
+def test_darned_visits_pinned_values():
+    # recorded values: the walk crosses chunk edges without ending on one
+    spec = darn(EX215, 0, depth=6)
+    grid = np.linspace(0.0, 1.0, 65)
+    stats = simulate_darned(spec, grid, 0.5, 3 * _CHUNK + 5, seed=21)
+    assert stats.visits.tolist() == [
+        1684, 1635, 1569, 1633, 1702, 1760, 1726, 1522, 1378, 1356, 1395, 1417, 1388,
+        1449, 1556, 1564, 1486, 1428, 1468, 1517, 1478, 1425, 1387, 1359, 1361, 1380,
+        1462, 1509, 1540, 1603, 1669, 1683, 1650, 1707, 1739, 1718, 1704, 1737, 1690,
+        1600, 1576, 1598, 1632, 1567, 1494, 1459, 1413, 1359, 1328, 1303, 1247, 1225,
+        1307, 1401, 1468, 1529, 1515, 1442, 1441, 1506, 1524, 1497, 1473, 1475, 1497,
+    ]
+    short = simulate_darned(spec, grid, 0.5, 2, seed=21)
+    assert short.visits.tolist() == [0] * 31 + [1, 2] + [0] * 32
+
+
+def test_darned_refuses_a_negative_step_count():
+    spec = darn(EX215, 0, depth=6)
+    with pytest.raises(ValueError, match="n_steps"):
+        simulate_darned(spec, np.linspace(0.0, 1.0, 65), 0.5, -1, seed=1)
 
 
 def test_darned_run_is_deterministic():
