@@ -38,6 +38,10 @@ _DIGIT_CAP = 256
 # Denominators up to this bound get full cycle detection, hence exact values.
 _CYCLE_DENOM_LIMIT = 10**6
 
+# Levels of self-similar recursion in the Cantor integral; the truncation
+# error 6**-48 / 4 lies far below float resolution.
+_INTEGRAL_LEVELS = 48
+
 
 def cantor_fraction(x, depth: int | None = None) -> Fraction:
     """Standard Cantor function C(x) on [0, 1] as an exact Fraction.
@@ -95,13 +99,12 @@ def cantor_eval(x, depth: int | None = None) -> float:
     return float(cantor_fraction(x, depth))
 
 
-def cantor_integral(x: float, depth: int = 40) -> float:
+def cantor_integral(x: float) -> float:
     """Integral of the Cantor function, ∫_0^x C(y) dy, for x in [0, 1].
 
     Uses the self-similar splitting S(x) = S(3x)/6 on the left third,
     the exact plateau formula on the middle, and S(x) = 1/4 + (x-2/3)/2
-    + S(3x-2)/6 on the right.  Recurses ``depth`` levels; the truncation
-    error is at most 6**-depth / 4.
+    + S(3x-2)/6 on the right.  Recurses ``_INTEGRAL_LEVELS`` levels.
     """
     if x <= 0.0:
         return 0.0
@@ -109,7 +112,7 @@ def cantor_integral(x: float, depth: int = 40) -> float:
         return 0.5
     acc = 0.0
     mult = 1.0
-    for _ in range(depth):
+    for _ in range(_INTEGRAL_LEVELS):
         if x <= 1.0 / 3.0:
             mult /= 6.0
             x *= 3.0
@@ -198,28 +201,28 @@ class CantorBlock:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def value_exact(self, x, depth: int | None = None) -> Fraction:
+    def value_exact(self, x) -> Fraction:
         """Mass of [lo, x]: weight * C((x-lo)/width), clipped outside."""
         fx = Fraction(x)
         if fx <= self.lo:
             return Fraction(0)
         if fx >= self.hi:
             return self.weight
-        return self.weight * cantor_fraction((fx - self.lo) / self.width, depth)
+        return self.weight * cantor_fraction((fx - self.lo) / self.width)
 
-    def value(self, x, depth: int | None = None) -> float:
-        return float(self.value_exact(x, depth))
+    def value(self, x) -> float:
+        return float(self.value_exact(x))
 
-    def mass_exact(self, u, v, depth: int | None = None) -> Fraction:
+    def mass_exact(self, u, v) -> Fraction:
         """Singular mass of (u, v] under this block (order-normalized)."""
         if u > v:
             u, v = v, u
-        return self.value_exact(v, depth) - self.value_exact(u, depth)
+        return self.value_exact(v) - self.value_exact(u)
 
-    def mass(self, u, v, depth: int | None = None) -> float:
-        return float(self.mass_exact(u, v, depth))
+    def mass(self, u, v) -> float:
+        return float(self.mass_exact(u, v))
 
-    def integral(self, u: float, v: float, depth: int = 48) -> float:
+    def integral(self, u: float, v: float) -> float:
         """∫_u^v weight * C((y-lo)/width) dy, clipped to the block."""
         lo = float(self.lo)
         hi = float(self.hi)
@@ -232,8 +235,8 @@ class CantorBlock:
         b = min(max(v, lo), hi)
         inner = 0.0
         if b > a:
-            sa = cantor_integral((a - lo) / width, depth)
-            sb = cantor_integral((b - lo) / width, depth)
+            sa = cantor_integral((a - lo) / width)
+            sb = cantor_integral((b - lo) / width)
             inner = width * (sb - sa)
         return w * (inner + above)
 

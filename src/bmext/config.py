@@ -184,22 +184,12 @@ class ExtensionConfig:
     def interval(self, idx: int) -> IntervalSpec:
         return self.intervals[idx]
 
-    def scales(self) -> list[ScaleFunction]:
-        return [iv.scale for iv in self.intervals]
-
 
 @dataclass
 class ValidationReport:
     ok: bool
     errors: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        status = "valid" if self.ok else "invalid"
-        lines = [f"configuration {status}"]
-        lines += [f"error: {e}" for e in self.errors]
-        lines += [f"note: {n}" for n in self.notes]
-        return "\n".join(lines)
 
 
 _COVER_TOL = 1e-12
@@ -312,35 +302,25 @@ def one_sided_labels(config: ExtensionConfig, x: float) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class _WPart:
-    """Singular trace-measure component on one interval.
+    """Singular trace-measure component on one interval: a sum of windows.
 
-    kind 'plain'  : dt restricted to W, no renormalization (unbounded I_n)
-    kind 'scaled' : dt|_W scaled by ``factor`` (bounded I_n, finite W-mass)
-    kind 'window' : dyadic-window series for bounded intervals whose W-mass
-                    is infinite (boundary stacks); ``windows`` holds
-                    (coef, win_lo, win_hi) terms.
+    Each ``(coef, win_lo, win_hi)`` term is dt|_W on the window scaled by
+    coef.  An unbounded interval has one window, the whole interval, with
+    coef 1; a bounded one with finite W-mass one whole-interval window
+    rescaled to total b_n - a_n; a bounded one with boundary stacks a
+    dyadic series of windows retreating from the stacked endpoints.
     """
 
     interval_index: int
-    kind: str
-    factor: float = 1.0
-    windows: tuple[tuple[float, float, float], ...] = ()
+    windows: tuple[tuple[float, float, float], ...]
 
-    def mass(self, scale: ScaleFunction, u: float, v: float, depth: int | None = None) -> float:
-        if u > v:
-            u, v = v, u
-        u = max(u, scale.lo)
-        v = min(v, scale.hi)
-        if v <= u:
-            return 0.0
-        if self.kind in ("plain", "scaled"):
-            m = scale.singular_between(u, v, depth)
-            return self.factor * m
+    def mass(self, scale: ScaleFunction, u: float, v: float) -> float:
+        """Measure of [u, v], u <= v."""
         total = 0.0
         for coef, wlo, whi in self.windows:
             a, b = max(u, wlo), min(v, whi)
             if b > a:
-                total += coef * scale.singular_between(a, b, depth)
+                total += coef * scale.singular_between(a, b)
         return total
 
 
@@ -356,14 +336,14 @@ class TraceMeasure:
     def atom_mass(self, x: float) -> float:
         return sum(m for loc, m, _ in self.atoms if loc == x)
 
-    def mass(self, u: float, v: float, depth: int | None = None) -> float:
+    def mass(self, u: float, v: float) -> float:
         """Total measure of [u, v]."""
         if u > v:
             u, v = v, u
         total = sum(m for loc, m, _ in self.atoms if u <= loc <= v)
         for part in self.w_parts:
             scale = self.config.interval(part.interval_index).scale
-            total += part.mass(scale, u, v, depth)
+            total += part.mass(scale, u, v)
         return total
 
     def is_purely_atomic(self) -> bool:
@@ -373,7 +353,7 @@ class TraceMeasure:
 _WINDOW_TERMS = 48
 
 
-def build_trace_measure(config: ExtensionConfig, depth: int = 24) -> TraceMeasure:
+def build_trace_measure(config: ExtensionConfig) -> TraceMeasure:
     """Measure on the singular set: renormalized W-restrictions plus atoms.
 
     Included endpoints carry an atom of mass b_n - a_n, capped at 1 when
@@ -398,13 +378,13 @@ def build_trace_measure(config: ExtensionConfig, depth: int = 24) -> TraceMeasur
                 notes.append(f"interval {idx} {iv.describe()}: empty trace support")
             continue
         if not iv.bounded:
-            w_parts.append(_WPart(idx, "plain"))
+            w_parts.append(_WPart(idx, ((1.0, iv.lo, iv.hi),)))
             continue
         if not has_stack:
             total = scale.singular_between(iv.lo, iv.hi)
             if total == 0.0:
                 continue
-            w_parts.append(_WPart(idx, "scaled", factor=iv.length / total))
+            w_parts.append(_WPart(idx, ((iv.length / total, iv.lo, iv.hi),)))
             continue
         # bounded interval with infinite W-mass: dyadic-window series.  Each
         # window retreats from the stacked endpoints; weights 2**-k keep the
@@ -426,11 +406,7 @@ def build_trace_measure(config: ExtensionConfig, depth: int = 24) -> TraceMeasur
             continue
         const = length / series
         w_parts.append(
-            _WPart(
-                idx,
-                "window",
-                windows=tuple((const * 2.0**-k / tm, wlo, whi) for k, wlo, whi, _, tm in terms),
-            )
+            _WPart(idx, tuple((const * 2.0**-k / tm, wlo, whi) for k, wlo, whi, _, tm in terms))
         )
     return TraceMeasure(config, tuple(atoms), tuple(w_parts), tuple(notes))
 

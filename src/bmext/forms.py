@@ -81,9 +81,6 @@ class PiecewiseFn:
                 if part.pieces[0][0] != iv.lo or part.pieces[-1][1] != iv.hi:
                     raise ValueError(f"pieces must span {iv.describe()}")
 
-    def part(self, index: int) -> IntervalPart:
-        return self.parts[index]
-
     def eval(self, x: float) -> float:
         """Value at x; raises when x lies in no invariant interval."""
         idx = self.config.locate(x)
@@ -476,6 +473,10 @@ class CompensatorResult:
         return self.e1_bound < self.budget
 
 
+# gap levels of the cantor-plateau staircase
+_PLATEAU_DEPTH = 8
+
+
 def _zero_compensator(case, c, eps, n) -> CompensatorResult:
     return CompensatorResult(case, c, 0.0, 0.0, eps / (2 * n), (c, c), lambda x: 0.0)
 
@@ -528,13 +529,13 @@ def _open_boundary(scale: ScaleFunction, c, h, eps, n) -> CompensatorResult:
     return CompensatorResult("open-boundary", c, h, bound, eps / (2 * n), support, phi)
 
 
-def _cantor_plateau(c, h, eps, n, beta, intervals, depth) -> CompensatorResult:
+def _cantor_plateau(c, h, eps, n, beta) -> CompensatorResult:
     if beta is None:
         raise ValueError("cantor-plateau compensator needs beta")
-    if intervals is None:
-        intervals = [
-            (c + beta * float(glo), c + beta * float(ghi)) for _, glo, ghi, _ in iter_gaps(depth)
-        ]
+    intervals = [
+        (c + beta * float(glo), c + beta * float(ghi))
+        for _, glo, ghi, _ in iter_gaps(_PLATEAU_DEPTH)
+    ]
     interp = cantor_interpolant(c, c + beta, intervals)
 
     def phi(x: float) -> float:
@@ -565,14 +566,12 @@ def compensator(
     eps: float,
     n: int,
     beta: float | None = None,
-    intervals: list[tuple[float, float]] | None = None,
-    depth: int = 8,
 ) -> CompensatorResult:
     """Patch of height h at c whose combined energy stays below eps/(2n).
 
     'open-boundary' rides the scale into a boundary stack, so it needs the
-    scale; 'cantor-plateau' is a scaled staircase over a closed-interval
-    family of total width beta.
+    scale; 'cantor-plateau' is a scaled staircase over the middle-thirds
+    gaps of levels up to ``_PLATEAU_DEPTH``, spread over [c, c + beta].
     """
     if eps <= 0 or n < 1:
         raise ValueError("need eps > 0 and n >= 1")
@@ -587,5 +586,5 @@ def compensator(
     if case == "cantor-plateau":
         if h == 0.0:
             return _zero_compensator(case, c, eps, n)
-        return _cantor_plateau(c, h, eps, n, beta, intervals, depth)
+        return _cantor_plateau(c, h, eps, n, beta)
     raise ValueError("case must be 'open-boundary' or 'cantor-plateau'")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cantor import CantorBlock, cantor_fraction, cantor_integral
+from .cantor import CantorBlock, cantor_fraction  # noqa: F401 - kept importable from here
 
 __all__ = ["ScaleFunction", "WSupport", "make_scale", "anchor_point"]
 
@@ -103,7 +103,7 @@ class _Stack:
             k += 1
         return k
 
-    def mass_to_edge(self, x, depth: int | None = None) -> Fraction | float:
+    def mass_to_edge(self, x) -> Fraction | float:
         """Stack mass between ``x`` and the interior edge of the stack zone.
 
         This is the stack's contribution to the mass between x and the
@@ -123,15 +123,15 @@ class _Stack:
         k = self._shell_index(r)
         blk = self.shell(k)
         if self.side == "lo":
-            partial = blk.weight - blk.value_exact(fx, depth)
+            partial = blk.weight - blk.value_exact(fx)
         else:
-            partial = blk.value_exact(fx, depth)
+            partial = blk.value_exact(fx)
         return k + partial
 
-    def mass_between(self, u, v, depth: int | None = None) -> Fraction | float:
+    def mass_between(self, u, v) -> Fraction | float:
         """Stack mass in (u, v), u <= v, both on the interval side."""
-        mu = self.mass_to_edge(u, depth)
-        mv = self.mass_to_edge(v, depth)
+        mu = self.mass_to_edge(u)
+        mv = self.mass_to_edge(v)
         if self.side == "lo":
             near, far = mu, mv
         else:
@@ -282,36 +282,36 @@ class ScaleFunction:
 
     # -- singular mass and evaluation ------------------------------------
 
-    def _singular_exact(self, u, v, depth: int | None = None) -> Fraction | float:
+    def _singular_exact(self, u, v) -> Fraction | float:
         """Exact W-mass (blocks plus stacks) strictly between u and v (u <= v)."""
         total: Fraction | float = Fraction(0)
         for blk in self.blocks:
-            total += blk.mass_exact(u, v, depth)
+            total += blk.mass_exact(u, v)
         for s in self.stacks:
-            m = s.mass_between(u, v, depth)
+            m = s.mass_between(u, v)
             if m == math.inf:
                 return math.inf
             total += m
         return total
 
-    def singular_between(self, u, v, depth: int | None = None) -> float:
+    def singular_between(self, u, v) -> float:
         """Total W-mass (blocks plus stacks) strictly between u and v."""
         if u > v:
             u, v = v, u
         self._check_in_closure(float(u))
         self._check_in_closure(float(v))
-        m = self._singular_exact(Fraction(u), Fraction(v), depth)
+        m = self._singular_exact(Fraction(u), Fraction(v))
         return m if m == math.inf else float(m)
 
-    def signed_mass(self, x, depth: int | None = None) -> Fraction | float:
+    def signed_mass(self, x) -> Fraction | float:
         """Exact W-mass from the anchor to x, signed: the darning image of x."""
         fx = Fraction(x)
         fe = Fraction(self.e)
         if fx >= fe:
-            return self._singular_exact(fe, fx, depth)
-        return -self._singular_exact(fx, fe, depth)
+            return self._singular_exact(fe, fx)
+        return -self._singular_exact(fx, fe)
 
-    def eval(self, x, depth: int | None = None) -> float:
+    def eval(self, x) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.
 
         Accepts floats or Fractions; all arithmetic is exact until the final
@@ -322,7 +322,7 @@ class ScaleFunction:
         if x == self.hi and not self.include_hi:
             return math.inf
         self._check_in_closure(float(x))
-        return float(Fraction(x) - Fraction(self.e) + self.signed_mass(x, depth))
+        return float(Fraction(x) - Fraction(self.e) + self.signed_mass(x))
 
     __call__ = eval
 
@@ -344,15 +344,11 @@ class ScaleFunction:
         tu = self.eval(u)
         return tv - tu
 
-    def uw_split(self, u: float, v: float, depth: int = 24) -> tuple[float, float]:
-        """Split dt((u, v]) into its Lebesgue and singular parts.
-
-        The singular part is evaluated with Cantor expansions truncated at
-        ``depth`` digits, so it is accurate to 2**-depth per block touched.
-        """
+    def uw_split(self, u: float, v: float) -> tuple[float, float]:
+        """Split dt((u, v]) into its Lebesgue and singular parts; the singular part is exact."""
         if u > v:
             u, v = v, u
-        return v - u, self.singular_between(u, v, depth)
+        return v - u, self.singular_between(u, v)
 
     # -- inversion --------------------------------------------------------
 

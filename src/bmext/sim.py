@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import ComplementSpec, ExtensionConfig, TraceMeasure
+from .config import ExtensionConfig, TraceMeasure
 from .darning import DarnedSpec
 from .scale import ScaleFunction
 
@@ -49,17 +49,6 @@ def _site_array(sites) -> np.ndarray:
     if arr.size > 1 and not np.all(np.diff(arr) > 0):
         raise ValueError("sites must be strictly increasing")
     return arr
-
-
-def _complement_member(comp: ComplementSpec, x: float) -> bool:
-    if any(x == p for p in comp.points):
-        return True
-    if any(a <= x <= b for a, b in comp.segments):
-        return True
-    for d in comp.dust:
-        if any(plo <= x <= phi for plo, phi in d.pieces()):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -102,8 +91,9 @@ class McEstimate:
     seed: int
     excluded: int = 0
 
-    def within(self, target: float, k: float = 3.0) -> bool:
-        return abs(self.estimate - target) <= k * self.std_error + 1e-12
+    def within(self, target: float) -> bool:
+        """True when the estimate lies within three standard errors of target."""
+        return abs(self.estimate - target) <= 3.0 * self.std_error + 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,8 +215,8 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
 
     Sites must lie in the interval's closure; the two window ends reflect
     when they sit on an included endpoint and absorb otherwise.  A site on
-    an adjacent trap point is legal and absorbing, and the infinite scale
-    walls it off from the rest of the grid.
+    an excluded endpoint that no interval contains is a trap: legal and
+    absorbing, and the infinite scale walls it off from the rest of the grid.
     """
     iv = config.interval(n)
     scale = iv.scale
@@ -241,7 +231,7 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
             raise ValueError(
                 f"grid straddles intervals {n} and {other}: site {s} belongs to both windows"
             )
-        if _complement_member(config.complement, s) and s in (iv.lo, iv.hi):
+        if s in (iv.lo, iv.hi):
             absorbing[i] = True
             continue
         raise ValueError(f"site {s} lies outside interval {iv.describe()}")
@@ -430,26 +420,20 @@ def _brownian_chain(sites: np.ndarray) -> GridChain:
     return GridChain(sites, p, hold, ("reflect", "reflect"), np.zeros(m, dtype=bool))
 
 
-def _site_weights(mu, sites: np.ndarray) -> np.ndarray:
-    if mu is None:
+def _site_weights(mu: TraceMeasure | None, sites: np.ndarray) -> np.ndarray:
+    # each site weighs the measure of its cell, cut at the midpoints to its neighbours
+    if mu is None or sites.size == 1:
         return np.ones(sites.size)
-    if isinstance(mu, TraceMeasure):
-        if sites.size == 1:
-            return np.array([1.0])
-        mids = (sites[1:] + sites[:-1]) / 2.0
-        edges = np.concatenate(
-            ([sites[0] - (sites[1] - sites[0]) / 2.0], mids, [sites[-1] + (sites[-1] - sites[-2]) / 2.0])
-        )
-        return np.array([mu.mass(a, b) for a, b in zip(edges, edges[1:])])
-    w = np.asarray(mu, dtype=float)
-    if w.shape != sites.shape:
-        raise ValueError("per-site weights must match the grid")
-    return w
+    mids = (sites[1:] + sites[:-1]) / 2.0
+    edges = np.concatenate(
+        ([sites[0] - (sites[1] - sites[0]) / 2.0], mids, [sites[-1] + (sites[-1] - sites[-2]) / 2.0])
+    )
+    return np.array([mu.mass(a, b) for a, b in zip(edges, edges[1:])])
 
 
 def simulate_trace_chain(
     config: ExtensionConfig,
-    mu,
+    mu: TraceMeasure | None,
     grid,
     x0: float,
     n_steps: int,
@@ -527,15 +511,14 @@ def simulate_darned(
     x0: float,
     n_steps: int,
     seed: int = 0,
-    include_residue: bool = True,
 ) -> OccupationStats:
     """Occupation fractions of the darned walk over a window of image sites.
 
     The walk is symmetric (the darned process runs in natural scale) with
     lazy reflection half a cell beyond each window end, so its visit law is
     uniform across sites and holding-weighted occupation converges to the
-    normalised image masses.  Atoms and, optionally, the unresolved residue
-    aggregates are assigned to their nearest sites, ties to the left.  The
+    normalised image masses.  Atoms and the unresolved residue aggregates
+    are assigned to their nearest sites, ties to the left.  The
     free walk is drawn and folded in ``_CHUNK``-step pieces, each starting
     where the last one ended, so memory stays flat in ``n_steps``.
     """
@@ -548,9 +531,8 @@ def simulate_darned(
     if not math.isclose(sites[i0], x0, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError("x0 must be a grid site")
 
-    pool = spec.atoms + (spec.residue if include_residue else ())
     masses = [Fraction(0)] * sites.size
-    for loc, mass in pool:
+    for loc, mass in spec.atoms + spec.residue:
         if sites[0] <= loc <= sites[-1]:
             masses[_nearest_site(sites, loc)] += mass
     total = sum(masses, Fraction(0))

@@ -156,14 +156,20 @@ def trace_restriction(config, fn, depth: int = 8, densities=None) -> TraceFn:
     return TraceFn(st, values, tuple(float(d) for d in densities))
 
 
+def _jump_terms(tf: TraceFn, form: str) -> list[float]:
+    """The summand 0.5 * dv**2 / (gap length) of each gap, in gap order; the
+    extension form drops the gaps outside every interval."""
+    vals = tf.values
+    return [
+        0.5 * (dv := right - left) * dv / (ghi - glo)
+        for (glo, ghi, inside), (_, left), (right, _) in zip(tf.structure.gaps, vals, vals[1:])
+        if form == "brownian" or inside is not None
+    ]
+
+
 def trace_energy_bm(config: ExtensionConfig, tf: TraceFn) -> float:
     """Jump energy of the Brownian trace: half the sum of (dv)^2/gap over gaps."""
-    st = tf.structure
-    terms = []
-    for i, (glo, ghi, _) in enumerate(st.gaps):
-        dv = tf.values[i + 1][0] - tf.values[i][1]
-        terms.append(dv * dv / (ghi - glo))
-    return 0.5 * math.fsum(terms)
+    return math.fsum(_jump_terms(tf, "brownian"))
 
 
 def trace_energy_ext(config: ExtensionConfig, tf: TraceFn) -> float:
@@ -172,7 +178,6 @@ def trace_energy_ext(config: ExtensionConfig, tf: TraceFn) -> float:
     A nonzero density on an interval whose singular mass is infinite makes
     the singular term diverge, reported as inf.
     """
-    st = tf.structure
     w_terms = []
     for n, iv in enumerate(config.intervals):
         d = tf.densities[n]
@@ -181,13 +186,8 @@ def trace_energy_ext(config: ExtensionConfig, tf: TraceFn) -> float:
         if iv.scale.stack_lo or iv.scale.stack_hi:
             return math.inf
         w_terms.append(d * d * iv.scale.total_block_weight())
-    jump = []
-    for i, (glo, ghi, inside) in enumerate(st.gaps):
-        if inside is None:
-            continue
-        dv = tf.values[i + 1][0] - tf.values[i][1]
-        jump.append(dv * dv / (ghi - glo))
-    return 0.5 * (math.fsum(w_terms) + math.fsum(jump))
+    # halving is exact in binary floating point, so this equals half the plain sums
+    return 0.5 * math.fsum(w_terms) + math.fsum(_jump_terms(tf, "extension"))
 
 
 def jump_contributions(config, tf: TraceFn, form: str = "brownian"):
@@ -198,14 +198,8 @@ def jump_contributions(config, tf: TraceFn, form: str = "brownian"):
     """
     if form not in ("brownian", "extension"):
         raise ValueError(f"unknown form {form!r}")
-    st = tf.structure
-    rows = []
-    for i, (glo, ghi, inside) in enumerate(st.gaps):
-        if form == "extension" and inside is None:
-            continue
-        dv = tf.values[i + 1][0] - tf.values[i][1]
-        rows.append((glo, ghi, 0.5 * dv * dv / (ghi - glo)))
-    return rows
+    gaps = [g for g in tf.structure.gaps if form == "brownian" or g[2] is not None]
+    return [(glo, ghi, c) for (glo, ghi, _), c in zip(gaps, _jump_terms(tf, form))]
 
 
 def _cell_mass(config, clo: float, chi: float) -> float:

@@ -21,6 +21,16 @@ from bmext.config import (
 from bmext.scale import make_scale
 
 
+# a bounded interval stacked at both ends between two closed rays
+STACKED_WINDOW = ExtensionConfig(
+    (
+        IntervalSpec(make_scale(-math.inf, 0.0, include_hi=True)),
+        IntervalSpec(make_scale(0.0, 1.0)),
+        IntervalSpec(make_scale(1.0, math.inf, include_lo=True)),
+    )
+)
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_validate(name):
     rep = validate(preset(name))
@@ -177,16 +187,12 @@ def test_trace_measure_ex218_all_atoms():
 def test_trace_measure_window_renormalization():
     # bounded interval whose stacks give dt|_W infinite mass: the windowed
     # series must still hand the open part exactly its length
-    cfg = ExtensionConfig(
-        (
-            IntervalSpec(make_scale(-math.inf, 0.0, include_hi=True)),
-            IntervalSpec(make_scale(0.0, 1.0)),
-            IntervalSpec(make_scale(1.0, math.inf, include_lo=True)),
-        )
-    )
+    cfg = STACKED_WINDOW
     assert validate(cfg).ok
     mu = build_trace_measure(cfg)
-    assert [p.kind for p in mu.w_parts] == ["window"]
+    # one part: a series of windows, each retreating from both stacked ends
+    assert len(mu.w_parts) == 1 and len(mu.w_parts[0].windows) > 1
+    assert all(0.0 < wlo < whi < 1.0 for _, wlo, whi in mu.w_parts[0].windows)
     open_part = mu.mass(0.0, 1.0) - mu.atom_mass(0.0) - mu.atom_mass(1.0)
     assert open_part == pytest.approx(1.0, abs=1e-9)
 
@@ -206,8 +212,43 @@ def test_trace_measure_scaled_kind_totals_interval_length():
     rep = validate(cfg)
     assert not rep.ok  # 0 and 1 are claimed twice
     mu = build_trace_measure(cfg)
-    scaled = [p for p in mu.w_parts if p.kind == "scaled"]
-    assert len(scaled) == 1 and scaled[0].factor == pytest.approx(0.5)
+    # one flat window over the whole interval, rescaled by (b - a) / W-mass
+    scaled = [p for p in mu.w_parts if len(p.windows) == 1]
+    assert len(scaled) == 1
+    ((coef, wlo, whi),) = scaled[0].windows
+    assert (wlo, whi) == (0.0, 1.0) and coef == pytest.approx(0.5)
+
+
+_MASS_WINDOWS = (
+    (-3.0, 0.0), (0.0, 1.0 / 3.0), (0.2, 0.7), (0.0, 1.0), (-0.5, -0.25),
+    (0.125, 0.25), (0.3, 2.5), (-1.0, 0.5), (0.6, 0.95), (-0.9, -0.55),
+)
+
+
+@pytest.mark.parametrize(
+    "name, masses",
+    [
+        ("ex215", [0.0, 0.49999999997464784, 0.34999999997671694, 1.0, 0.0,
+                   0.08333333333333333, 0.6000000000058208, 0.5, 0.375, 0.0]),
+        ("ex216", [math.inf, math.inf, 1.5, math.inf, 1.0, 1.0, 0.75, math.inf, 0.0, 0.0]),
+        ("ex217", [2.7777777777777772, 0.611111111111111, 1.1, 2.7777777777777777, 1.0,
+                   0.3333333333333333, 2.416666666666667, 4.055555555555555,
+                   0.3821174074422813, 0.16495854438713528]),
+        ("ex218", [1.0, 1.9609815576893788, 1.0393232738911755, 3.921963115378767, 0,
+                   0.16018899557994215, 2.353147386069199, 1.9609815576893788,
+                   0.8596250571559197, 0]),
+        ("darning-sojourn", [math.inf, 0.49999999997464784, 0.34999999997671694, 1.0, 0.0,
+                             0.08333333333333333, 0.6000000000058208, 1.5, 0.375, 0.0]),
+        ("stacked-window", [1.0, 1.5, 0.16646229517470892, 3.0, 0.0, 0.33292459034941785,
+                            1.5, 1.5, 0.4547214282074069, 0.0]),
+    ],
+)
+def test_trace_measure_masses_pinned(name, masses):
+    # recorded values: the staircase masses under every trace-measure shape
+    # (whole interval, window series, atoms only) stay bit for bit
+    cfg = STACKED_WINDOW if name == "stacked-window" else preset(name)
+    mu = build_trace_measure(cfg)
+    assert [mu.mass(a, b) for a, b in _MASS_WINDOWS] == masses
 
 
 def test_locate_and_interval_lookup():

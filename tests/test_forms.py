@@ -315,6 +315,16 @@ def test_cantor_plateau_compensator():
     assert r(1.0) == 0.0
 
 
+def test_cantor_plateau_bound_pinned():
+    # recorded values: the plateau family is the middle-thirds gaps to depth 8
+    assert compensator("cantor-plateau", None, 0.0, 1.0, 0.1, 1, beta=0.04).e1_bound == (
+        0.01147975489635726
+    )
+    assert compensator("cantor-plateau", None, 0.5, 0.3, 0.05, 3, beta=0.01).e1_bound == (
+        0.0002582944851680058
+    )
+
+
 def test_cantor_plateau_rejects_wide_support():
     with pytest.raises(ValueError):
         compensator("cantor-plateau", None, 0.0, 1.0, 0.1, 1, beta=0.2)

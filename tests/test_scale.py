@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bmext.cantor import CantorBlock
 from bmext.scale import anchor_point, make_scale
+from strategies import random_scales
 
 
 def ex215_scale():
@@ -50,14 +51,12 @@ def test_uw_split():
     t = ex215_scale()
     leb, sing = t.uw_split(0.0, Fraction(1, 3))
     assert leb == 1.0 / 3.0
-    assert abs(sing - 0.5) < 1e-7  # depth-24 truncation
-    leb, sing = t.uw_split(0.0, Fraction(1, 3), depth=50)
     assert abs(sing - 0.5) < 1e-15
     # exact evaluation through the full mass
     assert t.singular_between(0.0, 1.0) == 1.0
-    # split accounting matches the Stieltjes mass to depth accuracy
+    # split accounting matches the Stieltjes mass
     for u, v in [(0.0, 0.7), (-1.0, 2.0), (0.2, 0.3)]:
-        leb, sing = t.uw_split(u, v, depth=40)
+        leb, sing = t.uw_split(u, v)
         assert abs((leb + sing) - t.stieltjes_mass(u, v)) < 1e-11
 
 
@@ -193,6 +192,17 @@ def test_round_trip_property(x, w):
     y = t(x)
     back = t.inverse(y, tol=1e-9)
     assert abs(back - x) <= 1e-9 * (1.0 + abs(y)) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(scale=random_scales(), frac=st.floats(min_value=0.001, max_value=0.999))
+def test_round_trip_property_on_stacks_and_blocks(scale, frac):
+    # the window is the interval, cut off three units from the anchor on an infinite side
+    lo = scale.lo if math.isfinite(scale.lo) else scale.e - 3.0
+    hi = scale.hi if math.isfinite(scale.hi) else scale.e + 3.0
+    x = lo + frac * (hi - lo)
+    y = scale.eval(x)
+    assert abs(scale.inverse(y) - x) <= 1e-9 * (1.0 + abs(y)) + 1e-12
 
 
 @settings(max_examples=40, deadline=None)

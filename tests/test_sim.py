@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmext.config import ExtensionConfig, IntervalSpec, build_trace_measure, preset
+from bmext.config import (
+    ComplementSpec,
+    ExtensionConfig,
+    IntervalSpec,
+    build_trace_measure,
+    preset,
+    validate,
+)
 from bmext.darning import darn
 from bmext.scale import make_scale
 from bmext.sim import (
@@ -66,6 +73,51 @@ def test_trap_site_is_absorbing_behind_an_exact_wall():
     assert math.isfinite(chain.mean_holding[2]) and chain.mean_holding[2] > 0.0
     single = build_chain(EX216, 1, [0.0])
     assert single.absorbing[0] and single.boundary == ("absorb", "absorb")
+
+
+def test_trap_end_bordering_a_complement_segment_absorbs():
+    # the excluded stacked end 0 borders the leftover segment (-1, 0), not a point trap
+    config = ExtensionConfig(
+        (
+            IntervalSpec(make_scale(-math.inf, -1.0, include_hi=True)),
+            IntervalSpec(make_scale(0.0, math.inf)),
+        ),
+        ComplementSpec(segments=((-1.0, 0.0),)),
+    )
+    assert validate(config).ok
+    chain = build_chain(config, 1, [0.0, 0.5, 1.0])
+    # recorded values
+    assert chain.absorbing.tolist() == [True, False, True]
+    assert chain.boundary == ("absorb", "absorb")
+    assert chain.p_right.tolist() == [0.0, 1.0, 0.0]
+    assert chain.mean_holding.tolist() == [0.0, 0.75, 0.0]
+
+
+def test_holding_times_pinned():
+    # recorded values: a block window and a stack window, where every holding
+    # time integrates the staircase through the Cantor integral recursion
+    chain = build_chain(EX215, 0, snap_grid(EX215, 0, -0.5, 1.5, 16, depth=6))
+    assert chain.sites.tolist() == [
+        -0.5, -0.375, -0.25, -0.125, 0.0, 0.1111111111111111, 0.2496570644718793,
+        0.3333333333333333, 0.5, 0.6666666666666666, 0.7503429355281207,
+        0.8888888888888888, 1.0, 1.125, 1.25, 1.375, 1.5,
+    ]
+    assert chain.mean_holding.tolist() == [
+        0.0, 0.015625, 0.015625, 0.015625, 0.021924603174043093, 0.03887176536729261,
+        0.022773715293808346, 0.02430613076900354, 0.027777777782003105,
+        0.024306130769531625, 0.022773715293781076, 0.038871765367248824,
+        0.021924603174603135, 0.015625, 0.015625, 0.015625, 0.0,
+    ]
+    chain = build_chain(EX216, 1, [0.0, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0])
+    assert chain.mean_holding.tolist() == [
+        0.0, 0.19921875, 0.10245535714285714, 0.0870535714285714, 0.09895833333333336,
+        0.06101190476190476, 0.0625, 0.0,
+    ]
+    chain = build_chain(EX216, 0, [-1.0, -0.6, -0.3, -0.2, -0.1, -0.05, 0.0])
+    assert chain.mean_holding.tolist() == [
+        0.0, 0.21846743295019158, 0.17009502923976608, 0.10531695156695156,
+        0.07137596899224811, 0.13770833333333332, 0.0,
+    ]
 
 
 def test_included_endpoint_reflects():

@@ -106,6 +106,20 @@ def test_pure_jump_energies_coincide_exactly():
     assert trace_energy_ext(cfg, c_k) == trace_energy_bm(cfg, c_k)
 
 
+def test_trace_energies_pinned():
+    # recorded values: both energies sum the same per-gap terms bit for bit
+    cantor = named_function(EX215, "cantor")
+    tf = trace_restriction(EX215, cantor, depth=8, densities=(1.0,))
+    assert trace_energy_ext(EX215, tf) == 0.5000000000000003
+    square = trace_restriction(EX215, lambda x: x * x, depth=6)
+    assert trace_energy_bm(EX215, square) == 0.5941563934683892
+    assert trace_energy_ext(EX215, square) == 0.5941563934683892
+    ex217 = preset("ex217", depth=5)
+    wave = trace_restriction(ex217, lambda x: math.sin(3 * x), depth=5)
+    assert trace_energy_bm(ex217, wave) == 2.3635185444933016
+    assert trace_energy_ext(ex217, wave) == 2.3635185444933016
+
+
 def test_harmonic_extension_constant():
     tf = trace_restriction(EX215, lambda x: 1.0, depth=6)
     h = harmonic_extension(EX215, tf)
