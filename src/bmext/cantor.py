@@ -28,6 +28,7 @@ __all__ = [
     "cantor_integral",
     "iter_gaps",
     "iter_remnants",
+    "remnant_length",
     "CantorBlock",
 ]
 
@@ -170,6 +171,32 @@ def iter_remnants(depth: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
     den = 3**depth
     for i, a in enumerate(_lefts(depth)):
         yield Fraction(2 * a, den), Fraction(2 * a + 1, den), Fraction(i, 2**depth)
+
+
+def remnant_length(x, depth: int) -> Fraction:
+    """Lebesgue measure of [0, x] inside the level-``depth`` remnant, exactly.
+
+    Reads the ternary digits of x off its integer numerator, as
+    :func:`cantor_fraction` does.  Digits 0 and 2 pick the left or right
+    sub-piece, and a 2 passes every level-``depth`` piece of the left one;
+    a digit 1 (in a gap) or a zero remainder (on a piece end) ends the
+    count.  After ``depth`` digits the remainder is the covered part of the
+    piece x lies in.
+    """
+    fx = Fraction(x)
+    if fx <= 0:
+        return Fraction(0)
+    den3 = 3**depth
+    if fx >= 1:
+        return Fraction(2**depth, den3)
+    num, den = fx.numerator, fx.denominator
+    bits = 0
+    for k in range(depth):
+        digit, num = divmod(3 * num, den)
+        bits = 2 * bits + (digit > 0)
+        if digit == 1 or not num:
+            return Fraction(bits << (depth - k - 1), den3)
+    return Fraction(bits * den + num, den3 * den)
 
 
 @dataclass(frozen=True)

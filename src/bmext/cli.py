@@ -248,13 +248,14 @@ def _parse_complement(d, path: str) -> ComplementSpec:
     for i, du in enumerate(_listed(d.get("dust", []), f"{path}.dust")):
         dpath = f"{path}.dust[{i}]"
         _reject_unknown(du, ("lo", "hi", "depth"), dpath)
-        dust.append(
-            DustSpec(
-                _finite(du.get("lo"), f"{dpath}.lo"),
-                _finite(du.get("hi"), f"{dpath}.hi"),
-                _integer(du.get("depth"), f"{dpath}.depth"),
-            )
-        )
+        lo = _finite(du.get("lo"), f"{dpath}.lo")
+        hi = _finite(du.get("hi"), f"{dpath}.hi")
+        depth = _integer(du.get("depth"), f"{dpath}.depth")
+        if not lo < hi:
+            raise ScenarioError(f"{dpath}: need lo < hi, got [{lo}, {hi}]")
+        if depth < 0:
+            raise ScenarioError(f"{dpath}.depth: must be non-negative, got {depth}")
+        dust.append(DustSpec(lo, hi, depth))
     return ComplementSpec(points, tuple(segments), tuple(dust))
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cantor import iter_gaps, iter_remnants
+from .cantor import iter_gaps, iter_remnants, remnant_length
 from .scale import ScaleFunction, make_scale
 
 __all__ = [
@@ -114,14 +114,16 @@ class DustSpec:
         return [(flo + a * width, flo + b * width) for a, b, _ in iter_remnants(self.depth)]
 
     def measure_in(self, u: float, v: float) -> Fraction:
-        fu, fv = Fraction(u), Fraction(v)
-        total = Fraction(0)
-        for plo, phi in self.pieces():
-            a = max(plo, fu)
-            b = min(phi, fv)
-            if b > a:
-                total += b - a
-        return total
+        """Exact length of the pieces inside [u, v], in O(depth) digit steps."""
+        flo, fhi = Fraction(self.lo), Fraction(self.hi)
+        a, b = max(flo, Fraction(u)), min(fhi, Fraction(v))
+        if b <= a:
+            return Fraction(0)
+        width = fhi - flo
+        return width * (
+            remnant_length((b - flo) / width, self.depth)
+            - remnant_length((a - flo) / width, self.depth)
+        )
 
     def materialized_measure(self) -> Fraction:
         return Fraction(2, 3) ** self.depth * (Fraction(self.hi) - Fraction(self.lo))

@@ -454,6 +454,12 @@ def simulate_trace_chain(
         raise ValueError("n_steps must be non-negative")
     k_sites = _site_array(grid)
     weights = _site_weights(mu, k_sites)
+    unweighable = k_sites[~np.isfinite(weights)]
+    if unweighable.size:
+        raise ValueError(
+            f"trace site {float(unweighable[0])!r} has an infinite trace-measure weight:"
+            " its cell reaches an excluded stacked endpoint"
+        )
     k0 = int(np.argmin(np.abs(k_sites - x0)))
     if not math.isclose(k_sites[k0], x0, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError("x0 must be one of the trace sites")

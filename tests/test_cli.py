@@ -2,11 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 import bmext.cli as cli
-from bmext.config import preset
+from bmext.config import DustSpec, preset
 from bmext.forms import energy
 
 OVERLAP = {
@@ -123,6 +124,51 @@ def test_intervals_must_be_listed_in_order(tmp_path, capsys):
     code, out = run(capsys, "validate", "--scenario", write(tmp_path, doc))
     assert code == 2
     assert "increasing order" in json.loads(out)["error"]["message"]
+
+
+def _dust_scenario(dust):
+    # two closed rays around [0, 1], whose gap the dust must account for
+    return {
+        "schema": 1,
+        "config": {
+            "intervals": [
+                {"lo": "-inf", "hi": 0.0, "include_hi": True},
+                {"lo": 1.0, "hi": "inf", "include_lo": True},
+            ],
+            "complement": {"dust": [dust]},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "dust, message",
+    [
+        ({"lo": 0, "hi": 1, "depth": -1}, "dust[0].depth: must be non-negative"),
+        ({"lo": 1, "hi": 0, "depth": 3}, "dust[0]: need lo < hi"),
+        ({"lo": 0.5, "hi": 0.5, "depth": 3}, "dust[0]: need lo < hi"),
+    ],
+)
+def test_malformed_dust_exits_2(tmp_path, capsys, dust, message):
+    code, out = run(capsys, "validate", "--scenario", write(tmp_path, _dust_scenario(dust)))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ScenarioError"
+    assert err["message"].startswith("$.config.complement." + message)
+
+
+def test_deep_scenario_dust_is_accounted_without_its_pieces(tmp_path, capsys, monkeypatch):
+    # 2**200 pieces could never be listed; the closed form reads the gap exactly
+    def refuse(self):
+        raise AssertionError("validate enumerated the dust pieces")
+
+    monkeypatch.setattr(DustSpec, "pieces", refuse)
+    doc = _dust_scenario({"lo": 0, "hi": 1, "depth": 200})
+    code, out = run(capsys, "validate", "--scenario", write(tmp_path, doc))
+    assert code == 1
+    assert json.loads(out)["result"]["errors"] == [
+        "gap (0.0, 1.0) has length 1.0 but the complement accounts for "
+        f"{float(Fraction(2, 3) ** 200)}"
+    ]
 
 
 def test_missing_source_exits_2(capsys):
@@ -322,6 +368,18 @@ def test_simulate_trace_support(capsys):
     r = json.loads(out)["result"]
     assert code == 0
     assert r["mode"] == "extension" and r["support_count"] == 2
+
+
+def test_simulate_trace_refuses_an_infinite_weight(tmp_path, capsys):
+    code, out = run(
+        capsys,
+        "simulate", "trace", "--preset", "darning-sojourn", "--depth", "4",
+        "--x0", "-1.0", "--mode", "brownian", "--steps", "3000",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert "trace site -1.0" in json.loads(out)["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_darned_occupation(tmp_path, capsys):

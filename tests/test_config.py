@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmext.config import (
     ComplementSpec,
@@ -93,6 +95,126 @@ def test_ex218_dust_measure_exact():
     assert dust.measure_in(0.0, Fraction(1, 81)) == Fraction(1, 81)
     # a gap interior carries none of the dust
     assert dust.measure_in(Fraction(1, 3), Fraction(2, 3)) == 0
+
+
+def _piece_scan(dust, u, v):
+    # the former DustSpec.measure_in: clip every level-depth piece to [u, v]
+    fu, fv = Fraction(u), Fraction(v)
+    total = Fraction(0)
+    for plo, phi in dust.pieces():
+        a, b = max(plo, fu), min(phi, fv)
+        if b > a:
+            total += b - a
+    return total
+
+
+@st.composite
+def _dust_windows(draw):
+    """A dust with finite lo < hi at depth 0-8 and a window [u, v] on it."""
+    depth = draw(st.integers(0, 8))
+    lo = draw(st.floats(-8.0, 8.0))
+    hi = lo + draw(st.floats(1e-3, 8.0))
+    dust = DustSpec(lo, hi, depth)
+    pieces = dust.pieces()
+    width = Fraction(hi) - Fraction(lo)
+
+    def end():
+        kind = draw(st.sampled_from(["remnant", "third", "float", "outside"]))
+        if kind == "remnant":
+            x = draw(st.sampled_from(pieces))[draw(st.integers(0, 1))]
+            return x if draw(st.booleans()) else float(x)
+        if kind == "third":
+            level = draw(st.integers(1, 9))
+            k = draw(st.integers(0, 3**level))
+            return float(Fraction(lo) + width * Fraction(k, 3**level))
+        if kind == "float":
+            return draw(st.floats(lo, hi))
+        return draw(st.one_of(st.floats(lo - 10.0, lo), st.floats(hi, hi + 10.0)))
+
+    return dust, end(), end()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dust_windows())
+def test_dust_measure_matches_the_piece_scan(case):
+    dust, u, v = case
+    got = dust.measure_in(u, v)
+    assert type(got) is Fraction and got == _piece_scan(dust, u, v)
+
+
+def test_dust_measure_at_depth_200_matches_self_similarity():
+    # [0, 1/4] and [0, 3/4] map onto each other under the two similarities
+    # of the Cantor set, so their remnant lengths follow a two-term recursion
+    quarter, three_quarters = Fraction(1, 4), Fraction(3, 4)
+    for d in range(1, 201):
+        quarter, three_quarters = (
+            three_quarters / 3,
+            Fraction(2, 3) ** (d - 1) / 3 + quarter / 3,
+        )
+    dust = DustSpec(0.0, 1.0, 200)
+    assert dust.measure_in(0.0, 0.25) == quarter
+    assert dust.measure_in(0.25, 0.75) == Fraction(2, 3) ** 200 - 2 * quarter
+
+
+def test_validate_never_materialises_the_dust(monkeypatch):
+    def refuse(self):
+        raise AssertionError("validate enumerated the dust pieces")
+
+    monkeypatch.setattr(DustSpec, "pieces", refuse)
+    assert validate(preset("ex218", 12)).ok
+
+
+_EX218_RESIDUALS = (
+    "1", "0.666667", "0.444444", "0.296296", "0.197531", "0.131687", "0.0877915",
+    "0.0585277", "0.0390184", "0.0260123", "0.0173415",
+)
+
+
+def _residual_note(depth):
+    return (
+        f"complement holds measure {_EX218_RESIDUALS[depth]} at this truncation depth; "
+        "the ideal (fully refined) complement is null"
+    )
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_validate_ex218_pinned(depth):
+    # recorded before the dust accounting went closed-form
+    rep = validate(preset("ex218", depth))
+    assert (rep.ok, rep.errors, rep.notes) == (True, [], [_residual_note(depth)])
+
+
+@pytest.mark.parametrize(
+    "depth, drop, error",
+    [
+        (1, 1, "gap (0.0, 1.0) has length 1.0 but the complement accounts for "
+               "0.6666666666666666"),
+        (2, 2, "gap (0.2222222222222222, 0.7777777777777778) has length "
+               "0.5555555555555556 but the complement accounts for 0.2222222222222222"),
+        (4, 8, "gap (0.32098765432098764, 0.6790123456790124) has length "
+               "0.3580246913580247 but the complement accounts for 0.024691358024691357"),
+        (8, 1, "gap (0.0, 0.0004572473708276177) has length 0.0004572473708276177 "
+               "but the complement accounts for 0.00030483158055174517"),
+        (8, 2, "gap (0.00030483158055174517, 0.001066910531931108) has length "
+               "0.0007620789513793629 but the complement accounts for "
+               "0.0003048315805517451"),
+        (8, 128, "gap (0.33318091754305745, 0.6668190824569425) has length "
+                 "0.3336381649138851 but the complement accounts for "
+                 "0.00030483158055174517"),
+        (8, 255, "gap (0.9995427526291724, 1.0) has length 0.00045724737082764033 "
+                 "but the complement accounts for 0.00030483158055174517"),
+        (10, 700, "gap (0.7527646530847263, 0.7529509390506189) has length "
+                  "0.0001862859658926519 but the complement accounts for "
+                  "3.387017561677932e-05"),
+    ],
+)
+def test_validate_ex218_missing_gap_pinned(depth, drop, error):
+    # recorded before the dust accounting went closed-form: removing one gap
+    # interval leaves a gap the dust covers only in part
+    cfg = preset("ex218", depth)
+    ivs = cfg.intervals[:drop] + cfg.intervals[drop + 1:]
+    rep = validate(ExtensionConfig(ivs, cfg.complement, name="ex218"))
+    assert (rep.ok, rep.errors, rep.notes) == (False, [error], [_residual_note(depth)])
 
 
 def test_darning_sojourn_shape():

@@ -26,6 +26,7 @@ from bmext.sim import (
     simulate_trace_chain,
     snap_grid,
 )
+from bmext.trace import trace_structure
 
 EX215 = preset("ex215")
 EX216 = preset("ex216")
@@ -345,6 +346,16 @@ def test_trace_refuses_a_negative_step_count():
     config = preset("ex218", depth=4)
     with pytest.raises(ValueError, match="n_steps"):
         simulate_trace_chain(config, None, [0.0], 0.0, -1, seed=1)
+
+
+def test_trace_refuses_an_infinite_site_weight():
+    # the cell of -1 reaches the stacked, excluded end of (-inf, -1)
+    config = preset("darning-sojourn")
+    sites = trace_structure(config, 4).sites()
+    with pytest.raises(ValueError, match=r"trace site -1\.0 has an infinite"):
+        simulate_trace_chain(
+            config, build_trace_measure(config), sites, -1.0, 3_000, seed=1, mode="brownian"
+        )
 
 
 def test_trace_single_site_gets_all_mass():
