@@ -29,8 +29,16 @@ __all__ = [
     "iter_gaps",
     "iter_remnants",
     "remnant_length",
+    "level_count",
+    "check_work",
+    "WORK_BUDGET",
     "CantorBlock",
 ]
+
+# The most support items (intervals, gaps, remnants, atoms, trace cells) one
+# call may build.  The deepest use in the verify battery, the demos and the
+# benchmark builds about 2**15 of them.
+WORK_BUDGET = 1 << 22
 
 # Digit budget when a rational's ternary expansion neither terminates nor
 # cycles within reach (huge denominators).  Truncation error is 2**-_DIGIT_CAP.
@@ -197,6 +205,31 @@ def remnant_length(x, depth: int) -> Fraction:
         if digit == 1 or not num:
             return Fraction(bits << (depth - k - 1), den3)
     return Fraction(bits * den + num, den3 * den)
+
+
+def level_count(depth: int) -> int:
+    """2**depth, the number of level-``depth`` remnants, for work counts.
+
+    Capped at 2**65, since a depth given on the command line may be far too
+    large to raise 2 to; a count that reaches the cap is over budget anyway.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
+    return 1 << min(depth, 65)
+
+
+def check_work(what: str, count: int) -> None:
+    """Refuse, before anything is built, a request for more than WORK_BUDGET items.
+
+    Callers work ``count`` out from the depth with :func:`level_count`, so
+    nothing is listed to get it, and below 2**64 it is not capped.
+    """
+    if count > WORK_BUDGET:
+        shown = count if count < 1 << 64 else "more than 2**64"
+        raise ValueError(
+            f"{what} would build {shown} support items,"
+            f" over the work budget of {WORK_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -243,7 +244,10 @@ def _parse_complement(d, path: str) -> ComplementSpec:
         spath = f"{path}.segments[{i}]"
         if not isinstance(seg, list) or len(seg) != 2:
             raise ScenarioError(f"{spath}: expected [lo, hi]")
-        segments.append((_finite(seg[0], spath), _finite(seg[1], spath)))
+        lo, hi = _finite(seg[0], spath), _finite(seg[1], spath)
+        if not lo < hi:
+            raise ScenarioError(f"{spath}: need lo < hi, got [{lo}, {hi}]")
+        segments.append((lo, hi))
     dust = []
     for i, du in enumerate(_listed(d.get("dust", []), f"{path}.dust")):
         dpath = f"{path}.dust[{i}]"
@@ -925,7 +929,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="preload parameters from the scenario's experiment I")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: parsing leaves the parser unchanged, so
+    # later calls of main in the same process skip rebuilding the tree
     top = argparse.ArgumentParser(
         prog="bmext",
         description="Brownian-motion extensions: scales, energies, darning,"

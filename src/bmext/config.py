@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cantor import iter_gaps, iter_remnants, remnant_length
+from .cantor import check_work, iter_gaps, iter_remnants, level_count, remnant_length
 from .scale import ScaleFunction, make_scale
 
 __all__ = [
@@ -473,15 +473,19 @@ def preset(name: str, depth: int = 8) -> ExtensionConfig:
     """Catalog of ready-made configurations used in tests and demos.
 
     ``depth`` controls how many shells (ex217) or gap levels (ex218) are
-    materialized; the other presets ignore it.
+    materialized; the other presets ignore it.  ex217 has 2 * depth + 2
+    intervals and ex218 2**depth + 1, counted against the work budget
+    before any is built.
     """
     if name == "ex215":
         return _ex215()
     if name == "ex216":
         return _ex216()
     if name == "ex217":
+        check_work(f"preset 'ex217' at depth {depth}", 2 * depth + 2)
         return _ex217(depth)
     if name == "ex218":
+        check_work(f"preset 'ex218' at depth {depth}", level_count(depth) + 1)
         return _ex218(depth)
     if name == "darning-sojourn":
         return _darning_sojourn()

@@ -17,9 +17,11 @@ image mass matches the source length exactly at every depth.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cantor import CantorBlock, check_work, level_count
 from .config import ExtensionConfig
 from .forms import PiecewiseFn, _singular_mass
 
@@ -107,7 +109,12 @@ class DarnedSpec:
     residue: tuple[tuple[float, Fraction], ...]
 
     def total_mass(self) -> Fraction:
-        return sum((m for _, m in self.atoms + self.residue), Fraction(0))
+        # lengths share a few denominators: add plain integer numerators per
+        # denominator, then combine the few sums as Fractions
+        sums: defaultdict[int, int] = defaultdict(int)
+        for _, m in self.atoms + self.residue:
+            sums[m.denominator] += m.numerator
+        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
 
     def atom_mass(self, y: float) -> Fraction:
         return sum((m for loc, m in self.atoms if loc == y), Fraction(0))
@@ -119,8 +126,43 @@ class DarnedSpec:
         return lo, hi
 
 
+def _block_items(blk: CantorBlock, j: Fraction, depth: int):
+    """Gap atoms and remnant residue of one block whose image starts at ``j``.
+
+    Every position is ``j + weight * m / 2**(depth+1)`` with m odd: the
+    gaps of level L take the odd multiples of 2**(depth+1-L), and each
+    remnant's aggregate sits mid-span, clear of the gap positions.  Each
+    position is one int / int over the block's shared denominator, which
+    rounds correctly, as float(Fraction) does.  All gaps of a level share
+    one exact length, and so do all remnants.  Items come in the order of
+    :meth:`CantorBlock.gaps` and :meth:`CantorBlock.remnants`.
+    """
+    top = depth + 1
+    wn, wd = blk.weight.numerator, blk.weight.denominator
+    den = j.denominator * wd << top
+    base = j.numerator * wd << top
+    step = j.denominator * wn
+    width = blk.width
+    atoms = []
+    for level in range(1, top):
+        stride = step << (top - level)
+        length = width / 3**level
+        stop = base + (stride << level)
+        atoms.extend((m / den, length) for m in range(base + stride, stop, 2 * stride))
+    length = width / 3**depth
+    residue = [(m / den, length) for m in range(base + step, base + (step << top), 2 * step)]
+    return atoms, residue
+
+
 def darn(config: ExtensionConfig, n: int, depth: int = 8) -> DarnedSpec:
     """Collapse interval n at the given enumeration depth."""
+    # 2**(depth+1) items per block, plus a tail and a collapsed stretch per
+    # stack and one stretch more
+    sc = config.intervals[n].scale
+    check_work(
+        f"darn of interval {n} at depth {depth}",
+        2 * sc.block_count(depth) * level_count(depth) + 2 * len(sc.stacks) + 1,
+    )
     iv, sups, r_lo, r_hi = _supports(config, n, depth)
     _, images = _images(iv.scale, sups)
     atoms: list[tuple[float, Fraction]] = []
@@ -136,11 +178,9 @@ def darn(config: ExtensionConfig, n: int, depth: int = 8) -> DarnedSpec:
             # the unresolved stack tail sits at the image of its interior edge
             residue.append((float(j), sup.hi - sup.lo))
             continue
-        atoms.extend((float(j + val), ghi - glo) for _, glo, ghi, val in blk.gaps(depth))
-        # each remnant's aggregate sits mid-span in image coordinates, clear
-        # of the dyadic positions that gap atoms occupy
-        half = blk.weight / 2 ** (depth + 1)
-        residue.extend((float(j + val + half), rhi - rlo) for rlo, rhi, val in blk.remnants(depth))
+        gap_atoms, remnant_residue = _block_items(blk, j, depth)
+        atoms.extend(gap_atoms)
+        residue.extend(remnant_residue)
     if iv.include_hi and r_hi > prev_hi:
         atoms.append((float(images[-1]), r_hi - prev_hi))
 

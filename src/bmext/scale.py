@@ -462,6 +462,11 @@ class ScaleFunction:
             out = s.supports(depth) + out if s.side == "lo" else out + s.supports(depth)
         return out
 
+    def block_count(self, depth: int) -> int:
+        """How many Cantor blocks ``w_supports(depth)`` lists, without listing them:
+        the explicit blocks and each stack's ``depth`` shells."""
+        return len(self.blocks) + len(self.stacks) * depth
+
     def total_block_weight(self) -> float:
         """Total weight of the explicit blocks (stacks are infinite)."""
         if self.stack_lo or self.stack_hi:

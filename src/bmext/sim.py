@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cantor import check_work, level_count
 from .config import ExtensionConfig, TraceMeasure
 from .darning import DarnedSpec
 from .scale import ScaleFunction
@@ -160,6 +161,10 @@ def snap_grid(
     if cells < 1:
         raise ValueError("need at least one cell")
     scale = config.interval(n).scale
+    check_work(
+        f"snap_grid on interval {n} at depth {depth}",
+        scale.block_count(depth) * (level_count(depth) - 1),
+    )
     targets: set[float] = set()
     for sup in scale.w_supports(depth):
         blk = sup.block

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .cantor import check_work, level_count
 from .config import ExtensionConfig
 from .forms import IntervalPart, PiecewiseFn, _singular_mass
 
@@ -78,10 +79,18 @@ def trace_structure(config: ExtensionConfig, depth: int = 8) -> TraceStructure:
     """Resolve the trace set: all singular support plus retained endpoints."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    comp = config.complement
+    # a stack's shells k < depth have 2**max(2, depth - k) remnants each,
+    # 2**(depth + 1) in all, and its tail is one more cell
+    count = len(comp.points) + len(comp.segments) + sum(level_count(d.depth) for d in comp.dust)
+    for iv in config.intervals:
+        sc = iv.scale
+        count += sc.include_lo + sc.include_hi + len(sc.blocks) * level_count(depth)
+        count += len(sc.stacks) * (level_count(depth + 1) + 1)
+    check_work(f"the trace set at depth {depth}", count)
     raw = []
     for iv in config.intervals:
         raw.extend(_interval_cells(iv, depth))
-    comp = config.complement
     raw.extend((Fraction(p), Fraction(p)) for p in comp.points)
     raw.extend((Fraction(a), Fraction(b)) for a, b in comp.segments)
     for d in comp.dust:

@@ -1,12 +1,15 @@
 """Command line: scenario schema, envelopes, CSV tables, exit codes."""
 
+import hashlib
 import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 import bmext.cli as cli
+from bmext.cantor import WORK_BUDGET
 from bmext.config import DustSpec, preset
 from bmext.forms import energy
 
@@ -156,6 +159,18 @@ def test_malformed_dust_exits_2(tmp_path, capsys, dust, message):
     assert err["message"].startswith("$.config.complement." + message)
 
 
+@pytest.mark.parametrize("segment", [[3, 2], [2, 2]])
+def test_reversed_complement_segment_exits_2(tmp_path, capsys, segment):
+    # a reversed segment used to count as negative length and hide a leftover
+    doc = _dust_scenario({"lo": 0, "hi": 1, "depth": 0})
+    doc["config"]["complement"] = {"segments": [[0, 1], segment]}
+    code, out = run(capsys, "validate", "--scenario", write(tmp_path, doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ScenarioError"
+    assert err["message"].startswith("$.config.complement.segments[1]: need lo < hi")
+
+
 def test_deep_scenario_dust_is_accounted_without_its_pieces(tmp_path, capsys, monkeypatch):
     # 2**200 pieces could never be listed; the closed form reads the gap exactly
     def refuse(self):
@@ -181,6 +196,17 @@ def test_invalid_preset_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["validate", "--preset", "nope"])
     assert exc.value.code == 2
+
+
+def test_parser_reused_after_a_usage_error(capsys):
+    argv = ["validate", "--preset", "ex216", "--deterministic"]
+    cli._build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--preset", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == fresh
 
 
 def test_config_payload_round_trips(tmp_path, capsys):
@@ -277,6 +303,23 @@ def test_darn_writes_exact_atom_table(tmp_path, capsys):
     text = (out_dir / "darn_atoms.csv").read_text()
     assert text.startswith("# scenario=")
     assert "0.5,1/3,atom" in text.splitlines()
+
+
+DARN_PINS = json.loads((pathlib.Path(__file__).parent / "darn_pins.json").read_text())
+
+
+def test_darn_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
+    # sha256 of stdout and of the --out CSV, recorded from the per-item
+    # Fraction darn, for every preset and darnable index at depths 0-10
+    monkeypatch.chdir(tmp_path)
+    for key, (out_sha, csv_sha) in DARN_PINS.items():
+        name, index, depth = key.split()
+        code, out = run(capsys, "darn", "--preset", name, "--index", index,
+                        "--depth", depth, "--out", "out", "--deterministic")
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, key
+        table = (tmp_path / "out" / "darn_atoms.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == csv_sha, key
 
 
 def test_darn_without_singular_part_exits_1(capsys):
@@ -464,6 +507,25 @@ def test_simulate_hitting_index_past_the_end_exits_1(capsys):
 def test_negative_depth_exits_2(capsys):
     err = refused(capsys, 2, "darn", "--preset", "ex215", "--depth", "-2")
     assert err["type"] == "UsageError" and "--depth" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (("validate", "--preset", "ex218", "--depth", "40"), 2**40 + 1),
+        (("darn", "--preset", "ex216", "--depth", "21"), 21 * 2**22 + 3),
+        (("trace", "--preset", "ex215", "--depth", str(10**12), "--function", "identity"),
+         "more than 2**64"),
+        (("simulate", "hitting", "--preset", "ex215", "--depth", "30",
+          "--x0", "0.3", "--left", "0", "--right", "1"), 2**30 - 1),
+    ],
+)
+def test_depth_over_the_work_budget_exits_1(capsys, argv, count):
+    # refused from a closed-form count, before any item is built
+    err = refused(capsys, 1, *argv)
+    assert err["type"] == "ValueError"
+    assert f"would build {count} support items" in err["message"]
+    assert f"over the work budget of {WORK_BUDGET}" in err["message"]
 
 
 @pytest.mark.parametrize(

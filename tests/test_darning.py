@@ -8,9 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bmext.cantor import CantorBlock
 from bmext.config import ExtensionConfig, IntervalSpec, preset
 from bmext.darning import (
     DegenerateDarning,
+    _images,
+    _supports,
     darn,
     darned_energy,
     darning_map,
@@ -192,3 +195,61 @@ def test_darn_walk_matches_direct_images(scale, depth):
         if sup.block is not None:
             for _, glo, ghi, _ in sup.block.gaps(depth):
                 assert atoms[(float(scale.signed_mass(glo)), ghi - glo)] > 0
+
+
+# -- the closed-form darn against the per-item Fraction loop ---------------------------
+
+
+def _darn_items_by_fraction(config, n, depth):
+    """The atoms and residue of ``darn``, one Fraction add and subtract per item.
+
+    This is the former body of ``darn``, kept as the oracle for its closed form.
+    """
+    iv, sups, r_lo, r_hi = _supports(config, n, depth)
+    _, images = _images(iv.scale, sups)
+    atoms, residue = [], []
+    prev_hi = r_lo if iv.include_lo else None
+    for sup, j in zip(sups, images):
+        if prev_hi is not None and sup.lo > prev_hi:
+            atoms.append((float(j), sup.lo - prev_hi))
+        prev_hi = sup.hi
+        blk = sup.block
+        if blk is None:
+            residue.append((float(j), sup.hi - sup.lo))
+            continue
+        atoms.extend((float(j + val), ghi - glo) for _, glo, ghi, val in blk.gaps(depth))
+        half = blk.weight / 2 ** (depth + 1)
+        residue.extend((float(j + val + half), rhi - rlo) for rlo, rhi, val in blk.remnants(depth))
+    if iv.include_hi and r_hi > prev_hi:
+        atoms.append((float(images[-1]), r_hi - prev_hi))
+    atoms.sort(key=lambda a: a[0])
+    residue.sort(key=lambda a: a[0])
+    return atoms, residue
+
+
+def _exactly(items):
+    return [(loc.hex(), mass) for loc, mass in items]
+
+
+@pytest.mark.parametrize("depth", range(10))
+@settings(max_examples=8, deadline=None)
+@given(scale=random_scales())
+def test_closed_form_darn_matches_the_fraction_loop(scale, depth):
+    assume(scale.w_supports(0))
+    cfg = ExtensionConfig((IntervalSpec(scale),))
+    spec = darn(cfg, 0, depth)
+    atoms, residue = _darn_items_by_fraction(cfg, 0, depth)
+    # same floats bit for bit, same exact masses, in the same order
+    assert _exactly(spec.atoms) == _exactly(atoms)
+    assert _exactly(spec.residue) == _exactly(residue)
+    assert spec.total_mass() == sum((m for _, m in atoms + residue), Fraction(0))
+
+
+def test_darn_builds_no_gap_or_remnant_list(monkeypatch):
+    def refuse(self, depth):
+        raise AssertionError("darn listed a block's gaps or remnants")
+
+    expected = [darn(cfg, n, 6) for cfg, n in ((EX215, 0), (SOJOURN, 0), (SOJOURN, 1))]
+    monkeypatch.setattr(CantorBlock, "gaps", refuse)
+    monkeypatch.setattr(CantorBlock, "remnants", refuse)
+    assert [darn(cfg, n, 6) for cfg, n in ((EX215, 0), (SOJOURN, 0), (SOJOURN, 1))] == expected
