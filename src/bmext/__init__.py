@@ -15,8 +15,6 @@ from .cantor import (
     cantor_eval,
     cantor_fraction,
     cantor_integral,
-    iter_gaps,
-    iter_remnants,
 )
 from .config import (
     PRESET_NAMES,
@@ -46,7 +44,6 @@ from .forms import (
     IntervalPart,
     PiecewiseFn,
     bilinear,
-    cantor_interpolant,
     compensator,
     energy,
     in_extended_space,
@@ -119,7 +116,6 @@ __all__ = [
     "cantor_eval",
     "cantor_fraction",
     "cantor_integral",
-    "cantor_interpolant",
     "classify_point",
     "compensator",
     "darn",
@@ -131,8 +127,6 @@ __all__ = [
     "hitting_probability",
     "in_extended_space",
     "is_in_complement",
-    "iter_gaps",
-    "iter_remnants",
     "jump_contributions",
     "make_scale",
     "named_function",

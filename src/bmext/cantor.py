@@ -20,14 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 __all__ = [
     "cantor_fraction",
     "cantor_eval",
     "cantor_integral",
-    "iter_gaps",
-    "iter_remnants",
     "remnant_length",
     "level_count",
     "check_work",
@@ -52,18 +49,12 @@ _CYCLE_DENOM_LIMIT = 10**6
 _INTEGRAL_LEVELS = 48
 
 
-def cantor_fraction(x, depth: int | None = None) -> Fraction:
+def cantor_fraction(x) -> Fraction:
     """Standard Cantor function C(x) on [0, 1] as an exact Fraction.
 
-    Parameters
-    ----------
-    x : real
-        Point in [0, 1]; floats are converted exactly.
-    depth : int, optional
-        If given, consume at most ``depth`` ternary digits and return the
-        truncated (lower) value, accurate to 2**-depth.  If omitted the
-        expansion is resolved exactly whenever it terminates, hits a
-        digit 1, or cycles within the denominator budget.
+    The expansion is resolved exactly whenever it terminates, hits a digit 1,
+    or cycles within the denominator budget; past that budget it is cut
+    after ``_DIGIT_CAP`` digits.
 
     Raises
     ------
@@ -79,22 +70,17 @@ def cantor_fraction(x, depth: int | None = None) -> Fraction:
     # the remainder after k digits is num/den; the binary digits emitted so
     # far are the k low bits of ``bits``, most significant first
     num, den = fx.numerator, fx.denominator
-    exact = depth is None
-    if exact:
-        limit = den + 2 if den <= _CYCLE_DENOM_LIMIT else _DIGIT_CAP
-    else:
-        limit = depth
+    limit = den + 2 if den <= _CYCLE_DENOM_LIMIT else _DIGIT_CAP
 
     bits = 0
     seen: dict[int, int] = {}
     k = 0
     while num and k < limit:
-        if exact:
-            j = seen.setdefault(num, k)
-            if j < k:
-                # the bits after the first j repeat forever with period p
-                p = k - j
-                return Fraction(bits - (bits >> p), ((1 << p) - 1) << j)
+        j = seen.setdefault(num, k)
+        if j < k:
+            # the bits after the first j repeat forever with period p
+            p = k - j
+            return Fraction(bits - (bits >> p), ((1 << p) - 1) << j)
         digit, num = divmod(3 * num, den)
         bits = 2 * bits + (digit > 0)
         k += 1
@@ -103,9 +89,9 @@ def cantor_fraction(x, depth: int | None = None) -> Fraction:
     return Fraction(bits, 1 << k)
 
 
-def cantor_eval(x, depth: int | None = None) -> float:
+def cantor_eval(x) -> float:
     """Standard Cantor function C(x) on [0, 1] as a float."""
-    return float(cantor_fraction(x, depth))
+    return float(cantor_fraction(x))
 
 
 def cantor_integral(x: float) -> float:
@@ -148,37 +134,6 @@ def _lefts(depth: int) -> list[int]:
     for _ in range(depth):
         lefts = [3 * a + b for a in lefts for b in (0, 1)]
     return lefts
-
-
-def _gap_numerators(depth: int) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(level, k, j)`` for each gap, in :func:`iter_gaps` order: the gap
-    is [k, k + 1] / 3**level and the Cantor function equals j / 2**level on it."""
-    for level in range(1, depth + 1):
-        # the middle third of each remnant one level up
-        for i, a in enumerate(_lefts(level - 1)):
-            yield level, 6 * a + 1, 2 * i + 1
-
-
-def iter_gaps(depth: int) -> Iterator[tuple[int, Fraction, Fraction, Fraction]]:
-    """Yield middle-thirds gaps of [0, 1] at levels 1..depth.
-
-    Each item is ``(level, lo, hi, value)`` in unit-interval coordinates,
-    where ``value`` is the constant the Cantor function takes on the gap.
-    Gaps appear level by level, left to right within a level; across all
-    levels up to d the values are exactly {j/2^d : 1 <= j < 2^d}.
-    """
-    for level, k, j in _gap_numerators(depth):
-        den = 3**level
-        yield level, Fraction(k, den), Fraction(k + 1, den), Fraction(j, 2**level)
-
-
-def iter_remnants(depth: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """Yield the 2**depth closed level-``depth`` pieces left after removing
-    all gaps of level <= depth, as ``(lo, hi, value_lo)`` with ``value_lo``
-    the Cantor value at the left edge.  Pieces have length 3**-depth."""
-    den = 3**depth
-    for i, a in enumerate(_lefts(depth)):
-        yield Fraction(2 * a, den), Fraction(2 * a + 1, den), Fraction(i, 2**depth)
 
 
 def remnant_length(x, depth: int) -> Fraction:
@@ -308,31 +263,35 @@ class CantorBlock:
         return ln * wd, wn * ld, ld * wd
 
     def gaps(self, depth: int) -> list[tuple[int, Fraction, Fraction, Fraction]]:
-        """Materialized gaps up to ``depth`` in absolute coordinates.
+        """Materialized gaps of levels 1..depth in absolute coordinates.
 
         Returns ``(level, lo, hi, mass_value)`` where ``mass_value`` is the
-        block mass of [block.lo, gap] (constant across the gap).  Items come
-        in the order of :func:`iter_gaps`; each end is built as one Fraction
-        from integers."""
+        block mass of [block.lo, gap] (constant across the gap).  Gaps come
+        level by level, left to right within a level; across all levels up
+        to d the unit block's values are exactly {j/2^d : 1 <= j < 2^d}.
+        Each end is built as one Fraction from integers."""
         off, step, den = self._frame()
         mn, md = self.weight.numerator, self.weight.denominator
         out = []
-        for level, k, j in _gap_numerators(depth):
+        for level in range(1, depth + 1):
             o, d = off * 3**level, den * 3**level
-            out.append(
-                (
-                    level,
-                    Fraction(o + k * step, d),
-                    Fraction(o + (k + 1) * step, d),
-                    Fraction(mn * j, md << level),
+            # the middle third [k, k + 1] / 3**level of each remnant one level
+            # up; the Cantor function equals (2i + 1) / 2**level on it
+            for i, a in enumerate(_lefts(level - 1)):
+                k = 6 * a + 1
+                out.append(
+                    (
+                        level,
+                        Fraction(o + k * step, d),
+                        Fraction(o + (k + 1) * step, d),
+                        Fraction(mn * (2 * i + 1), md << level),
+                    )
                 )
-            )
         return out
 
     def remnants(self, depth: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-        """Closed level-``depth`` pieces in absolute coordinates, with the
-        block mass value at each piece's left edge, in the order of
-        :func:`iter_remnants`."""
+        """Closed level-``depth`` pieces in absolute coordinates, left to
+        right, with the block mass value at each piece's left edge."""
         off, step, den = self._frame()
         scale = 3**depth
         o, d = off * scale, den * scale

@@ -25,7 +25,8 @@ A scenario file is JSON with this layout (unknown fields are rejected):
 Intervals are listed in increasing order; function definitions carry one
 part per interval, in the same order, as (lo, hi, dx-rate, singular-rate)
 cells.  Endpoints accept the strings "inf" and "-inf"; block weights accept
-numbers or exact fraction strings.  Schema violations and out-of-range
+numbers or exact fraction strings; an experiment value is read as the
+command's own flag reads it.  Schema violations and out-of-range
 options (a negative --depth, a count below 1) exit with code 2, semantic
 failures (overlapping intervals, impossible requests) with 1.
 
@@ -321,10 +322,32 @@ def _parse_experiment(exp, path: str) -> dict:
         )
     allowed = _EXPERIMENT_KEYS[command] | {"command"}
     _reject_unknown(exp, allowed, path)
-    for key, value in exp.items():
-        if isinstance(value, (dict, list)):
-            raise ScenarioError(f"{path}.{key}: expected a scalar")
-    return dict(exp)
+    flags = _flags(command)
+    return {
+        key: value if key == "command" else _flag_value(flags[key], value, f"{path}.{key}")
+        for key, value in exp.items()
+    }
+
+
+def _flag_value(action: argparse.Action, value, path: str):
+    """``value`` as the flag of ``action`` parses it on the command line.
+
+    JSON numbers and strings are read as the flag's text would be, with the
+    type and choices of the command's parser; anything the flag refuses
+    there (a fractional seed, true, null, an unknown kind) is refused here.
+    """
+    flag = action.option_strings[0] if action.option_strings else action.dest
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ScenarioError(f"{path}: expected a value for {flag}, got {json.dumps(value)}")
+    try:
+        parsed = (action.type or str)(str(value))
+    except ValueError:
+        raise ScenarioError(f"{path}: {value!r} is not a valid {flag} value") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise ScenarioError(
+            f"{path}: {flag} must be one of {', '.join(action.choices)}, got {value!r}"
+        )
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -975,6 +998,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_options(p)
 
     return top
+
+
+@functools.cache
+def _flags(command: str) -> dict[str, argparse.Action]:
+    """The actions of a command's parser, by destination."""
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {action.dest: action for action in sub.choices[command]._actions}
 
 
 _DISPATCH = {

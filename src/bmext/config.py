@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cantor import check_work, iter_gaps, iter_remnants, level_count, remnant_length
+from .cantor import CantorBlock, check_work, level_count, remnant_length
 from .scale import ScaleFunction, make_scale
 
 __all__ = [
@@ -109,9 +109,7 @@ class DustSpec:
     depth: int
 
     def pieces(self) -> list[tuple[Fraction, Fraction]]:
-        flo, fhi = Fraction(self.lo), Fraction(self.hi)
-        width = fhi - flo
-        return [(flo + a * width, flo + b * width) for a, b, _ in iter_remnants(self.depth)]
+        return [(a, b) for a, b, _ in CantorBlock(self.lo, self.hi).remnants(self.depth)]
 
     def measure_in(self, u: float, v: float) -> Fraction:
         """Exact length of the pieces inside [u, v], in O(depth) digit steps."""
@@ -319,10 +317,14 @@ class _WPart:
     def mass(self, scale: ScaleFunction, u: float, v: float) -> float:
         """Measure of [u, v], u <= v."""
         total = 0.0
+        # nested windows mostly clip to the same (a, b): evaluate each once
+        masses: dict[tuple[float, float], float] = {}
         for coef, wlo, whi in self.windows:
             a, b = max(u, wlo), min(v, whi)
             if b > a:
-                total += coef * scale.singular_between(a, b)
+                if (a, b) not in masses:
+                    masses[a, b] = scale.singular_between(a, b)
+                total += coef * masses[a, b]
         return total
 
 
@@ -453,7 +455,7 @@ def _ex218(depth: int) -> ExtensionConfig:
         IntervalSpec(make_scale(-math.inf, 0.0, include_hi=True)),
         IntervalSpec(make_scale(1.0, math.inf, include_lo=True)),
     ]
-    for _, glo, ghi, _ in iter_gaps(depth):
+    for _, glo, ghi, _ in CantorBlock(0, 1).gaps(depth):
         ivs.append(
             IntervalSpec(make_scale(float(glo), float(ghi), include_lo=True, include_hi=True))
         )

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import iter_gaps
+from .cantor import CantorBlock
 from .config import ExtensionConfig
 from .scale import ScaleFunction
 
@@ -29,7 +29,6 @@ __all__ = [
     "is_in_complement",
     "orthogonal_decompose",
     "CantorInterpolant",
-    "cantor_interpolant",
     "CompensatorResult",
     "compensator",
 ]
@@ -379,12 +378,6 @@ class CantorInterpolant:
     hi: float
     plateaus: tuple[tuple[float, float, Fraction], ...]
 
-    def plateau_value(self, lo: float, hi: float) -> Fraction:
-        for plo, phi, v in self.plateaus:
-            if plo <= lo and hi <= phi:
-                return v
-        raise KeyError(f"({lo}, {hi}) is not inside a plateau")
-
     def eval(self, x: float) -> float:
         """Plateau value where defined, linear between plateaus elsewhere."""
         if not self.lo <= x <= self.hi:
@@ -404,44 +397,6 @@ class CantorInterpolant:
         return float(left_v) + frac * (float(right_v) - float(left_v))
 
     __call__ = eval
-
-
-def cantor_interpolant(
-    lo: float, hi: float, intervals: list[tuple[float, float]]
-) -> CantorInterpolant:
-    """Assign plateau values by monotone refinement, widest interval first.
-
-    Each interval receives the average of its nearest already-assigned
-    neighbors, with virtual values 1 at lo and 0 at hi.  On the
-    middle-thirds family this reproduces the mirrored Cantor function; the
-    averaging rule keeps the assignment non-increasing for any disjoint
-    family, which the literal dyadic-counter formula does not.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    cells = sorted(intervals)
-    for (alo, ahi), (blo, bhi) in zip(cells, cells[1:]):
-        if ahi > blo:
-            raise ValueError(f"intervals ({alo}, {ahi}) and ({blo}, {bhi}) overlap")
-    for clo, chi in cells:
-        if clo < lo or chi > hi or not clo < chi:
-            raise ValueError(f"interval ({clo}, {chi}) outside [{lo}, {hi}]")
-
-    order = sorted(cells, key=lambda c: (-(c[1] - c[0]), c[0]))
-    assigned: list[tuple[float, float, Fraction]] = []
-    for clo, chi in order:
-        left = Fraction(1)
-        right = Fraction(0)
-        for plo, phi, v in assigned:
-            if phi <= clo:
-                left = v
-            if plo >= chi:
-                right = v
-                break
-        value = (left + right) / 2
-        pos = sum(1 for plo, _, _ in assigned if plo < clo)
-        assigned.insert(pos, (clo, chi, value))
-    return CantorInterpolant(lo, hi, tuple(assigned))
 
 
 # -- compensators --------------------------------------------------------------
@@ -532,11 +487,14 @@ def _open_boundary(scale: ScaleFunction, c, h, eps, n) -> CompensatorResult:
 def _cantor_plateau(c, h, eps, n, beta) -> CompensatorResult:
     if beta is None:
         raise ValueError("cantor-plateau compensator needs beta")
-    intervals = [
-        (c + beta * float(glo), c + beta * float(ghi))
-        for _, glo, ghi, _ in iter_gaps(_PLATEAU_DEPTH)
-    ]
-    interp = cantor_interpolant(c, c + beta, intervals)
+    # the mirrored Cantor function 1 - C, spread over [c, c + beta]
+    plateaus = sorted(
+        (c + beta * float(glo), c + beta * float(ghi), 1 - value)
+        for _, glo, ghi, value in CantorBlock(0, 1).gaps(_PLATEAU_DEPTH)
+    )
+    if not all(lo < hi for lo, hi, _ in plateaus):
+        raise ValueError(f"beta={beta} leaves no room for the plateaus at c={c}")
+    interp = CantorInterpolant(c, c + beta, tuple(plateaus))
 
     def phi(x: float) -> float:
         if not c <= x <= c + beta:

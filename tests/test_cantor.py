@@ -11,8 +11,6 @@ from bmext.cantor import (
     cantor_eval,
     cantor_fraction,
     cantor_integral,
-    iter_gaps,
-    iter_remnants,
 )
 
 
@@ -91,12 +89,9 @@ def _rationals(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rationals(), st.integers(0, 60))
-def test_random_rationals_match_oracle_and_truncation(x, d):
-    exact = cantor_fraction(x)
-    assert abs(exact - oracle_cantor(x, depth=80)) <= Fraction(1, 2**70)
-    low = cantor_fraction(x, d)
-    assert low <= exact <= low + Fraction(1, 2**d)
+@given(_rationals())
+def test_random_rationals_match_oracle(x):
+    assert abs(cantor_fraction(x) - oracle_cantor(x, depth=80)) <= Fraction(1, 2**70)
 
 
 def test_monotone_and_bounds():
@@ -107,18 +102,34 @@ def test_monotone_and_bounds():
         assert a <= b
 
 
-def test_depth_mode_truncates_from_below():
-    x = Fraction(1, 4)
-    for d in (1, 2, 5, 10):
-        v = cantor_fraction(x, depth=d)
-        assert v <= Fraction(1, 3)
-        assert Fraction(1, 3) - v <= Fraction(1, 2**d)
+UNIT = CantorBlock(0, 1)
+
+
+def thirds_layout(depth):
+    """Unit-block gaps and remnants by splitting every remnant into thirds.
+
+    Gaps come as ``(level, lo, hi, value)``, level by level and left to
+    right, and the level-``depth`` remnants as ``(lo, hi, value at lo)``.  A
+    gap's value is the mean of the Cantor values at the ends of the remnant
+    it splits, which is all the self-similarity the oracle uses.
+    """
+    remnants = [(Fraction(0), Fraction(1), Fraction(0), Fraction(1))]
+    gaps = []
+    for level in range(1, depth + 1):
+        split = []
+        for lo, hi, at_lo, at_hi in remnants:
+            third = (hi - lo) / 3
+            mid = (at_lo + at_hi) / 2
+            gaps.append((level, lo + third, hi - third, mid))
+            split += [(lo, lo + third, at_lo, mid), (hi - third, hi, mid, at_hi)]
+        remnants = split
+    return gaps, [(lo, hi, at_lo) for lo, hi, at_lo, _ in remnants]
 
 
 def test_plateau_values_at_depth():
     # gaps at levels <= d carry exactly the dyadic values j/2^d
     d = 6
-    gaps = sorted(iter_gaps(d), key=lambda g: g[1])
+    gaps = sorted(UNIT.gaps(d), key=lambda g: g[1])
     values = [g[3] for g in gaps]
     assert values == [Fraction(j, 2**d) for j in range(1, 2**d)]
     # the function is constant at that value across each gap
@@ -129,7 +140,7 @@ def test_plateau_values_at_depth():
 
 
 def test_gaps_come_level_by_level_left_to_right():
-    gaps = list(iter_gaps(6))
+    gaps = UNIT.gaps(6)
     assert len(gaps) == 2**6 - 1
     for (l1, lo1, _, _), (l2, lo2, _, _) in zip(gaps, gaps[1:]):
         assert l1 <= l2
@@ -139,15 +150,15 @@ def test_gaps_come_level_by_level_left_to_right():
 
 def test_gap_and_remnant_lengths_telescope():
     for d in (1, 3, 6):
-        gap_total = sum(hi - lo for _, lo, hi, _ in iter_gaps(d))
-        rem_total = sum(hi - lo for lo, hi, _ in iter_remnants(d))
+        gap_total = sum(hi - lo for _, lo, hi, _ in UNIT.gaps(d))
+        rem_total = sum(hi - lo for lo, hi, _ in UNIT.remnants(d))
         assert gap_total == 1 - Fraction(2, 3) ** d
         assert rem_total == Fraction(2, 3) ** d
         assert gap_total + rem_total == 1
 
 
 def test_remnant_left_values():
-    for lo, hi, val in iter_remnants(4):
+    for lo, hi, val in UNIT.remnants(4):
         assert cantor_fraction(lo) == val
         assert cantor_fraction(hi) == val + Fraction(1, 2**4)
 
@@ -191,15 +202,17 @@ def _fractions(lo=-(10**6), hi=10**6):
 @settings(max_examples=200, deadline=None)
 @given(_fractions(), _fractions(1), _fractions(1), st.integers(0, 8))
 def test_block_gaps_and_remnants_match_the_fraction_formula(lo, width, weight, depth):
-    # reference: place each unit gap and remnant with Fraction products and sums
+    # reference: place each gap and remnant of the thirds construction with
+    # Fraction products and sums
     blk = CantorBlock(lo, lo + width, weight)
+    unit_gaps, unit_remnants = thirds_layout(depth)
     gaps = [
         (level, lo + glo * width, lo + ghi * width, weight * val)
-        for level, glo, ghi, val in iter_gaps(depth)
+        for level, glo, ghi, val in unit_gaps
     ]
     remnants = [
         (lo + rlo * width, lo + rhi * width, weight * val)
-        for rlo, rhi, val in iter_remnants(depth)
+        for rlo, rhi, val in unit_remnants
     ]
     assert blk.gaps(depth) == gaps
     assert blk.remnants(depth) == remnants

@@ -472,6 +472,26 @@ def test_experiment_command_mismatch_exits_1(tmp_path, capsys):
     assert "simulate" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("kind", "nope"),  # was a KeyError traceback
+        ("seed", 1.7),  # was run, and reported, as seed 1
+        ("right", True),  # was used as 1.0
+        ("x0", "abc"),  # was exit 1
+    ],
+)
+def test_experiment_value_the_flag_refuses_exits_2(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(MIXED))
+    doc["experiments"].append(dict(MIXED["experiments"][0], **{key: value}))
+    path = write(tmp_path, doc)
+    code, out = run(capsys, "simulate", "--scenario", path, "--experiment", "1")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ScenarioError"
+    assert error["message"].startswith(f"$.experiments[1].{key}: ")
+
+
 # -- refused options ----------------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
 """Configuration layer: interval families, validation, point classes, trace measure."""
 
+import hashlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmext.cli import scenario_hash
 from bmext.config import (
     ComplementSpec,
     DustSpec,
@@ -21,6 +24,8 @@ from bmext.config import (
     validate,
 )
 from bmext.scale import make_scale
+from bmext.sim import _site_weights
+from bmext.trace import trace_structure
 
 
 # a bounded interval stacked at both ends between two closed rays
@@ -95,6 +100,45 @@ def test_ex218_dust_measure_exact():
     assert dust.measure_in(0.0, Fraction(1, 81)) == Fraction(1, 81)
     # a gap interior carries none of the dust
     assert dust.measure_in(Fraction(1, 3), Fraction(2, 3)) == 0
+
+
+# scenario hashes of ex218 at depths 0-10, recorded when its gaps came from
+# the unit-interval enumerator; the hash covers every interval end
+EX218_HASHES = [
+    "b364260d9e05ac49",
+    "099da85fa278ca1f",
+    "8459bdc6de4796bf",
+    "fee42a21547badaa",
+    "20c977988b54b25d",
+    "22f9a5030ae4ed9e",
+    "4f8dd1c6435f4586",
+    "54710d39355f199a",
+    "db2852351f40db5e",
+    "ee50d02f230cd64d",
+    "8e14acdc7286468e",
+]
+
+
+def test_ex218_scenario_hash_pinned():
+    assert [scenario_hash(preset("ex218", d)) for d in range(11)] == EX218_HASHES
+
+
+# sha256 of repr(pieces()), recorded when each piece end was built from a
+# unit remnant with a Fraction product and sum
+DUST_PIECE_PINS = {
+    (0.0, 1.0, 0): "d5a5703b1d301c816e29307553b92416790881e7fa3a08bd3d9cf684300fbe16",
+    (0.0, 1.0, 5): "5c7a5115706d5aa3325a862014496dd9a04a76e563c8201fb26ab5df6967a05b",
+    (-0.75, 2.5, 4): "174163b997d8566d2360349f05656a5bcc5740903352d17ab250e5c680fbe05d",
+    (0.1, 0.3, 7): "61fa15172f4fe0b365452731099a275870271186bd690aa72b6c7302965ee34a",
+    (-3.0, -1.0, 3): "25480f6f8c79b96eb6c68540efed17698e7c98d34b76ec88335f3337accfb651",
+}
+
+
+def test_dust_pieces_pinned():
+    for (lo, hi, depth), pin in DUST_PIECE_PINS.items():
+        pieces = DustSpec(lo, hi, depth).pieces()
+        assert len(pieces) == 2**depth
+        assert hashlib.sha256(repr(pieces).encode()).hexdigest() == pin
 
 
 def _piece_scan(dust, u, v):
@@ -371,6 +415,27 @@ def test_trace_measure_masses_pinned(name, masses):
     cfg = STACKED_WINDOW if name == "stacked-window" else preset(name)
     mu = build_trace_measure(cfg)
     assert [mu.mass(a, b) for a, b in _MASS_WINDOWS] == masses
+
+
+# (site count, sha256 of the float64 bytes) of sim._site_weights on the
+# trace sites, recorded when every nested window was evaluated separately
+SITE_WEIGHT_PINS = {
+    "ex217 3": (170, "267ee4c472ef222d4fe33f7b61d0e1e613fe28f0cf48fdd45c2c22c63e76fb24"),
+    "ex217 4": (466, "430ca549bf6d416994f0c7a58389bb742acd1702fd2530689d249a5535ca8907"),
+    "ex217 5": (1202, "af3cc34eee3b08a7c89339354aa606f27725d326a2ac49ad6c10904c6cb464c1"),
+    "stacked-window 6": (492, "0c224311f6b3f5fdaf3b2995e4a8e07d098cb8af2c73fc1c17a5c2764594ebc9"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SITE_WEIGHT_PINS))
+def test_site_weights_pinned(key):
+    name, depth = key.split()
+    cfg = STACKED_WINDOW if name == "stacked-window" else preset(name, int(depth))
+    sites = np.asarray(trace_structure(cfg, int(depth)).sites())
+    weights = _site_weights(build_trace_measure(cfg), sites)
+    count, pin = SITE_WEIGHT_PINS[key]
+    assert sites.size == count
+    assert hashlib.sha256(weights.tobytes()).hexdigest() == pin
 
 
 def test_locate_and_interval_lookup():

@@ -1,5 +1,6 @@
 """Energy form, membership, decomposition, interpolant, compensators."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmext.cantor import cantor_fraction, iter_gaps
+from bmext.cantor import CantorBlock, cantor_fraction
 from bmext.config import preset
 from bmext.forms import (
     BUILTIN_NAMES,
+    CantorInterpolant,
     IntervalPart,
     PiecewiseFn,
     bilinear,
-    cantor_interpolant,
     compensator,
     energy,
     in_extended_space,
@@ -219,27 +220,31 @@ def test_decompose_properties_random_densities(u, w, anchor):
 # -- interpolant ---------------------------------------------------------------
 
 
-def middle_thirds(depth):
-    return [(float(lo), float(hi)) for _, lo, hi, _ in iter_gaps(depth)]
+def staircase(c=0.0, beta=1.0):
+    # the cantor-plateau compensator of unit height is the interpolant itself
+    return compensator("cantor-plateau", None, c, 1.0, 10.0, 1, beta=beta)
 
 
 def test_interpolant_level_values():
-    phi = cantor_interpolant(0.0, 1.0, middle_thirds(3))
-    assert phi.plateau_value(1 / 3, 2 / 3) == Fraction(1, 2)
-    assert phi.plateau_value(1 / 9, 2 / 9) == Fraction(3, 4)
-    assert phi.plateau_value(7 / 9, 8 / 9) == Fraction(1, 4)
+    phi = staircase()
+    assert phi(1 / 2) == 1 / 2
+    assert phi(1.5 / 9) == 3 / 4
+    assert phi(7.5 / 9) == 1 / 4
+    assert phi(1 / 3) == phi(2 / 3) == 1 / 2
 
 
 def test_interpolant_reproduces_mirrored_cantor_function():
-    phi = cantor_interpolant(0.0, 1.0, middle_thirds(5))
-    for _, lo, hi, _ in iter_gaps(5):
-        assert Fraction(phi.plateau_value(float(lo), float(hi))) == 1 - cantor_fraction(lo)
+    phi = staircase()
+    for _, lo, hi, _ in CantorBlock(0, 1).gaps(8):
+        mid = (float(lo) + float(hi)) / 2
+        assert Fraction(phi(mid)) == 1 - cantor_fraction(lo)
 
 
 def test_interpolant_monotone_and_pinned():
-    phi = cantor_interpolant(0.0, 1.0, middle_thirds(6))
-    values = [v for _, _, v in phi.plateaus]
-    assert all(a >= b for a, b in zip(values, values[1:]))
+    phi = staircase()
+    mids = sorted((float(lo) + float(hi)) / 2 for _, lo, hi, _ in CantorBlock(0, 1).gaps(8))
+    values = [phi(x) for x in mids]
+    assert all(a > b for a, b in zip(values, values[1:]))
     assert phi(0.0) == 1.0
     assert phi(1.0) == 0.0
     xs = [i / 200 for i in range(201)]
@@ -249,16 +254,10 @@ def test_interpolant_monotone_and_pinned():
 
 def test_interpolant_scaled_support():
     # same staircase on [2, 2.5]
-    fam = [(2 + 0.5 * lo, 2 + 0.5 * hi) for lo, hi in middle_thirds(3)]
-    phi = cantor_interpolant(2.0, 2.5, fam)
-    assert phi.plateau_value(2 + 0.5 / 3, 2 + 1.0 / 3) == Fraction(1, 2)
-
-
-def test_interpolant_rejects_overlap():
-    with pytest.raises(ValueError):
-        cantor_interpolant(0.0, 1.0, [(0.1, 0.4), (0.3, 0.6)])
-    with pytest.raises(ValueError):
-        cantor_interpolant(0.0, 1.0, [(0.5, 1.5)])
+    phi = staircase(2.0, 0.5)
+    assert phi(2 + 0.5 / 2) == 1 / 2
+    assert phi(2 + 0.5 * 1.5 / 9) == 3 / 4
+    assert phi(1.9) == phi(2.6) == 0.0
 
 
 # -- compensators ----------------------------------------------------------------
@@ -330,6 +329,76 @@ def test_cantor_plateau_rejects_wide_support():
         compensator("cantor-plateau", None, 0.0, 1.0, 0.1, 1, beta=0.2)
     with pytest.raises(ValueError):
         compensator("cantor-plateau", None, 0.0, 1.0, 0.1, 1)
+    # no room for distinct float plateaus
+    for c, beta in ((0.0, 0.0), (0.0, -0.01), (1e16, 1.0)):
+        with pytest.raises(ValueError):
+            compensator("cantor-plateau", None, c, 1.0, 0.1, 1, beta=beta)
+
+
+# sha256 of repr((e1_bound, plateaus, phi on 998 points)), recorded when the
+# plateau values were still found by a refinement over an arbitrary interval
+# family: the 24 parameter sets of verify's compensator check and demo 03's
+COMPENSATOR_PINS = {
+    "open-boundary 0.5 0.1 1": "ab3f876d2952d771a6de0c2d0cf19f7728aa1cc594913e65a8469af0272dd7a8",
+    "cantor-plateau 0.5 0.1 1": "5d44db9da995bab01f2f85ebb048ffd3f08a1b97ed4f21d708797df6ca45aff1",
+    "open-boundary 0.5 0.1 4": "62d79cd50b234825c633a94eccb68b7acbd91d739166761c0d67c47c965cd62b",
+    "cantor-plateau 0.5 0.1 4": "3d43e7485d8873c3fca5fc0145b62f7c992cda2b7a3595e9c0fd1596f57d7064",
+    "open-boundary 0.5 0.01 1": "c4ed8306758ce847da8e4f693344eb698eaa4145917b5ac09fef7f8151cf6cbe",
+    "cantor-plateau 0.5 0.01 1": "0c77362835b811ab4ff38c1ba7dda52ed8130eaaa9f2086dece3e8533a11ac3b",
+    "open-boundary 0.5 0.01 4": "81f22b80e837b1ccca387008f979fd5d19d03ff41d950af1244391d24bf53608",
+    "cantor-plateau 0.5 0.01 4": "0dab6432457bcd9a03bfcbd3e4a178a086b3c8e54d12dd16e291ded6b32d3bfb",
+    "open-boundary 1.0 0.1 1": "42220f70015efb970cf76bc6f15b79a7f25811c5a9ad54c5fe9126917fea40c7",
+    "cantor-plateau 1.0 0.1 1": "40534d7c12b2732611ee661299a915cf3b6b03983675f38e4d3b80873cfddaad",
+    "open-boundary 1.0 0.1 4": "7794cbe2ae450e8b92d8c3c4ce2efad9dc245d75d8f26180c13ef8b89c8145ee",
+    "cantor-plateau 1.0 0.1 4": "3b550a5c17acd3640f297f3eca18ce4347b73bc4e6b2aa1bfb6924e650b48d46",
+    "open-boundary 1.0 0.01 1": "0759a9cd3496fd8e6051cefae45734a3ab98a81383bb835ac39f5745bb2ba008",
+    "cantor-plateau 1.0 0.01 1": "673b9041399c1b2d7a135ebd9ba41639f1533ece00b95d5b72ddf3001fc12012",
+    "open-boundary 1.0 0.01 4": "c3e1ce744c7b5f04aac90b4e19348a31054bb0a478f1ac01b91fe6ca0b01e0ae",
+    "cantor-plateau 1.0 0.01 4": "a5ac14ebb2a5f12bdabdbe303c1b1db78c3a73361a0d527d9c43d35dfc7ed920",
+    "open-boundary 2.0 0.1 1": "cbc44a5c4b13f4190edf64b29d0e02094e6d0975741aca3331f6ea573573fd13",
+    "cantor-plateau 2.0 0.1 1": "3bc7fe416cebfa2b0e1c9c9571799f92c95c6d7c49189598d8138609d5bd6532",
+    "open-boundary 2.0 0.1 4": "cac904026514129f5f1711fe446a626d9e63288b9eb9de02bf041d8ec2a114de",
+    "cantor-plateau 2.0 0.1 4": "85728e0228113e11a34929d720bd935af890e623e17c2768e5d83657e062a322",
+    "open-boundary 2.0 0.01 1": "046427b0536e9a7673d65d27350cc89b6450cf1a0023c72287363605c4830198",
+    "cantor-plateau 2.0 0.01 1": "e5be8171a1d52f850cd32ab96a5a437be393b55871d5a7b391477ced9a03de32",
+    "open-boundary 2.0 0.01 4": "65801289170dc0b8dd781a6ae0c6a646e28f079c4c5e35727a8423e6f225f73f",
+    "cantor-plateau 2.0 0.01 4": "062d45cd40632fd4635989cf2c5239fc1fdc52ed9c0c30b0c2c5cd0cb3e87997",
+    "demo cantor-plateau": "4da8bb2efd06f40185b55d0e98ef6562db4636c884e0cc2cacc3ad2f41bd3385",
+}
+
+
+def _pinned_compensators():
+    stacked = EX216.interval(1).scale
+    for h in (0.5, 1.0, 2.0):
+        for eps in (0.1, 0.01):
+            for n in (1, 4):
+                yield f"open-boundary {h} {eps} {n}", compensator(
+                    "open-boundary", stacked, 0.0, h, eps, n
+                )
+                beta = eps / (8 * n * h * h)
+                yield f"cantor-plateau {h} {eps} {n}", compensator(
+                    "cantor-plateau", None, 0.0, h, eps, n, beta=beta
+                )
+    yield "demo cantor-plateau", compensator(
+        "cantor-plateau", EX215.interval(0).scale, 0.5, 1.0, 0.01, 1, beta=0.01 / 8
+    )
+
+
+def _plateaus(result):
+    # the staircase a cantor-plateau result evaluates, read off its closure
+    cells = [cell.cell_contents for cell in result._eval.__closure__ or ()]
+    return next((x.plateaus for x in cells if isinstance(x, CantorInterpolant)), None)
+
+
+def test_compensators_match_their_pins():
+    seen = {}
+    for key, r in _pinned_compensators():
+        lo, hi = r.support
+        a, b = lo - (hi - lo) / 4, hi + (hi - lo) / 4
+        grid = [r(a + (b - a) * i / 997) for i in range(998)]
+        blob = repr((r.e1_bound, _plateaus(r), grid)).encode()
+        seen[key] = hashlib.sha256(blob).hexdigest()
+    assert seen == COMPENSATOR_PINS
 
 
 def test_compensator_validates_arguments():
