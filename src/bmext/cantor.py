@@ -137,29 +137,34 @@ def _lefts(depth: int) -> list[int]:
 
 
 def remnant_length(x, depth: int) -> Fraction:
-    """Lebesgue measure of [0, x] inside the level-``depth`` remnant, exactly.
+    """Lebesgue measure of [0, x] inside the level-``depth`` remnant, exactly."""
+    fx = Fraction(x)
+    den = fx.denominator
+    return Fraction(_remnant_numerator(fx.numerator, den, depth), 3**depth * den)
 
-    Reads the ternary digits of x off its integer numerator, as
+
+def _remnant_numerator(num: int, den: int, depth: int) -> int:
+    """:func:`remnant_length` of num/den (den > 0) as a numerator over 3**depth * den.
+
+    Reads the ternary digits of num/den off the integer numerator, as
     :func:`cantor_fraction` does.  Digits 0 and 2 pick the left or right
     sub-piece, and a 2 passes every level-``depth`` piece of the left one;
     a digit 1 (in a gap) or a zero remainder (on a piece end) ends the
     count.  After ``depth`` digits the remainder is the covered part of the
-    piece x lies in.
+    piece num/den lies in.  The digits depend only on the value, so num/den
+    need not be in lowest terms.
     """
-    fx = Fraction(x)
-    if fx <= 0:
-        return Fraction(0)
-    den3 = 3**depth
-    if fx >= 1:
-        return Fraction(2**depth, den3)
-    num, den = fx.numerator, fx.denominator
+    if num <= 0:
+        return 0
+    if num >= den:
+        return den << depth
     bits = 0
     for k in range(depth):
         digit, num = divmod(3 * num, den)
         bits = 2 * bits + (digit > 0)
         if digit == 1 or not num:
-            return Fraction(bits << (depth - k - 1), den3)
-    return Fraction(bits * den + num, den3 * den)
+            return (bits << (depth - k - 1)) * den
+    return bits * den + num
 
 
 def level_count(depth: int) -> int:
@@ -304,3 +309,13 @@ class CantorBlock:
             )
             for i, a in enumerate(_lefts(depth))
         ]
+
+    def float_remnants(self, depth: int) -> list[tuple[float, float]]:
+        """The pieces of :meth:`remnants` as float pairs, without the mass values.
+
+        Each end is one integer division, which rounds as converting the exact
+        Fraction would; no Fraction is built.
+        """
+        off, step, den = self._frame()
+        o, d = off * 3**depth, den * 3**depth
+        return [((p := o + 2 * a * step) / d, (p + step) / d) for a in _lefts(depth)]

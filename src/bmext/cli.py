@@ -27,8 +27,9 @@ part per interval, in the same order, as (lo, hi, dx-rate, singular-rate)
 cells.  Endpoints accept the strings "inf" and "-inf"; block weights accept
 numbers or exact fraction strings; an experiment value is read as the
 command's own flag reads it.  Schema violations and out-of-range
-options (a negative --depth, a count below 1) exit with code 2, semantic
-failures (overlapping intervals, impossible requests) with 1.
+options (a negative --depth or --seed, a --depth of 0 for a trace, a
+count below 1) exit with code 2, semantic failures (overlapping
+intervals, impossible requests) with 1.
 
 Every command prints one JSON document that embeds the scenario hash, the
 working depth, and the seed; bulk tables (atoms, paths, occupation counts,
@@ -323,10 +324,13 @@ def _parse_experiment(exp, path: str) -> dict:
     allowed = _EXPERIMENT_KEYS[command] | {"command"}
     _reject_unknown(exp, allowed, path)
     flags = _flags(command)
-    return {
+    parsed = {
         key: value if key == "command" else _flag_value(flags[key], value, f"{path}.{key}")
         for key, value in exp.items()
     }
+    if parsed.get("seed", 0) < 0:
+        raise ScenarioError(f"{path}.seed: --seed must be non-negative, got {parsed['seed']}")
+    return parsed
 
 
 def _flag_value(action: argparse.Action, value, path: str):
@@ -485,6 +489,7 @@ def _load_context(args) -> _Context:
         for key, value in exp.items():
             if key != "command" and getattr(args, key, None) is None:
                 setattr(args, key, value)
+    _seed(args)  # refuse a bad seed before any work
     return ctx
 
 
@@ -495,7 +500,11 @@ def _require_valid(ctx: _Context) -> None:
 
 
 def _seed(args) -> int:
-    return DEFAULT_SEED if args.seed is None else int(args.seed)
+    if args.seed is None:
+        return DEFAULT_SEED
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _count(args, name: str, default: int) -> int:
@@ -690,7 +699,13 @@ def _singular_densities(config: ExtensionConfig, f: PiecewiseFn) -> tuple:
     return tuple(dens)
 
 
+def _trace_depth(args) -> None:
+    if args.depth < 1:
+        raise UsageError(f"--depth must be at least 1 for the trace set, got {args.depth}")
+
+
 def cmd_trace(args) -> int:
+    _trace_depth(args)
     ctx = _load_context(args)
     f = _resolve_function(ctx, args.function)
     _require_valid(ctx)
@@ -817,6 +832,7 @@ def _sim_path(args, ctx) -> int:
 
 
 def _sim_trace(args, ctx) -> int:
+    _trace_depth(args)
     seed = _seed(args)
     sites = trace_structure(ctx.config, args.depth).sites()
     mu = build_trace_measure(ctx.config)

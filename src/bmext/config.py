@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .cantor import CantorBlock, check_work, level_count, remnant_length
+from .cantor import CantorBlock, _remnant_numerator, check_work, level_count
 from .scale import ScaleFunction, make_scale
 
 __all__ = [
@@ -112,15 +114,24 @@ class DustSpec:
         return [(a, b) for a, b, _ in CantorBlock(self.lo, self.hi).remnants(self.depth)]
 
     def measure_in(self, u: float, v: float) -> Fraction:
-        """Exact length of the pieces inside [u, v], in O(depth) digit steps."""
-        flo, fhi = Fraction(self.lo), Fraction(self.hi)
-        a, b = max(flo, Fraction(u)), min(fhi, Fraction(v))
+        """Exact length of the pieces inside [u, v], in O(depth) digit steps.
+
+        lo, hi, u and v are put over one common denominator (a power of two
+        when they are floats), so both window ends are read as integers.
+        """
+        ratios = [x.as_integer_ratio() for x in (self.lo, self.hi, u, v)]
+        den = math.lcm(*(d for _, d in ratios))
+        lo, hi, a, b = (n * (den // d) for n, d in ratios)
+        a, b = max(lo, a), min(hi, b)
         if b <= a:
             return Fraction(0)
-        width = fhi - flo
-        return width * (
-            remnant_length((b - flo) / width, self.depth)
-            - remnant_length((a - flo) / width, self.depth)
+        # (b - lo) / (hi - lo) and (a - lo) / (hi - lo) in the unit block; the
+        # width cancels against remnant_length's denominator
+        width = hi - lo
+        return Fraction(
+            _remnant_numerator(b - lo, width, self.depth)
+            - _remnant_numerator(a - lo, width, self.depth),
+            3**self.depth * den,
         )
 
     def materialized_measure(self) -> Fraction:
@@ -174,10 +185,25 @@ class ExtensionConfig:
         ordered = tuple(sorted(self.intervals, key=lambda iv: (iv.lo, iv.hi)))
         object.__setattr__(self, "intervals", ordered)
 
+    @cached_property
+    def _bounds(self) -> tuple[list[float], list[float]]:
+        # the lows, and the running maximum of the highs, both non-decreasing
+        reach = []
+        for iv in self.intervals:
+            reach.append(max(reach[-1], iv.hi) if reach else iv.hi)
+        return [iv.lo for iv in self.intervals], reach
+
     def locate(self, x: float) -> int | None:
-        """Index of the interval containing x, or None for complement points."""
-        for idx, iv in enumerate(self.intervals):
-            if iv.contains(x):
+        """Index of the first interval containing x, or None for complement points.
+
+        The intervals before the first whose high end (running maximum)
+        reaches x end below it, and those after the last whose low end does
+        not pass x start above it; only the ones between, at most two when
+        the intervals are disjoint, are asked.
+        """
+        lows, reach = self._bounds
+        for idx in range(bisect_left(reach, x), bisect_right(lows, x)):
+            if self.intervals[idx].contains(x):
                 return idx
         return None
 

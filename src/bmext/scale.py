@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cantor import CantorBlock, cantor_fraction  # noqa: F401 - kept importable from here
+from .cantor import CantorBlock, cantor_fraction
 
 __all__ = ["ScaleFunction", "WSupport", "make_scale", "anchor_point"]
 
@@ -64,6 +64,11 @@ class WSupport(NamedTuple):
         return depth if self.shell is None else max(2, depth - self.shell)
 
 
+def _shell_index(num: int, den: int) -> int:
+    """Index k with 1/2**(k+1) < num/den <= 1/2**k, for 0 < num <= den."""
+    return (den // num).bit_length() - 1
+
+
 @dataclass(frozen=True)
 class _Stack:
     """Boundary stack of unit blocks on dyadic shells at a finite endpoint.
@@ -94,39 +99,30 @@ class _Stack:
             return [WSupport(self.at, self.at + tail, None)] + shells[::-1]
         return shells + [WSupport(self.at - tail, self.at, None)]
 
-    def _shell_index(self, r: Fraction) -> int:
-        """Index k with 1/2**(k+1) < r <= 1/2**k for r in (0, 1]."""
-        k = max(0, int(-math.log2(float(r))) - 1)
-        while Fraction(1, 2**k) < r:
-            k -= 1
-        while r <= Fraction(1, 2 ** (k + 1)):
-            k += 1
-        return k
-
     def mass_to_edge(self, x) -> Fraction | float:
         """Stack mass between ``x`` and the interior edge of the stack zone.
 
         This is the stack's contribution to the mass between x and the
         anchor; it is infinite exactly when x sits at the stacked endpoint.
         """
-        fx = Fraction(x)
-        if self.side == "lo":
-            if fx <= self.at:
-                return math.inf
-            r = (fx - self.at) / self.delta
-        else:
-            if fx >= self.at:
-                return math.inf
-            r = (self.at - fx) / self.delta
-        if r >= 1:
+        xn, xd = x.as_integer_ratio()
+        an, ad = self.at.as_integer_ratio()
+        dn, dd = self.delta.as_integer_ratio()
+        # r = rn / rd = (distance from the endpoint) / delta
+        rn = (xn * ad - an * xd) * dd
+        if self.side == "hi":
+            rn = -rn
+        if rn <= 0:
+            return math.inf
+        rd = xd * ad * dn
+        if rn >= rd:
             return Fraction(0)
-        k = self._shell_index(r)
-        blk = self.shell(k)
+        # shell k spans 1/2**(k+1) < r <= 1/2**k; its block sees x at
+        # 2**(k+1) r - 1 on a left stack and 2 - 2**(k+1) r on a right one
+        k = _shell_index(rn, rd)
         if self.side == "lo":
-            partial = blk.weight - blk.value_exact(fx)
-        else:
-            partial = blk.value_exact(fx)
-        return k + partial
+            return k + 1 - cantor_fraction(Fraction((rn << (k + 1)) - rd, rd))
+        return k + cantor_fraction(Fraction(2 * rd - (rn << (k + 1)), rd))
 
     def mass_between(self, u, v) -> Fraction | float:
         """Stack mass in (u, v), u <= v, both on the interval side."""
@@ -163,7 +159,8 @@ class _Stack:
         b = min(v, hi_z)
         if b <= a:
             return 0.0
-        deepest = self._shell_index(min(r, Fraction(1)))
+        r = min(r, Fraction(1))
+        deepest = _shell_index(r.numerator, r.denominator)
         total = 0.0
         for k in range(deepest + 1):
             blk = self.shell(k)

@@ -15,11 +15,12 @@ needs the singular coordinates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .cantor import check_work, level_count
+from .cantor import CantorBlock, check_work, level_count
 from .config import ExtensionConfig
 from .forms import IntervalPart, PiecewiseFn, _singular_mass
 
@@ -41,15 +42,16 @@ __all__ = [
 def _interval_cells(iv, depth):
     sc = iv.scale
     out = []
+    # + 0.0 turns an endpoint -0.0 into 0.0, as the exact value would
     if sc.include_lo:
-        out.append((Fraction(sc.lo), Fraction(sc.lo)))
+        out.append((sc.lo + 0.0, sc.lo + 0.0))
     if sc.include_hi:
-        out.append((Fraction(sc.hi), Fraction(sc.hi)))
+        out.append((sc.hi + 0.0, sc.hi + 0.0))
     for sup in sc.w_supports(depth):
         if sup.block is None:
-            out.append((sup.lo, sup.hi))
+            out.append((float(sup.lo), float(sup.hi)))
         else:
-            out.extend((rlo, rhi) for rlo, rhi, _ in sup.block.remnants(sup.resolution(depth)))
+            out.extend(sup.block.float_remnants(sup.resolution(depth)))
     return out
 
 
@@ -91,22 +93,24 @@ def trace_structure(config: ExtensionConfig, depth: int = 8) -> TraceStructure:
     raw = []
     for iv in config.intervals:
         raw.extend(_interval_cells(iv, depth))
-    raw.extend((Fraction(p), Fraction(p)) for p in comp.points)
-    raw.extend((Fraction(a), Fraction(b)) for a, b in comp.segments)
+    raw.extend((float(Fraction(p)),) * 2 for p in comp.points)
+    raw.extend((float(Fraction(a)), float(Fraction(b))) for a, b in comp.segments)
     for d in comp.dust:
-        raw.extend(d.pieces())
+        raw.extend(CantorBlock(d.lo, d.hi).float_remnants(d.depth))
     if not raw:
         raise ValueError("the trace set is empty: every point lies on an open Brownian stretch")
-    raw.sort()
     # merge in float resolution: exact and rounded descriptions of the same
-    # endpoint must not leave a phantom zero-length gap
+    # endpoint must not leave a phantom zero-length gap.  Rounding is
+    # monotone, so the rounded ends sort and merge into the same cells as
+    # the exact ones would
+    raw.sort()
     merged = [list(raw[0])]
     for lo, hi in raw[1:]:
-        if float(lo) <= float(merged[-1][1]):
+        if lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    cells = tuple((float(lo), float(hi)) for lo, hi in merged)
+    cells = tuple(map(tuple, merged))
     gaps = []
     for (_, h1), (l2, _) in zip(cells, cells[1:]):
         gaps.append((h1, l2, config.locate((h1 + l2) / 2)))
@@ -215,32 +219,33 @@ def _cell_mass(config, clo: float, chi: float) -> float:
     return math.fsum(_singular_mass(iv.scale, clo, chi) for iv in config.intervals)
 
 
-def _interp_value(config, tf: TraceFn, x: float) -> float:
+def _interp_value(config, tf: TraceFn, lows: list[float], x: float) -> float:
     """The harmonic interpolation evaluated at x: affine across gaps, flat
-    beyond the extreme cells, mass-linear inside cells carrying singular mass."""
+    beyond the extreme cells, mass-linear inside cells carrying singular mass.
+    ``lows`` are the cells' low ends."""
     st = tf.structure
     cells, values = st.cells, tf.values
     if x <= cells[0][0]:
         return values[0][0]
     if x >= cells[-1][1]:
         return values[-1][1]
-    for i, (clo, chi) in enumerate(cells):
-        if x < clo:
-            glo, ghi = cells[i - 1][1], clo
-            vl, vh = values[i - 1][1], values[i][0]
-            return vl + (vh - vl) * (x - glo) / (ghi - glo)
-        if x <= chi:
-            vl, vh = values[i]
-            if x == clo or vl == vh:
-                return vl
-            mass = _cell_mass(config, clo, chi)
-            if math.isinf(mass):
-                raise ValueError("no finite interpolation through an infinite singular stretch")
-            if mass > 0.0:
-                part = math.fsum(_singular_mass(iv.scale, clo, x) for iv in config.intervals)
-                return vl + (vh - vl) * part / mass
-            return vl + (vh - vl) * (x - clo) / (chi - clo)
-    raise AssertionError("unreachable")
+    # the last cell starting at or below x; x lies in it or in the gap after it
+    i = bisect_right(lows, x) - 1
+    clo, chi = cells[i]
+    if x > chi:
+        glo, ghi = chi, cells[i + 1][0]
+        vl, vh = values[i][1], values[i + 1][0]
+        return vl + (vh - vl) * (x - glo) / (ghi - glo)
+    vl, vh = values[i]
+    if x == clo or vl == vh:
+        return vl
+    mass = _cell_mass(config, clo, chi)
+    if math.isinf(mass):
+        raise ValueError("no finite interpolation through an infinite singular stretch")
+    if mass > 0.0:
+        part = math.fsum(_singular_mass(iv.scale, clo, x) for iv in config.intervals)
+        return vl + (vh - vl) * part / mass
+    return vl + (vh - vl) * (x - clo) / (chi - clo)
 
 
 def harmonic_extension(config: ExtensionConfig, tf: TraceFn) -> PiecewiseFn:
@@ -283,22 +288,22 @@ def harmonic_extension(config: ExtensionConfig, tf: TraceFn) -> PiecewiseFn:
             )
         gap_u.append(dv / (ghi - glo))
 
+    lows = [clo for clo, _ in cells]
+    ends = [b for cell in cells for b in cell]
+
     def span_uw(x: float) -> tuple[float, float]:
-        for i, (clo, chi) in enumerate(cells):
-            if x < clo:
-                return (gap_u[i - 1], 0.0) if i > 0 else (0.0, 0.0)
-            if x <= chi:
-                return cell_uw[i]
-        return (0.0, 0.0)
+        # cell i - 1 is the last starting at or below x
+        i = bisect_right(lows, x)
+        if i == 0:
+            return (0.0, 0.0)
+        if x <= cells[i - 1][1]:
+            return cell_uw[i - 1]
+        return (gap_u[i - 1], 0.0) if i < len(cells) else (0.0, 0.0)
 
     parts = []
     for iv in config.intervals:
-        edges = {iv.lo, iv.hi}
-        for clo, chi in cells:
-            for b in (clo, chi):
-                if iv.lo < b < iv.hi:
-                    edges.add(b)
-        edges = sorted(edges)
+        inside = ends[bisect_right(ends, iv.lo):bisect_left(ends, iv.hi)]
+        edges = sorted({iv.lo, iv.hi, *inside})
         pieces = []
         for b1, b2 in zip(edges, edges[1:]):
             mid = b1 + 0.5 * (b2 - b1) if math.isfinite(b1) and math.isfinite(b2) else (
@@ -306,7 +311,7 @@ def harmonic_extension(config: ExtensionConfig, tf: TraceFn) -> PiecewiseFn:
             )
             u, w = span_uw(mid)
             pieces.append((b1, b2, u, w))
-        anchor = _interp_value(config, tf, iv.scale.e)
+        anchor = _interp_value(config, tf, lows, iv.scale.e)
         parts.append(IntervalPart(anchor, tuple(pieces)))
     return PiecewiseFn(config, tuple(parts))
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from bmext.config import ExtensionConfig, IntervalSpec
 from bmext.scale import anchor_point, make_scale
 
 
@@ -31,3 +32,22 @@ def random_scales(draw):
         (a + (b - a) * i / 64, a + (b - a) * j / 64, w) for (i, j), w in zip(pairs, weights)
     ]
     return make_scale(lo, hi, include_lo, include_hi, blocks)
+
+
+# interval ends on a coarse grid, so that drawn intervals share and overlap ends
+CONFIG_ENDS = (-math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, math.inf)
+
+
+@st.composite
+def random_configs(draw):
+    """Configurations of 0-8 plain intervals with shared, nested and overlapping ends.
+
+    Nothing is checked: the result is often invalid, as a scenario file can be.
+    """
+    intervals = []
+    for _ in range(draw(st.integers(0, 8))):
+        lo, hi = sorted(draw(st.sets(st.sampled_from(CONFIG_ENDS), min_size=2, max_size=2)))
+        include_lo = math.isfinite(lo) and draw(st.booleans())
+        include_hi = math.isfinite(hi) and draw(st.booleans())
+        intervals.append(IntervalSpec(make_scale(lo, hi, include_lo, include_hi)))
+    return ExtensionConfig(tuple(intervals))

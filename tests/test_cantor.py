@@ -218,6 +218,16 @@ def test_block_gaps_and_remnants_match_the_fraction_formula(lo, width, weight, d
     assert blk.remnants(depth) == remnants
 
 
+@settings(max_examples=200, deadline=None)
+@given(_fractions(), _fractions(1), st.floats(-1e3, 1e3), st.floats(1e-6, 1e3),
+       st.integers(0, 10))
+def test_float_remnants_round_the_exact_remnants(lo, width, flo, fwidth, depth):
+    # rational blocks and float-ended ones, whose ends have long binary expansions
+    for blk in (CantorBlock(lo, lo + width), CantorBlock(flo, flo + fwidth)):
+        exact = [(float(a), float(b)) for a, b, _ in blk.remnants(depth)]
+        assert blk.float_remnants(depth) == exact
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         CantorBlock(1, 1, 1)

@@ -322,6 +322,23 @@ def test_darn_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(table).hexdigest() == csv_sha, key
 
 
+TRACE_PINS = json.loads((pathlib.Path(__file__).parent / "trace_pins.json").read_text())
+
+
+def test_trace_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
+    # sha256 of stdout and of the --out CSV, recorded when the trace cells came
+    # from exact Fraction ends, for every preset and built-in at depths 1-8
+    monkeypatch.chdir(tmp_path)
+    for key, (out_sha, csv_sha) in TRACE_PINS["trace"].items():
+        name, function, depth = key.split()
+        code, out = run(capsys, "trace", "--preset", name, "--function", function,
+                        "--depth", depth, "--out", "out", "--deterministic")
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, key
+        table = (tmp_path / "out" / "trace_jumps.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == csv_sha, key
+
+
 def test_darn_without_singular_part_exits_1(capsys):
     code, out = run(capsys, "darn", "--preset", "ex218", "--index", "1")
     assert code == 1
@@ -561,6 +578,55 @@ def test_non_positive_count_exits_2(capsys, argv):
     window = ("--preset", "ex215", "--x0", "0.5", "--left", "0", "--right", "1")
     err = refused(capsys, 2, *argv, *window)
     assert err["type"] == "UsageError" and argv[2] in err["message"]
+
+
+WINDOW = ("--preset", "ex215", "--x0", "0.3", "--left", "0", "--right", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "hitting", *WINDOW, "--samples", "10"),
+        ("simulate", "path", *WINDOW),
+        ("simulate", "darned", "--preset", "ex215"),
+        ("simulate", "trace", "--preset", "ex218", "--x0", "0.0"),
+        ("validate", "--preset", "ex215"),
+        ("energy", "--preset", "ex215", "--function", "identity"),
+        ("decompose", "--preset", "ex215", "--function", "identity"),
+        ("darn", "--preset", "ex215"),
+        ("trace", "--preset", "ex215", "--function", "identity"),
+        ("verify",),
+    ],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    # was numpy's bare "expected non-negative integer" with exit 1, and three
+    # verify checks printed as FAIL
+    err = refused(capsys, 2, *argv, "--seed", "-5")
+    assert err == {"type": "UsageError", "message": "--seed must be non-negative, got -5"}
+
+
+def test_negative_experiment_seed_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(MIXED))
+    doc["experiments"].append(dict(MIXED["experiments"][0], seed=-5))
+    path = write(tmp_path, doc)
+    # refused when the scenario is read, by every command that loads it
+    for argv in (("simulate", "--experiment", "1"), ("validate",)):
+        err = refused(capsys, 2, argv[0], "--scenario", path, *argv[1:])
+        assert err["type"] == "ScenarioError"
+        assert err["message"].startswith("$.experiments[1].seed: --seed must be non-negative")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--preset", "ex215", "--function", "identity"),
+        ("simulate", "trace", "--preset", "ex218", "--x0", "0.0"),
+    ],
+)
+def test_trace_depth_0_exits_2(capsys, argv):
+    # was exit 1 with the library's bare "depth must be at least 1"
+    err = refused(capsys, 2, *argv, "--depth", "0")
+    assert err["type"] == "UsageError" and "--depth" in err["message"]
 
 
 def test_verify_takes_only_seed_and_deterministic():

@@ -26,6 +26,7 @@ from bmext.config import (
 from bmext.scale import make_scale
 from bmext.sim import _site_weights
 from bmext.trace import trace_structure
+from strategies import CONFIG_ENDS, random_configs
 
 
 # a bounded interval stacked at both ends between two closed rays
@@ -198,6 +199,72 @@ def test_dust_measure_at_depth_200_matches_self_similarity():
     dust = DustSpec(0.0, 1.0, 200)
     assert dust.measure_in(0.0, 0.25) == quarter
     assert dust.measure_in(0.25, 0.75) == Fraction(2, 3) ** 200 - 2 * quarter
+
+
+def _remnant_length_by_fraction(x, depth):
+    # the former cantor.remnant_length, digit by digit on a Fraction
+    fx = Fraction(x)
+    if fx <= 0:
+        return Fraction(0)
+    if fx >= 1:
+        return Fraction(2**depth, 3**depth)
+    num, den = fx.numerator, fx.denominator
+    bits = 0
+    for k in range(depth):
+        digit, num = divmod(3 * num, den)
+        bits = 2 * bits + (digit > 0)
+        if digit == 1 or not num:
+            return Fraction(bits << (depth - k - 1), 3**depth)
+    return Fraction(bits * den + num, 3**depth * den)
+
+
+def _dust_measure_by_fraction(dust, u, v):
+    # the former DustSpec.measure_in: Fraction clipping and rescaling
+    flo, fhi = Fraction(dust.lo), Fraction(dust.hi)
+    a, b = max(flo, Fraction(u)), min(fhi, Fraction(v))
+    if b <= a:
+        return Fraction(0)
+    width = fhi - flo
+    return width * (
+        _remnant_length_by_fraction((b - flo) / width, dust.depth)
+        - _remnant_length_by_fraction((a - flo) / width, dust.depth)
+    )
+
+
+@st.composite
+def _deep_dust_windows(draw):
+    """A dust at depth 0-40, too deep to list, and a window [u, v] on it."""
+    depth = draw(st.integers(0, 40))
+    lo = draw(st.floats(-8.0, 8.0))
+    hi = lo + draw(st.floats(1e-3, 8.0))
+    width = Fraction(hi) - Fraction(lo)
+
+    def end():
+        kind = draw(st.sampled_from(["piece", "third", "float", "outside"]))
+        if kind == "piece":
+            # piece i starts at 2a / 3**depth, the ternary digits of a being
+            # the binary digits of i
+            i = draw(st.integers(0, 2**depth - 1))
+            a = sum(3**k for k in range(depth) if i >> k & 1)
+            x = Fraction(lo) + width * Fraction(2 * a + draw(st.integers(0, 1)), 3**depth)
+            return x if draw(st.booleans()) else float(x)
+        if kind == "third":
+            level = draw(st.integers(1, 45))
+            k = draw(st.integers(0, 3**level))
+            return float(Fraction(lo) + width * Fraction(k, 3**level))
+        if kind == "float":
+            return draw(st.floats(lo, hi))
+        return draw(st.one_of(st.floats(lo - 10.0, lo), st.floats(hi, hi + 10.0)))
+
+    return DustSpec(lo, hi, depth), end(), end()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_dust_windows(), _deep_dust_windows()))
+def test_dust_measure_matches_the_fraction_formula(case):
+    dust, u, v = case
+    got = dust.measure_in(u, v)
+    assert type(got) is Fraction and got == _dust_measure_by_fraction(dust, u, v)
 
 
 def test_validate_never_materialises_the_dust(monkeypatch):
@@ -445,3 +512,20 @@ def test_locate_and_interval_lookup():
     iv = cfg.interval(idx)
     assert iv.lo < -0.6 < iv.hi
     assert cfg.locate(0.0) is None
+
+
+def _first_match(config, x):
+    # the former ExtensionConfig.locate: ask every interval, from the left
+    for idx, iv in enumerate(config.intervals):
+        if iv.contains(x):
+            return idx
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_configs(), st.lists(st.floats(-3.0, 3.0), max_size=10))
+def test_locate_matches_the_first_match_scan(config, xs):
+    # every grid end, each midpoint between grid ends, and random floats
+    mids = [a + (b - a) / 2 for a, b in zip(CONFIG_ENDS[1:-2], CONFIG_ENDS[2:-1])]
+    for x in [*CONFIG_ENDS, *mids, *xs]:
+        assert config.locate(x) == _first_match(config, x), x

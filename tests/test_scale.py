@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmext.cantor import CantorBlock
-from bmext.scale import anchor_point, make_scale
+from bmext.scale import _Stack, anchor_point, make_scale
 from strategies import random_scales
 
 
@@ -222,3 +222,56 @@ def test_anchor_zero_property(frac):
         x = lo + (hi - lo) * frac
         if t.contains(x) and x != t.e:
             assert (t(x) > 0.0) == (x > t.e)
+
+
+def _mass_to_edge_by_fraction(stack, x):
+    # the former _Stack.mass_to_edge: Fraction distance, a shell block, its value
+    fx = Fraction(x)
+    if stack.side == "lo":
+        if fx <= stack.at:
+            return math.inf
+        r = (fx - stack.at) / stack.delta
+    else:
+        if fx >= stack.at:
+            return math.inf
+        r = (stack.at - fx) / stack.delta
+    if r >= 1:
+        return Fraction(0)
+    k = 0
+    while r <= Fraction(1, 2 ** (k + 1)):
+        k += 1
+    blk = stack.shell(k)
+    partial = blk.weight - blk.value_exact(fx) if stack.side == "lo" else blk.value_exact(fx)
+    return k + partial
+
+
+@st.composite
+def _stack_points(draw):
+    """A stack and a point near it: shell ends (exact or rounded), points in a
+    shell, the endpoint itself, or anywhere around the zone."""
+    side = draw(st.sampled_from(["lo", "hi"]))
+    at = Fraction(draw(st.sampled_from([-2.0, 0.0, 0.5, 3.25, Fraction(1, 3)])))
+    delta = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 3),
+                                  Fraction(5, 7)]))
+    sign = 1 if side == "lo" else -1
+    kind = draw(st.sampled_from(["shell end", "in shell", "endpoint", "around"]))
+    if kind == "shell end":
+        x = at + sign * delta / 2 ** draw(st.integers(0, 50))
+        x = x if draw(st.booleans()) else float(x)
+    elif kind == "in shell":
+        k = draw(st.integers(0, 50))
+        x = float(at + sign * delta * (1 + Fraction(draw(st.floats(0.0, 1.0)))) / 2 ** (k + 1))
+    elif kind == "endpoint":
+        x = at if draw(st.booleans()) else float(at)
+    else:
+        x = draw(st.floats(float(at - 2 * delta), float(at + 2 * delta)))
+    return _Stack(side, at, delta), x
+
+
+@settings(max_examples=500, deadline=None)
+@given(_stack_points())
+def test_stack_mass_to_edge_matches_the_fraction_formula(case):
+    stack, x = case
+    got = stack.mass_to_edge(x)
+    want = _mass_to_edge_by_fraction(stack, x)
+    assert type(got) is type(want) and got == want

@@ -1,12 +1,16 @@
 """Trace set resolution, trace energies, harmonic interpolation, membership."""
 
+import hashlib
+import json
 import math
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from bmext.config import ExtensionConfig, IntervalSpec, preset
-from bmext.forms import energy, named_function
+from bmext.config import PRESET_NAMES, ExtensionConfig, IntervalSpec, preset
+from bmext.forms import BUILTIN_NAMES, energy, named_function
 from bmext.scale import make_scale
 from bmext.trace import (
     TraceFn,
@@ -268,3 +272,43 @@ def test_tracefn_validation():
         TraceFn(st, bad, (0.0,))
     with pytest.raises(ValueError):
         TraceFn(st, good, (math.inf,))
+
+
+# sha256 pins recorded when every cell end was an exact Fraction, sorted and
+# merged exactly, and every cell lookup scanned the cells from the left
+TRACE_PINS = json.loads((pathlib.Path(__file__).parent / "trace_pins.json").read_text())
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_trace_structure_pinned(name):
+    for depth in range(1, 11):
+        st = trace_structure(preset(name, depth), depth)
+        assert [_sha(st.cells), _sha(st.gaps)] == TRACE_PINS["structure"][f"{name} {depth}"]
+
+
+def _pinned_extension(cfg, tf) -> str:
+    try:
+        return _sha(harmonic_extension(cfg, tf).parts)
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_harmonic_extension_pinned(name):
+    pins = TRACE_PINS["harmonic"]
+    for depth in (3, 5):
+        cfg = preset(name, depth)
+        for fn in BUILTIN_NAMES:
+            tf = trace_restriction(cfg, named_function(cfg, fn), depth)
+            assert _pinned_extension(cfg, tf) == pins[f"{name} {depth} {fn}"], (depth, fn)
+    if name == "ex215":
+        st = trace_structure(EX215, 6)
+        for seed in range(3):
+            rng = random.Random(seed)
+            values = tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in st.cells)
+            tf = TraceFn(st, values, (0.0,))
+            assert _pinned_extension(EX215, tf) == pins[f"ex215 6 random-{seed}"], seed
