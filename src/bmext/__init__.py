@@ -8,7 +8,12 @@ the orthogonal split into a smooth part and a singular complement, the
 darning transform that collapses the singular set into an atomic measure,
 trace forms on the leftover set, and seeded random-walk approximations for
 checking all of it numerically.
+
+Only the walks and the verification battery need numpy.  Their exports are
+imported on first access, so the exact constructions load without it.
 """
+
+import importlib
 
 from .cantor import (
     CantorBlock,
@@ -17,6 +22,7 @@ from .cantor import (
     cantor_integral,
 )
 from .config import (
+    DEFAULT_SEED,
     PRESET_NAMES,
     ComplementSpec,
     DustSpec,
@@ -52,19 +58,6 @@ from .forms import (
     orthogonal_decompose,
 )
 from .scale import ScaleFunction, make_scale
-from .sim import (
-    GridChain,
-    McEstimate,
-    OccupationStats,
-    PathSample,
-    VisitTable,
-    build_chain,
-    hitting_probability,
-    simulate_darned,
-    simulate_path,
-    simulate_trace_chain,
-    snap_grid,
-)
 from .trace import (
     MembershipReport,
     TraceFn,
@@ -78,7 +71,6 @@ from .trace import (
     trace_restriction,
     trace_structure,
 )
-from .verify import DEFAULT_SEED, CheckResult, run_all
 
 __version__ = "0.1.0"
 
@@ -144,3 +136,35 @@ __all__ = [
     "trace_structure",
     "validate",
 ]
+
+# exports whose modules import numpy, by module: resolved on first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "GridChain",
+            "McEstimate",
+            "OccupationStats",
+            "PathSample",
+            "VisitTable",
+            "build_chain",
+            "hitting_probability",
+            "simulate_darned",
+            "simulate_path",
+            "simulate_trace_chain",
+            "snap_grid",
+        ),
+        "sim",
+    ),
+    **dict.fromkeys(("CheckResult", "run_all"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

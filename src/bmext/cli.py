@@ -28,8 +28,9 @@ cells.  Endpoints accept the strings "inf" and "-inf"; block weights accept
 numbers or exact fraction strings; an experiment value is read as the
 command's own flag reads it.  Schema violations and out-of-range
 options (a negative --depth or --seed, a --depth of 0 for a trace, a
-count below 1) exit with code 2, semantic failures (overlapping
-intervals, impossible requests) with 1.
+count below 1, a NaN or infinite --x0, --left, --right or --tol) exit
+with code 2, semantic failures (overlapping intervals, impossible
+requests) with 1.
 
 Every command prints one JSON document that embeds the scenario hash, the
 working depth, and the seed; bulk tables (atoms, paths, occupation counts,
@@ -51,9 +52,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .config import (
+    DEFAULT_SEED,
     PRESET_NAMES,
     ComplementSpec,
     DustSpec,
@@ -76,14 +76,6 @@ from .forms import (
     orthogonal_decompose,
 )
 from .scale import make_scale
-from .sim import (
-    build_chain,
-    hitting_probability,
-    simulate_darned,
-    simulate_path,
-    simulate_trace_chain,
-    snap_grid,
-)
 from .trace import (
     jump_contributions,
     trace_energy_bm,
@@ -92,7 +84,6 @@ from .trace import (
     trace_restriction,
     trace_structure,
 )
-from .verify import DEFAULT_SEED, run_all
 
 __all__ = [
     "ScenarioError",
@@ -345,7 +336,7 @@ def _flag_value(action: argparse.Action, value, path: str):
         raise ScenarioError(f"{path}: expected a value for {flag}, got {json.dumps(value)}")
     try:
         parsed = (action.type or str)(str(value))
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ScenarioError(f"{path}: {value!r} is not a valid {flag} value") from None
     if action.choices is not None and parsed not in action.choices:
         raise ScenarioError(
@@ -745,6 +736,9 @@ def cmd_trace(args) -> int:
 
 
 # -- simulate ----------------------------------------------------------------------
+# The walks need numpy, so each runner imports its sim functions when it runs:
+# the exact commands never load them.  Looking them up at call time also sees
+# any wrapper put on bmext.sim after this module was imported.
 
 
 def _need(args, name: str):
@@ -755,6 +749,8 @@ def _need(args, name: str):
 
 
 def _hitting_grid(args, ctx):
+    from .sim import build_chain, snap_grid
+
     x0 = float(_need(args, "x0"))
     index = args.index
     if index is None:
@@ -771,11 +767,13 @@ def _hitting_grid(args, ctx):
     cells = _count(args, "cells", 48)
     grid = snap_grid(ctx.config, index, left, right, cells, depth=args.depth)
     chain = build_chain(ctx.config, index, grid)
-    used = float(grid[int(np.argmin(np.abs(grid - x0)))])
+    used = float(grid[int(abs(grid - x0).argmin())])
     return index, left, right, grid, chain, x0, used
 
 
 def _sim_hitting(args, ctx) -> int:
+    from .sim import hitting_probability
+
     seed = _seed(args)
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
     samples = _count(args, "samples", 100_000)
@@ -800,6 +798,8 @@ def _sim_hitting(args, ctx) -> int:
 
 
 def _sim_path(args, ctx) -> int:
+    from .sim import simulate_path
+
     seed = _seed(args)
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
     steps = _count(args, "steps", 10_000)
@@ -832,6 +832,8 @@ def _sim_path(args, ctx) -> int:
 
 
 def _sim_trace(args, ctx) -> int:
+    from .sim import simulate_trace_chain
+
     _trace_depth(args)
     seed = _seed(args)
     sites = trace_structure(ctx.config, args.depth).sites()
@@ -870,6 +872,8 @@ def _sim_trace(args, ctx) -> int:
 
 
 def _sim_darned(args, ctx) -> int:
+    from .sim import simulate_darned
+
     seed = _seed(args)
     index = _index(ctx, 0 if args.index is None else args.index)
     spec = darn(ctx.config, index, depth=args.depth)
@@ -887,7 +891,7 @@ def _sim_darned(args, ctx) -> int:
         "window": [sites[0], sites[-1]],
         "x0_used": x0,
         "steps": steps,
-        "occupation_total": _jnum(float(np.sum(occ.occupation))),
+        "occupation_total": _jnum(float(occ.occupation.sum())),
     }
     files = None
     if args.out:
@@ -923,6 +927,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     seed = _seed(args)
     rows = run_all(seed)
     width = max(len(r.name) for r in rows)
@@ -944,6 +950,14 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """A float flag's value; NaN and the infinities are refused (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help=f"random seed (default {DEFAULT_SEED})")
@@ -958,7 +972,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in configuration")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
                    help="enumeration depth for gaps, atoms, and grids")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
                    help="tolerance used in yes/no judgements")
     p.add_argument("--samples", type=int, default=None,
                    help="walker count / sample point count")
@@ -1001,9 +1015,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a seeded walk")
     _add_common(p)
     p.add_argument("kind", nargs="?", choices=_SIM_KINDS)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--left", type=float, default=None)
-    p.add_argument("--right", type=float, default=None)
+    p.add_argument("--x0", type=_finite_float, default=None)
+    p.add_argument("--left", type=_finite_float, default=None)
+    p.add_argument("--right", type=_finite_float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--mode", choices=("extension", "brownian"), default=None)

@@ -36,7 +36,11 @@ __all__ = [
     "build_trace_measure",
     "preset",
     "PRESET_NAMES",
+    "DEFAULT_SEED",
 ]
+
+# Recorded default; every command that consumes randomness starts here.
+DEFAULT_SEED = 20260814
 
 
 class PointClass(enum.Enum):
@@ -109,9 +113,6 @@ class DustSpec:
     lo: float
     hi: float
     depth: int
-
-    def pieces(self) -> list[tuple[Fraction, Fraction]]:
-        return [(a, b) for a, b, _ in CantorBlock(self.lo, self.hi).remnants(self.depth)]
 
     def measure_in(self, u: float, v: float) -> Fraction:
         """Exact length of the pieces inside [u, v], in O(depth) digit steps.

@@ -265,7 +265,7 @@ class ScaleFunction:
     # -- membership -----------------------------------------------------
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        if not self.lo <= x <= self.hi:  # NaN included
             return False
         if x == self.lo:
             return self.include_lo
@@ -323,29 +323,11 @@ class ScaleFunction:
 
     __call__ = eval
 
-    def boundary_value(self, side: str) -> float:
-        """Limit of t at an endpoint: finite iff the endpoint is included."""
-        if side == "lo":
-            if not math.isfinite(self.lo) or self.stack_lo:
-                return -math.inf
-            return self.eval(self.lo)
-        if side == "hi":
-            if not math.isfinite(self.hi) or self.stack_hi:
-                return math.inf
-            return self.eval(self.hi)
-        raise ValueError("side must be 'lo' or 'hi'")
-
     def stieltjes_mass(self, u: float, v: float) -> float:
         """dt-mass of (u, v] inside the interval, possibly infinite."""
         tv = self.eval(v)
         tu = self.eval(u)
         return tv - tu
-
-    def uw_split(self, u: float, v: float) -> tuple[float, float]:
-        """Split dt((u, v]) into its Lebesgue and singular parts; the singular part is exact."""
-        if u > v:
-            u, v = v, u
-        return v - u, self.singular_between(u, v)
 
     # -- inversion --------------------------------------------------------
 

@@ -144,13 +144,6 @@ class TraceFn:
         if any(not math.isfinite(d) for d in self.densities):
             raise ValueError("singular densities must be finite")
 
-    def shifted(self, c: float) -> "TraceFn":
-        return TraceFn(
-            self.structure,
-            tuple((vl + c, vh + c) for vl, vh in self.values),
-            self.densities,
-        )
-
     def scaled(self, lam: float) -> "TraceFn":
         return TraceFn(
             self.structure,

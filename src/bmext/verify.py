@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cantor import cantor_eval, cantor_fraction
-from .config import ExtensionConfig, IntervalSpec, preset
+from .config import DEFAULT_SEED, ExtensionConfig, IntervalSpec, preset
 from .darning import darn, energy_equivalence_check
 from .forms import (
     IntervalPart,
@@ -52,9 +52,6 @@ from .trace import (
 )
 
 __all__ = ["DEFAULT_SEED", "CheckResult", "run_all", "CHECKS"]
-
-# Recorded default; every command that consumes randomness starts here.
-DEFAULT_SEED = 20260814
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 import bmext.cli as cli
-from bmext.cantor import WORK_BUDGET
-from bmext.config import DustSpec, preset
+from bmext.cantor import WORK_BUDGET, CantorBlock
+from bmext.config import preset
 from bmext.forms import energy
 
 OVERLAP = {
@@ -173,10 +173,10 @@ def test_reversed_complement_segment_exits_2(tmp_path, capsys, segment):
 
 def test_deep_scenario_dust_is_accounted_without_its_pieces(tmp_path, capsys, monkeypatch):
     # 2**200 pieces could never be listed; the closed form reads the gap exactly
-    def refuse(self):
+    def refuse(self, depth):
         raise AssertionError("validate enumerated the dust pieces")
 
-    monkeypatch.setattr(DustSpec, "pieces", refuse)
+    monkeypatch.setattr(CantorBlock, "remnants", refuse)
     doc = _dust_scenario({"lo": 0, "hi": 1, "depth": 200})
     code, out = run(capsys, "validate", "--scenario", write(tmp_path, doc))
     assert code == 1
@@ -496,6 +496,8 @@ def test_experiment_command_mismatch_exits_1(tmp_path, capsys):
         ("seed", 1.7),  # was run, and reported, as seed 1
         ("right", True),  # was used as 1.0
         ("x0", "abc"),  # was exit 1
+        ("x0", math.nan),  # was walked from the first grid site
+        ("left", -math.inf),  # was exit 1 with "sites must be finite"
     ],
 )
 def test_experiment_value_the_flag_refuses_exits_2(tmp_path, capsys, key, value):
@@ -633,3 +635,35 @@ def test_verify_takes_only_seed_and_deterministic():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--depth", "3"])
     assert exc.value.code == 2
+
+
+WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # was exit 0 with x0_used 0.0: the first grid site stood in for NaN
+        (("simulate", "path", *WINDOW, "--x0", "nan", "--steps", "10"), "--x0"),
+        # were exit 0 with x0_used 0.0625, the first darned site
+        (("simulate", "darned", "--preset", "ex215", "--depth", "4", "--x0", "nan"), "--x0"),
+        (("simulate", "darned", "--preset", "ex215", "--depth", "4", "--x0", "inf"), "--x0"),
+        # was the whole walk, then exit 1 with json's "Out of range float values"
+        (("simulate", "hitting", *WINDOW, "--x0", "nan", "--samples", "100"), "--x0"),
+        # was exit 1 with "need lo < hi"
+        (("simulate", "hitting", "--preset", "ex215", "--x0", "0.5", "--left", "0",
+          "--right", "nan"), "--right"),
+        # was numpy RuntimeWarnings, then exit 1 with "sites must be finite"
+        (("simulate", "path", "--preset", "ex215", "--x0", "0.5", "--left=-inf",
+          "--right", "1"), "--left"),
+        # was the whole command, then exit 1 with json's "Out of range float values"
+        (("validate", "--preset", "ex215", "--tol", "nan"), "--tol"),
+    ],
+    ids=["path-x0-nan", "darned-x0-nan", "darned-x0-inf", "hitting-x0-nan",
+         "hitting-right-nan", "path-left-inf", "validate-tol-nan"],
+)
+def test_non_finite_float_flag_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bmext.cantor import CantorBlock
 from bmext.cli import scenario_hash
 from bmext.config import (
     ComplementSpec,
@@ -124,7 +125,12 @@ def test_ex218_scenario_hash_pinned():
     assert [scenario_hash(preset("ex218", d)) for d in range(11)] == EX218_HASHES
 
 
-# sha256 of repr(pieces()), recorded when each piece end was built from a
+def _pieces(dust):
+    """The dust's level-depth pieces: the remnants of its Cantor block."""
+    return [(a, b) for a, b, _ in CantorBlock(dust.lo, dust.hi).remnants(dust.depth)]
+
+
+# sha256 of repr(_pieces()), recorded when each piece end was built from a
 # unit remnant with a Fraction product and sum
 DUST_PIECE_PINS = {
     (0.0, 1.0, 0): "d5a5703b1d301c816e29307553b92416790881e7fa3a08bd3d9cf684300fbe16",
@@ -137,7 +143,7 @@ DUST_PIECE_PINS = {
 
 def test_dust_pieces_pinned():
     for (lo, hi, depth), pin in DUST_PIECE_PINS.items():
-        pieces = DustSpec(lo, hi, depth).pieces()
+        pieces = _pieces(DustSpec(lo, hi, depth))
         assert len(pieces) == 2**depth
         assert hashlib.sha256(repr(pieces).encode()).hexdigest() == pin
 
@@ -146,7 +152,7 @@ def _piece_scan(dust, u, v):
     # the former DustSpec.measure_in: clip every level-depth piece to [u, v]
     fu, fv = Fraction(u), Fraction(v)
     total = Fraction(0)
-    for plo, phi in dust.pieces():
+    for plo, phi in _pieces(dust):
         a, b = max(plo, fu), min(phi, fv)
         if b > a:
             total += b - a
@@ -160,7 +166,7 @@ def _dust_windows(draw):
     lo = draw(st.floats(-8.0, 8.0))
     hi = lo + draw(st.floats(1e-3, 8.0))
     dust = DustSpec(lo, hi, depth)
-    pieces = dust.pieces()
+    pieces = _pieces(dust)
     width = Fraction(hi) - Fraction(lo)
 
     def end():
@@ -268,10 +274,10 @@ def test_dust_measure_matches_the_fraction_formula(case):
 
 
 def test_validate_never_materialises_the_dust(monkeypatch):
-    def refuse(self):
+    def refuse(self, depth):
         raise AssertionError("validate enumerated the dust pieces")
 
-    monkeypatch.setattr(DustSpec, "pieces", refuse)
+    monkeypatch.setattr(CantorBlock, "remnants", refuse)
     assert validate(preset("ex218", 12)).ok
 
 
@@ -503,6 +509,14 @@ def test_site_weights_pinned(key):
     count, pin = SITE_WEIGHT_PINS[key]
     assert sites.size == count
     assert hashlib.sha256(weights.tobytes()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_nan_lies_in_no_interval(name):
+    # contains(nan) was True, so locate(nan) gave interval 0
+    cfg = preset(name, depth=3)
+    assert not any(iv.contains(math.nan) for iv in cfg.intervals)
+    assert cfg.locate(math.nan) is None
 
 
 def test_locate_and_interval_lookup():

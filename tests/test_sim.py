@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bmext.cantor import CantorBlock
 from bmext.config import (
     ComplementSpec,
     ExtensionConfig,
@@ -304,7 +305,8 @@ def test_hitting_is_bitwise_deterministic():
 
 def _dust_grid(config):
     dust = config.complement.dust[0]
-    pts = {float(a) for a, _ in dust.pieces()} | {float(b) for _, b in dust.pieces()}
+    pieces = CantorBlock(dust.lo, dust.hi).remnants(dust.depth)
+    pts = {float(x) for a, b, _ in pieces for x in (a, b)}
     return sorted(pts)
 
 

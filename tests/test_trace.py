@@ -182,12 +182,16 @@ def test_trace_identity_bm_equals_harmonic_dirichlet(cfg_fn, sample):
     assert abs(trace_energy_bm(cfg, tf) - _dirichlet_of_affine_segments(h)) <= 1e-9
 
 
+def _shifted(tf: TraceFn, c: float) -> TraceFn:
+    return TraceFn(tf.structure, tuple((vl + c, vh + c) for vl, vh in tf.values), tf.densities)
+
+
 def test_energy_symmetries():
     tf = trace_restriction(EX215, lambda x: x, depth=6)
-    assert trace_energy_bm(EX215, tf.shifted(4.5)) == pytest.approx(
+    assert trace_energy_bm(EX215, _shifted(tf, 4.5)) == pytest.approx(
         trace_energy_bm(EX215, tf), rel=1e-9
     )
-    assert trace_energy_ext(EX215, tf.shifted(-2.0)) == pytest.approx(
+    assert trace_energy_ext(EX215, _shifted(tf, -2.0)) == pytest.approx(
         trace_energy_ext(EX215, tf), rel=1e-9
     )
     assert trace_energy_bm(EX215, tf.scaled(3.0)) == pytest.approx(
