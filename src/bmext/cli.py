@@ -950,6 +950,14 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals raise UsageError, so that main prints them as
+    JSON errors (exit 2) like every other refusal; subparsers inherit it."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _finite_float(text: str) -> float:
     """A float flag's value; NaN and the infinities are refused (exit 2)."""
     value = float(text)
@@ -986,7 +994,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use and kept: parsing leaves the parser unchanged, so
     # later calls of main in the same process skip rebuilding the tree
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="bmext",
         description="Brownian-motion extensions: scales, energies, darning,"
         " traces, and seeded walks.",
@@ -1051,8 +1059,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ScenarioError, UsageError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},

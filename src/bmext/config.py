@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cantor import CantorBlock, _remnant_numerator, check_work, level_count
 from .scale import ScaleFunction, make_scale
@@ -344,14 +344,12 @@ class _WPart:
     def mass(self, scale: ScaleFunction, u: float, v: float) -> float:
         """Measure of [u, v], u <= v."""
         total = 0.0
-        # nested windows mostly clip to the same (a, b): evaluate each once
-        masses: dict[tuple[float, float], float] = {}
+        # nested windows mostly clip to the same ends: one W per point
+        cumulative = cache(scale.cumulative_mass)
         for coef, wlo, whi in self.windows:
             a, b = max(u, wlo), min(v, whi)
             if b > a:
-                if (a, b) not in masses:
-                    masses[a, b] = scale.singular_between(a, b)
-                total += coef * masses[a, b]
+                total += coef * float(cumulative(b) - cumulative(a))
         return total
 
 
@@ -371,10 +369,12 @@ class TraceMeasure:
         """Total measure of [u, v]."""
         if u > v:
             u, v = v, u
-        total = sum(m for loc, m, _ in self.atoms if u <= loc <= v)
+        total = sum((m for loc, m, _ in self.atoms if u <= loc <= v), 0.0)
         for part in self.w_parts:
-            scale = self.config.interval(part.interval_index).scale
-            total += part.mass(scale, u, v)
+            iv = self.config.interval(part.interval_index)
+            # every window lies inside its interval
+            if iv.lo < v and u < iv.hi:
+                total += part.mass(iv.scale, u, v)
         return total
 
     def is_purely_atomic(self) -> bool:

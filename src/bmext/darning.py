@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cantor import CantorBlock, check_work, level_count
 from .config import ExtensionConfig
-from .forms import PiecewiseFn, _singular_mass
+from .forms import PiecewiseFn
 
 __all__ = [
     "DegenerateDarning",
@@ -254,7 +254,7 @@ def energy_equivalence_check(
     iv, sups, r_lo, r_hi = _supports(config, n, depth)
     scale = iv.scale
     source = 0.5 * math.fsum(
-        w * w * _singular_mass(scale, lo, hi) for lo, hi, _, w in part.pieces if w
+        w * w * scale.singular_between(lo, hi) for lo, hi, _, w in part.pieces if w
     )
     if not math.isfinite(source):
         raise ValueError("source energy diverges; not in the L2 complement domain")

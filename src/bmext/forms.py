@@ -34,18 +34,6 @@ __all__ = [
 ]
 
 
-def _singular_mass(scale: ScaleFunction, lo: float, hi: float) -> float:
-    """W-mass of (lo, hi) with infinite bounds clipped to the singular support."""
-    hull = scale.w_supports(0)
-    if not hull:
-        return 0.0
-    lo = max(lo, float(hull[0].lo))
-    hi = min(hi, float(hull[-1].hi))
-    if hi <= lo:
-        return 0.0
-    return scale.singular_between(lo, hi)
-
-
 @dataclass(frozen=True)
 class IntervalPart:
     """Restriction of a function to one invariant interval.
@@ -255,7 +243,7 @@ def energy(config: ExtensionConfig, f: PiecewiseFn) -> float:
                     return math.inf
                 terms.append(u * u * leb)
             if w:
-                m = _singular_mass(scale, lo, hi)
+                m = scale.singular_between(lo, hi)
                 if not math.isfinite(m):
                     return math.inf
                 terms.append(w * w * m)
@@ -272,7 +260,7 @@ def bilinear(config: ExtensionConfig, f: PiecewiseFn, g: PiecewiseFn) -> float:
             if ua and ub:
                 terms.append(ua * ub * (hi - lo))
             if wa and wb:
-                terms.append(wa * wb * _singular_mass(iv.scale, lo, hi))
+                terms.append(wa * wb * iv.scale.singular_between(lo, hi))
     return 0.5 * math.fsum(terms)
 
 

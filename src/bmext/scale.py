@@ -124,18 +124,6 @@ class _Stack:
             return k + 1 - cantor_fraction(Fraction((rn << (k + 1)) - rd, rd))
         return k + cantor_fraction(Fraction(2 * rd - (rn << (k + 1)), rd))
 
-    def mass_between(self, u, v) -> Fraction | float:
-        """Stack mass in (u, v), u <= v, both on the interval side."""
-        mu = self.mass_to_edge(u)
-        mv = self.mass_to_edge(v)
-        if self.side == "lo":
-            near, far = mu, mv
-        else:
-            near, far = mv, mu
-        if near == math.inf:
-            return math.inf if far != math.inf else Fraction(0)
-        return near - far
-
     def integral_mass(self, u: float, v: float) -> float:
         """∫_u^v (stack mass between y and the interior edge) dy.
 
@@ -279,34 +267,40 @@ class ScaleFunction:
 
     # -- singular mass and evaluation ------------------------------------
 
-    def _singular_exact(self, u, v) -> Fraction | float:
-        """Exact W-mass (blocks plus stacks) strictly between u and v (u <= v)."""
-        total: Fraction | float = Fraction(0)
-        for blk in self.blocks:
-            total += blk.mass_exact(u, v)
+    def cumulative_mass(self, x) -> Fraction | int | float:
+        """Exact W-mass accumulated up to x, up to a constant: every W-mass is
+        a difference of two of these.
+
+        Each block adds its mass left of x; a left stack subtracts, and a
+        right stack adds, its mass between x and the zone's interior edge.
+        So the value is -inf / +inf at a stacked end, and 0 or the total
+        block weight at an infinite end.
+        """
+        if x == -math.inf:
+            return 0
+        if x == math.inf:
+            return sum(b.weight for b in self.blocks)
+        total = sum(b.value_exact(x) for b in self.blocks)
         for s in self.stacks:
-            m = s.mass_between(u, v)
-            if m == math.inf:
-                return math.inf
-            total += m
+            m = s.mass_to_edge(x)
+            total = total - m if s.side == "lo" else total + m
         return total
 
     def singular_between(self, u, v) -> float:
-        """Total W-mass (blocks plus stacks) strictly between u and v."""
-        if u > v:
-            u, v = v, u
-        self._check_in_closure(float(u))
-        self._check_in_closure(float(v))
-        m = self._singular_exact(Fraction(u), Fraction(v))
-        return m if m == math.inf else float(m)
+        """Total W-mass (blocks plus stacks) strictly between u and v.
+
+        u and v may be any points of the closure, infinite ends included.
+        """
+        for x in (u, v):
+            if not self.lo <= float(x) <= self.hi:  # NaN included
+                raise ValueError(f"x={x} outside the interval <{self.lo}, {self.hi}>")
+        if u == v or not (self.blocks or self.stacks):
+            return 0.0
+        return float(abs(self.cumulative_mass(v) - self.cumulative_mass(u)))
 
     def signed_mass(self, x) -> Fraction | float:
         """Exact W-mass from the anchor to x, signed: the darning image of x."""
-        fx = Fraction(x)
-        fe = Fraction(self.e)
-        if fx >= fe:
-            return self._singular_exact(fe, fx)
-        return -self._singular_exact(fx, fe)
+        return self.cumulative_mass(x) - self.cumulative_mass(self.e)
 
     def eval(self, x) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.
@@ -431,8 +425,8 @@ class ScaleFunction:
         Every explicit block comes whole.  Each boundary stack gives its
         shells k < depth and then its unresolved tail zone, within
         delta/2**depth of the stacked endpoint; at depth 0 the tails are the
-        whole stack zones.  Darning, trace cells, grid snapping and the mass
-        hull all walk the support through this one enumerator.
+        whole stack zones.  Darning, trace cells and grid snapping all walk
+        the support through this one enumerator.
         """
         if depth < 0:
             raise ValueError(f"depth must be non-negative, got {depth}")
@@ -445,12 +439,6 @@ class ScaleFunction:
         """How many Cantor blocks ``w_supports(depth)`` lists, without listing them:
         the explicit blocks and each stack's ``depth`` shells."""
         return len(self.blocks) + len(self.stacks) * depth
-
-    def total_block_weight(self) -> float:
-        """Total weight of the explicit blocks (stacks are infinite)."""
-        if self.stack_lo or self.stack_hi:
-            return math.inf
-        return float(sum((b.weight for b in self.blocks), Fraction(0)))
 
 
 def make_scale(

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .cantor import CantorBlock, check_work, level_count
 from .config import ExtensionConfig
-from .forms import IntervalPart, PiecewiseFn, _singular_mass
+from .forms import IntervalPart, PiecewiseFn
 
 __all__ = [
     "TraceStructure",
@@ -189,9 +189,10 @@ def trace_energy_ext(config: ExtensionConfig, tf: TraceFn) -> float:
         d = tf.densities[n]
         if d == 0.0:
             continue
-        if iv.scale.stack_lo or iv.scale.stack_hi:
+        mass = iv.scale.singular_between(iv.lo, iv.hi)
+        if math.isinf(mass):
             return math.inf
-        w_terms.append(d * d * iv.scale.total_block_weight())
+        w_terms.append(d * d * mass)
     # halving is exact in binary floating point, so this equals half the plain sums
     return 0.5 * math.fsum(w_terms) + math.fsum(_jump_terms(tf, "extension"))
 
@@ -209,7 +210,13 @@ def jump_contributions(config, tf: TraceFn, form: str = "brownian"):
 
 
 def _cell_mass(config, clo: float, chi: float) -> float:
-    return math.fsum(_singular_mass(iv.scale, clo, chi) for iv in config.intervals)
+    """W-mass of [clo, chi], summed over the intervals it meets, each clipped
+    to its own closure."""
+    return math.fsum(
+        iv.scale.singular_between(max(clo, iv.lo), min(chi, iv.hi))
+        for iv in config.intervals
+        if iv.lo <= chi and clo <= iv.hi
+    )
 
 
 def _interp_value(config, tf: TraceFn, lows: list[float], x: float) -> float:
@@ -236,8 +243,7 @@ def _interp_value(config, tf: TraceFn, lows: list[float], x: float) -> float:
     if math.isinf(mass):
         raise ValueError("no finite interpolation through an infinite singular stretch")
     if mass > 0.0:
-        part = math.fsum(_singular_mass(iv.scale, clo, x) for iv in config.intervals)
-        return vl + (vh - vl) * part / mass
+        return vl + (vh - vl) * _cell_mass(config, clo, x) / mass
     return vl + (vh - vl) * (x - clo) / (chi - clo)
 
 

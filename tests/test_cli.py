@@ -68,6 +68,16 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def usage_error(capsys, *argv):
+    """The message of the JSON UsageError that argv is refused with (exit 2)."""
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "UsageError"
+    return error["message"]
+
+
 def write(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -193,19 +203,34 @@ def test_missing_source_exits_2(capsys):
 
 
 def test_invalid_preset_is_a_usage_error(capsys):
+    assert "argument --preset: invalid choice" in usage_error(capsys, "validate", "--preset", "nope")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("validate", "--preset", "ex215", "--depth", "abc"), "argument --depth: invalid int"),
+        (("simulate", "nope", "--preset", "ex215"), "argument kind: invalid choice"),
+        ((), "required: command"),
+    ],
+    ids=["depth", "simulate-kind", "no-command"],
+)
+def test_argparse_refusals_are_json_usage_errors(capsys, argv, flag):
+    assert flag in usage_error(capsys, *argv)
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["validate", "--preset", "nope"])
-    assert exc.value.code == 2
+        cli.main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "--preset" in capsys.readouterr().out
 
 
 def test_parser_reused_after_a_usage_error(capsys):
     argv = ["validate", "--preset", "ex216", "--deterministic"]
     cli._build_parser.cache_clear()
     fresh = run(capsys, *argv)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["validate", "--preset", "nope"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert "--preset" in usage_error(capsys, "validate", "--preset", "nope")
     assert run(capsys, *argv) == fresh
 
 
@@ -631,10 +656,8 @@ def test_trace_depth_0_exits_2(capsys, argv):
     assert err["type"] == "UsageError" and "--depth" in err["message"]
 
 
-def test_verify_takes_only_seed_and_deterministic():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--depth", "3"])
-    assert exc.value.code == 2
+def test_verify_takes_only_seed_and_deterministic(capsys):
+    assert "unrecognized arguments: --depth 3" in usage_error(capsys, "verify", "--depth", "3")
 
 
 WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
@@ -663,7 +686,4 @@ WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
          "hitting-right-nan", "path-left-inf", "validate-tol-nan"],
 )
 def test_non_finite_float_flag_exits_2(capsys, argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(argv))
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number" in usage_error(capsys, *argv)

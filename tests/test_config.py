@@ -18,6 +18,7 @@ from bmext.config import (
     IntervalSpec,
     PointClass,
     PRESET_NAMES,
+    _WPart,
     build_trace_measure,
     classify_point,
     one_sided_labels,
@@ -488,6 +489,22 @@ def test_trace_measure_masses_pinned(name, masses):
     cfg = STACKED_WINDOW if name == "stacked-window" else preset(name)
     mu = build_trace_measure(cfg)
     assert [mu.mass(a, b) for a, b in _MASS_WINDOWS] == masses
+
+
+def test_trace_measure_evaluates_only_the_parts_a_cell_meets(monkeypatch):
+    # every cell once evaluated all the windows of every part, ~47 a part
+    cfg = preset("ex217", 4)
+    mu = build_trace_measure(cfg)
+    seen = []
+    part_mass = _WPart.mass
+    monkeypatch.setattr(
+        _WPart, "mass", lambda part, *a: seen.append(part.interval_index) or part_mass(part, *a)
+    )
+    for lo, hi in trace_structure(cfg, 4).cells:
+        seen.clear()
+        mu.mass(lo, hi)
+        met = {i for i, iv in enumerate(cfg.intervals) if iv.lo < hi and lo < iv.hi}
+        assert set(seen) <= met, (lo, hi)
 
 
 # (site count, sha256 of the float64 bytes) of sim._site_weights on the

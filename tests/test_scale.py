@@ -291,3 +291,91 @@ def test_stack_mass_to_edge_matches_the_fraction_formula(case):
     got = stack.mass_to_edge(x)
     want = _mass_to_edge_by_fraction(stack, x)
     assert type(got) is type(want) and got == want
+
+
+def _singular_by_pairs(scale, u, v):
+    # the former pairwise route: each block's mass between u and v, and each
+    # stack's from its two masses to the edge; infinite as soon as one is
+    u, v = sorted((Fraction(u), Fraction(v)))
+    total = sum((b.mass_exact(u, v) for b in scale.blocks), Fraction(0))
+    for s in scale.stacks:
+        near, far = s.mass_to_edge(u), s.mass_to_edge(v)
+        if s.side == "hi":
+            near, far = far, near
+        if near == math.inf:
+            if far != math.inf:
+                return math.inf
+            continue
+        total += near - far
+    return total
+
+
+def _singular_clipped_to_hull(scale, u, v):
+    # the former forms._singular_mass: infinite ends clipped to the support hull
+    hull = scale.w_supports(0)
+    if not hull:
+        return 0.0
+    u, v = max(u, float(hull[0].lo)), min(v, float(hull[-1].hi))
+    return 0.0 if v <= u else float(_singular_by_pairs(scale, u, v))
+
+
+@st.composite
+def _scale_points(draw, n=3):
+    """A random scale and n points of its closure: its ends, the anchor, block
+    and stack-shell ends (exact or rounded), and floats anywhere between."""
+    scale = draw(random_scales())
+    marks = [scale.e] + [x for x in (scale.lo, scale.hi) if math.isfinite(x)]
+    marks += [x for b in scale.blocks for x in (b.lo, b.hi)]
+    marks += [x for s in scale.stacks for k in range(6) for x in (s.shell(k).lo, s.shell(k).hi)]
+    lo = scale.lo if math.isfinite(scale.lo) else scale.e - 4.0
+    hi = scale.hi if math.isfinite(scale.hi) else scale.e + 4.0
+    point = st.one_of(st.sampled_from(marks), st.sampled_from(marks).map(float), st.floats(lo, hi))
+    return scale, [draw(point) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scale_points())
+def test_singular_between_matches_the_pairwise_sum(case):
+    scale, (u, v, _) = case
+    want = _singular_by_pairs(scale, u, v)
+    assert scale.singular_between(u, v) == float(want)
+    assert scale.singular_between(v, u) == float(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scale_points())
+def test_cumulative_mass_is_additive_across_a_middle_point(case):
+    scale, points = case
+    u, m, v = sorted(points, key=Fraction)
+    w_u, w_m, w_v = (scale.cumulative_mass(x) for x in (u, m, v))
+    assert w_u <= w_m <= w_v
+    if math.isinf(w_u) or math.isinf(w_v):
+        return
+    assert w_v - w_u == _singular_by_pairs(scale, u, m) + _singular_by_pairs(scale, m, v)
+    assert w_v - w_u == (w_v - w_m) + (w_m - w_u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scale_points())
+def test_infinite_ends_give_the_hull_clipped_mass(case):
+    scale, (x, _, _) = case
+    lo, hi = scale.lo, scale.hi
+    for u, v in [(lo, x), (x, hi), (lo, hi)]:
+        if math.isinf(u) or math.isinf(v):
+            assert scale.singular_between(u, v) == _singular_clipped_to_hull(scale, u, v)
+    if math.isinf(lo):
+        assert scale.cumulative_mass(lo) == 0
+    if math.isinf(hi):
+        assert scale.cumulative_mass(hi) == sum(b.weight for b in scale.blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scale_points(), st.floats(1e-9, 10.0))
+def test_singular_between_refuses_nan_and_points_outside_the_closure(case, step):
+    scale, (x, _, _) = case
+    outside = [x for x in (scale.lo - step, scale.hi + step) if math.isfinite(x)]
+    for bad in [math.nan, *outside]:
+        with pytest.raises(ValueError, match="outside the interval"):
+            scale.singular_between(bad, x)
+        with pytest.raises(ValueError, match="outside the interval"):
+            scale.singular_between(x, bad)

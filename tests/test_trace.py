@@ -11,7 +11,7 @@ import pytest
 
 from bmext.config import PRESET_NAMES, ExtensionConfig, IntervalSpec, preset
 from bmext.forms import BUILTIN_NAMES, energy, named_function
-from bmext.scale import make_scale
+from bmext.scale import ScaleFunction, make_scale
 from bmext.trace import (
     TraceFn,
     TraceKind,
@@ -299,6 +299,18 @@ def _pinned_extension(cfg, tf) -> str:
         return _sha(harmonic_extension(cfg, tf).parts)
     except ValueError as exc:
         return type(exc).__name__
+
+
+def test_harmonic_extension_lists_no_support(monkeypatch):
+    # each cell mass was summed over every interval, each rebuilding its
+    # support hull: about one w_supports call per cell per interval
+    cfg = preset("ex218", 6)
+    tf = trace_restriction(cfg, named_function(cfg, "tent"), 6)
+    calls = []
+    listed = ScaleFunction.w_supports
+    monkeypatch.setattr(ScaleFunction, "w_supports", lambda *a: calls.append(a) or listed(*a))
+    harmonic_extension(cfg, tf)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
