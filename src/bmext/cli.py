@@ -30,7 +30,8 @@ command's own flag reads it.  Schema violations and out-of-range
 options (a negative --depth or --seed, a --depth of 0 for a trace, a
 count below 1, a NaN or infinite --x0, --left, --right or --tol) exit
 with code 2, semantic failures (overlapping intervals, impossible
-requests) with 1.
+requests, an --out that cannot be written) with 1.  A closed stdout
+exits 1 with nothing on stderr.
 
 Every command prints one JSON document that embeds the scenario hash, the
 working depth, and the seed; bulk tables (atoms, paths, occupation counts,
@@ -48,6 +49,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -551,14 +553,17 @@ def _emit(args, ctx, command: str, parameters: dict, result: dict, files=None) -
 
 
 def _write_csv(args, ctx, fname: str, meta: dict, columns, rows) -> str:
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, fname)
     stamp = {"scenario": ctx.sha, "depth": args.depth, "seed": _seed(args), **meta}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in stamp.items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in stamp.items()) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise CommandError(f"--out {args.out}: cannot write {fname}: {exc}") from None
     return path
 
 
@@ -1060,17 +1065,22 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
-    except (ScenarioError, UsageError) as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True, indent=2))
-        return 2
-    except ValueError as exc:
-        # CommandError and every module-level rejection land here
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True, indent=2))
+        try:
+            args = _build_parser().parse_args(argv)
+            code = _DISPATCH[args.command](args)
+        except ValueError as exc:
+            # CommandError and every module-level rejection exit 1; input
+            # that cannot be parsed exits 2
+            code = 2 if isinstance(exc, (ScenarioError, UsageError)) else 1
+            print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
+                             sort_keys=True, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull, so that
+        # the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -44,21 +44,17 @@ DEFAULT_SEED = 20260814
 
 
 class PointClass(enum.Enum):
-    """How the diffusion treats a point of the real line.
+    """How the diffusion treats a point of the real line, as `classify_point` says.
 
     REGULAR points lie inside an invariant interval.  An included left
     endpoint is a RIGHT_SHUNT (entered from the right only), an included
     right endpoint a LEFT_SHUNT.  Complement points are TRAPs: singular
-    from both sides, the motion started there stays forever.  The
-    one-sided singular labels are the coarser classes a shunt or trap
-    belongs to; `one_sided_labels` exposes them.
+    from both sides, the motion started there stays forever.
     """
 
     REGULAR = "regular"
     RIGHT_SHUNT = "right-shunt"
     LEFT_SHUNT = "left-shunt"
-    RIGHT_SINGULAR = "right-singular"
-    LEFT_SINGULAR = "left-singular"
     TRAP = "trap"
 
 
@@ -308,22 +304,6 @@ def classify_point(config: ExtensionConfig, x: float) -> PointClass:
     return PointClass.TRAP
 
 
-def one_sided_labels(config: ExtensionConfig, x: float) -> tuple[bool, bool]:
-    """(right_singular, left_singular) for a point not interior to any interval.
-
-    A right-singular point cannot be crossed from the left and vice versa;
-    traps are singular on both sides, shunts on exactly one.
-    """
-    cls = classify_point(config, x)
-    if cls is PointClass.REGULAR:
-        return False, False
-    if cls is PointClass.RIGHT_SHUNT:
-        return False, True
-    if cls is PointClass.LEFT_SHUNT:
-        return True, False
-    return True, True
-
-
 # -- trace measure ---------------------------------------------------------
 
 
@@ -482,10 +462,10 @@ def _ex218(depth: int) -> ExtensionConfig:
         IntervalSpec(make_scale(-math.inf, 0.0, include_hi=True)),
         IntervalSpec(make_scale(1.0, math.inf, include_lo=True)),
     ]
-    for _, glo, ghi, _ in CantorBlock(0, 1).gaps(depth):
-        ivs.append(
-            IntervalSpec(make_scale(float(glo), float(ghi), include_lo=True, include_hi=True))
-        )
+    # the gaps of levels <= depth lie between consecutive level-depth remnants
+    rem = CantorBlock(0, 1).float_remnants(depth)
+    for (_, glo), (ghi, _) in zip(rem, rem[1:]):
+        ivs.append(IntervalSpec(make_scale(glo, ghi, include_lo=True, include_hi=True)))
     comp = ComplementSpec(dust=(DustSpec(0.0, 1.0, depth),))
     return ExtensionConfig(tuple(ivs), comp, name="ex218")
 

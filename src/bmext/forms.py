@@ -11,8 +11,8 @@ so energies and decompositions are computed without quadrature.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cantor import CantorBlock
 from .config import ExtensionConfig
@@ -28,7 +28,6 @@ __all__ = [
     "in_extended_space",
     "is_in_complement",
     "orthogonal_decompose",
-    "CantorInterpolant",
     "CompensatorResult",
     "compensator",
 ]
@@ -355,38 +354,6 @@ def orthogonal_decompose(
     return f1, PiecewiseFn(config, parts2)
 
 
-# -- Cantor-type interpolant ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CantorInterpolant:
-    """Non-increasing staircase: 1 at lo, 0 at hi, constant on each plateau."""
-
-    lo: float
-    hi: float
-    plateaus: tuple[tuple[float, float, Fraction], ...]
-
-    def eval(self, x: float) -> float:
-        """Plateau value where defined, linear between plateaus elsewhere."""
-        if not self.lo <= x <= self.hi:
-            raise ValueError(f"{x} outside [{self.lo}, {self.hi}]")
-        left_v, left_x = Fraction(1), self.lo
-        right_v, right_x = Fraction(0), self.hi
-        for plo, phi, v in self.plateaus:
-            if plo <= x <= phi:
-                return float(v)
-            if phi < x and phi >= left_x:
-                left_v, left_x = v, phi
-            if plo > x and plo <= right_x:
-                right_v, right_x = v, plo
-        if right_x == left_x:
-            return float(left_v)
-        frac = (x - left_x) / (right_x - left_x)
-        return float(left_v) + frac * (float(right_v) - float(left_v))
-
-    __call__ = eval
-
-
 # -- compensators --------------------------------------------------------------
 
 
@@ -475,23 +442,30 @@ def _open_boundary(scale: ScaleFunction, c, h, eps, n) -> CompensatorResult:
 def _cantor_plateau(c, h, eps, n, beta) -> CompensatorResult:
     if beta is None:
         raise ValueError("cantor-plateau compensator needs beta")
-    # the mirrored Cantor function 1 - C, spread over [c, c + beta]
-    plateaus = sorted(
-        (c + beta * float(glo), c + beta * float(ghi), 1 - value)
-        for _, glo, ghi, value in CantorBlock(0, 1).gaps(_PLATEAU_DEPTH)
-    )
-    if not all(lo < hi for lo, hi, _ in plateaus):
+    # the mirrored Cantor function 1 - C, spread over [c, c + beta]: plateau i
+    # spans the unit gap between remnants i and i + 1, at value 1 - (i + 1) / 256
+    unit = CantorBlock(0, 1).float_remnants(_PLATEAU_DEPTH)
+    ends = [c + beta * x for pair in unit for x in pair]
+    lows, highs = ends[1:-1:2], ends[2::2]
+    values = [(len(lows) - i) / (len(lows) + 1) for i in range(len(lows))]
+    if not all(lo < hi for lo, hi in zip(lows, highs)):
         raise ValueError(f"beta={beta} leaves no room for the plateaus at c={c}")
-    interp = CantorInterpolant(c, c + beta, tuple(plateaus))
 
     def phi(x: float) -> float:
         if not c <= x <= c + beta:
             return 0.0
-        return h * interp.eval(x)
+        # the first plateau ending at or after x holds x, or follows it
+        i = bisect_left(highs, x)
+        if i < len(lows) and lows[i] <= x:
+            return h * values[i]
+        left_x, left_v = (highs[i - 1], values[i - 1]) if i else (c, 1.0)
+        right_x, right_v = (lows[i], values[i]) if i < len(lows) else (c + beta, 0.0)
+        frac = (x - left_x) / (right_x - left_x)
+        return h * (left_v + frac * (right_v - left_v))
 
     # constant on every state-space cell, so the form energy vanishes and
     # only the L2 mass over the cells remains
-    l2 = math.fsum(float(v) ** 2 * (phi_hi - plo) for plo, phi_hi, v in interp.plateaus)
+    l2 = math.fsum(v**2 * (hi - lo) for lo, hi, v in zip(lows, highs, values))
     bound = h * h * l2
     budget = eps / (2 * n)
     if bound >= budget:

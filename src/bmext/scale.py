@@ -328,75 +328,32 @@ class ScaleFunction:
     def inverse(self, y: float, tol: float = 1e-9) -> float:
         """Solve t(x) = y by monotone bisection to |t(x) - y| <= tol*(1+|y|).
 
-        Because dt dominates Lebesgue measure, the returned x is within the
-        same tolerance of the true preimage.
+        Because dt dominates Lebesgue measure, t(e + y) >= y >= t(e) for
+        y >= 0 (and the mirror for y < 0), so the root lies between e and
+        e + y, clipped to the interval, and the returned x is within the
+        same tolerance of the true preimage.  A y outside the range of t, or
+        one that no float x meets within the tolerance, raises ValueError.
         """
         if not math.isfinite(y):
             raise ValueError("inverse: y must be finite")
         target_tol = tol * (1.0 + abs(y))
-        x_lo, x_hi = self._bracket(y)
+        x_lo, x_hi = sorted((self.e, min(max(self.e + y, self.lo), self.hi)))
         t_lo, t_hi = self.eval(x_lo), self.eval(x_hi)
         if y < t_lo - target_tol or y > t_hi + target_tol:
             raise ValueError(f"inverse: y={y} outside the scale range [{t_lo}, {t_hi}]")
-        for _ in range(200):
-            mid = 0.5 * (x_lo + x_hi)
-            if mid <= x_lo or mid >= x_hi:
-                break
+        # each pass halves the bracket, so the loop ends at adjacent floats
+        while x_lo < (mid := 0.5 * (x_lo + x_hi)) < x_hi:
             tm = self.eval(mid)
             if abs(tm - y) <= target_tol:
                 return mid
             if tm < y:
-                x_lo = mid
+                x_lo, t_lo = mid, tm
             else:
-                x_hi = mid
-        return 0.5 * (x_lo + x_hi)
-
-    def _bracket(self, y: float) -> tuple[float, float]:
-        e = self.e
-        if y >= 0.0:
-            x_lo = e
-            if math.isfinite(self.hi):
-                if self.include_hi:
-                    return x_lo, self.hi
-                # walk dyadically into the stack until the scale passes y
-                x = 0.5 * (e + self.hi)
-                for _ in range(4000):
-                    if self.eval(x) >= y:
-                        return x_lo, x
-                    nxt = 0.5 * (x + self.hi)
-                    if nxt <= x or nxt >= self.hi:
-                        break
-                    x = nxt
-                raise ValueError(f"inverse: y={y} not reachable within double precision")
-            step = 1.0
-            x = e + step
-            for _ in range(200):
-                if self.eval(x) >= y:
-                    return x_lo, x
-                step *= 2.0
-                x = e + step
-            raise ValueError(f"inverse: y={y} not bracketed")
-        x_hi = e
-        if math.isfinite(self.lo):
-            if self.include_lo:
-                return self.lo, x_hi
-            x = 0.5 * (self.lo + e)
-            for _ in range(4000):
-                if self.eval(x) <= y:
-                    return x, x_hi
-                nxt = 0.5 * (self.lo + x)
-                if nxt <= self.lo or nxt >= x:
-                    break
-                x = nxt
-            raise ValueError(f"inverse: y={y} not reachable within double precision")
-        step = 1.0
-        x = e - step
-        for _ in range(200):
-            if self.eval(x) <= y:
-                return x, x_hi
-            step *= 2.0
-            x = e - step
-        raise ValueError(f"inverse: y={y} not bracketed")
+                x_hi, t_hi = mid, tm
+        for x, tx in ((x_lo, t_lo), (x_hi, t_hi)):
+            if abs(tx - y) <= target_tol:
+                return x
+        raise ValueError(f"inverse: no float x has t(x) within {target_tol} of y={y}")
 
     # -- integrals for holding times --------------------------------------
 

@@ -170,11 +170,8 @@ def snap_grid(
         blk = sup.block
         if blk is None or float(blk.hi) < lo or float(blk.lo) > hi:
             continue
-        targets.add(float(blk.lo))
-        targets.add(float(blk.hi))
-        for _, glo, ghi, _ in blk.gaps(depth):
-            targets.add(float(glo))
-            targets.add(float(ghi))
+        # the block's ends and its gaps of levels <= depth: every remnant end
+        targets.update(x for pair in blk.float_remnants(depth) for x in pair)
     ordered = sorted(targets)
     base = np.linspace(lo, hi, cells + 1)
     half = (hi - lo) / (2 * cells)

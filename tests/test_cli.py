@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -687,3 +690,42 @@ WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
 )
 def test_non_finite_float_flag_exits_2(capsys, argv, flag):
     assert f"argument {flag}: must be a finite number" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["FILE", "FILE/sub", "dir"],
+    ids=["out-is-a-file", "out-below-a-file", "csv-name-is-a-directory"],
+)
+def test_out_that_cannot_be_written_exits_1(tmp_path, capsys, where):
+    # was FileExistsError (or NotADirectoryError, IsADirectoryError) and a traceback
+    (tmp_path / "FILE").write_text("")
+    (tmp_path / "dir" / "darn_atoms.csv").mkdir(parents=True)
+    err = refused(capsys, 1, "darn", "--preset", "ex215", "--depth", "4",
+                  "--out", str(tmp_path / where))
+    assert err["type"] == "CommandError"
+    assert err["message"].startswith(f"--out {tmp_path / where}: cannot write darn_atoms.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--preset", "ex218", "--depth", "5", "--deterministic"),
+        ("validate", "--preset", "nope"),
+        ("darn", "--preset", "ex215", "--index", "1"),
+    ],
+    ids=["result", "usage-refusal", "command-refusal"],
+)
+def test_closed_stdout_exits_1_with_nothing_on_stderr(argv):
+    # was a BrokenPipeError traceback from the print of the result or refusal
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bmext", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

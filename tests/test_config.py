@@ -21,7 +21,6 @@ from bmext.config import (
     _WPart,
     build_trace_measure,
     classify_point,
-    one_sided_labels,
     preset,
     validate,
 )
@@ -64,7 +63,6 @@ def test_ex215_single_interval_covers_line():
 def test_ex216_trap_between_half_lines():
     cfg = preset("ex216")
     assert classify_point(cfg, 0.0) is PointClass.TRAP
-    assert one_sided_labels(cfg, 0.0) == (True, True)
     assert classify_point(cfg, -1.0) is PointClass.REGULAR
     assert cfg.locate(0.0) is None
     # both half-lines stack against the trap
@@ -338,7 +336,6 @@ def test_validate_ex218_missing_gap_pinned(depth, drop, error):
 def test_darning_sojourn_shape():
     cfg = preset("darning-sojourn")
     assert classify_point(cfg, -1.0) is PointClass.RIGHT_SHUNT
-    assert one_sided_labels(cfg, -1.0) == (False, True)
     assert cfg.intervals[0].scale.stack_hi
     assert cfg.intervals[1].scale.blocks
 

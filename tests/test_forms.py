@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from bmext.cantor import CantorBlock, cantor_fraction
 from bmext.config import preset
 from bmext.forms import (
     BUILTIN_NAMES,
-    CantorInterpolant,
     IntervalPart,
     PiecewiseFn,
     bilinear,
@@ -252,6 +252,67 @@ def test_interpolant_monotone_and_pinned():
     assert all(a >= b - 1e-12 for a, b in zip(ys, ys[1:]))
 
 
+@dataclass(frozen=True)
+class CantorInterpolant:
+    """The staircase the cantor-plateau compensator once evaluated, kept as a
+    reference: 1 at lo, 0 at hi, constant on each plateau, found by a scan."""
+
+    lo: float
+    hi: float
+    plateaus: tuple[tuple[float, float, Fraction], ...]
+
+    def eval(self, x: float) -> float:
+        if not self.lo <= x <= self.hi:
+            raise ValueError(f"{x} outside [{self.lo}, {self.hi}]")
+        left_v, left_x = Fraction(1), self.lo
+        right_v, right_x = Fraction(0), self.hi
+        for plo, phi, v in self.plateaus:
+            if plo <= x <= phi:
+                return float(v)
+            if phi < x and phi >= left_x:
+                left_v, left_x = v, phi
+            if plo > x and plo <= right_x:
+                right_v, right_x = v, plo
+        if right_x == left_x:
+            return float(left_v)
+        frac = (x - left_x) / (right_x - left_x)
+        return float(left_v) + frac * (float(right_v) - float(left_v))
+
+
+def reference_staircase(c, beta):
+    """The former plateau layout: the unit gaps of levels <= 8, at 1 - their value."""
+    plateaus = sorted(
+        (c + beta * float(glo), c + beta * float(ghi), 1 - value)
+        for _, glo, ghi, value in CantorBlock(0, 1).gaps(8)
+    )
+    return CantorInterpolant(c, c + beta, tuple(plateaus))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.floats(min_value=-1e3, max_value=1e3),
+    log_beta=st.floats(min_value=-60.0, max_value=0.0),
+    h=st.floats(min_value=0.01, max_value=4.0),
+    data=st.data(),
+)
+def test_cantor_plateau_equals_the_scanned_staircase(c, log_beta, h, data):
+    # beta from 1 down to the refusal, where two plateau ends round together
+    beta = 10.0**log_beta
+    try:
+        r = compensator("cantor-plateau", None, c, h, 1e9, 1, beta=beta)
+    except ValueError:
+        ref = reference_staircase(c, beta)
+        assert not all(lo < hi for lo, hi, _ in ref.plateaus)
+        return
+    ref = reference_staircase(c, beta)
+    assert _plateaus(r) == ref.plateaus
+    ends = [x for lo, hi, _ in ref.plateaus for x in (lo, hi)]
+    xs = [c, c + beta, *data.draw(st.lists(st.sampled_from(ends), max_size=20))]
+    xs += data.draw(st.lists(st.floats(min_value=c, max_value=c + beta), max_size=40))
+    for x in xs:
+        assert r(x) == h * ref.eval(x)
+
+
 def test_interpolant_scaled_support():
     # same staircase on [2, 2.5]
     phi = staircase(2.0, 0.5)
@@ -385,9 +446,14 @@ def _pinned_compensators():
 
 
 def _plateaus(result):
-    # the staircase a cantor-plateau result evaluates, read off its closure
-    cells = [cell.cell_contents for cell in result._eval.__closure__ or ()]
-    return next((x.plateaus for x in cells if isinstance(x, CantorInterpolant)), None)
+    """The staircase a cantor-plateau result evaluates, read off its closure as
+    the sorted (lo, hi, value) plateaus; None for any other result."""
+    fn = result._eval
+    cells = (cell.cell_contents for cell in fn.__closure__ or ())
+    free = dict(zip(fn.__code__.co_freevars, cells))
+    if "values" not in free:
+        return None
+    return tuple(zip(free["lows"], free["highs"], map(Fraction, free["values"])))
 
 
 def test_compensators_match_their_pins():

@@ -1,8 +1,10 @@
 """Package surface: the exports, their lazy loading, and ``python -m bmext``."""
 
 import importlib
+import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -104,3 +106,22 @@ def test_star_import_binds_every_name():
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         bmext.no_such_name  # noqa: B018
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_an_own_attribute():
+    # perfbench/tracer.py reads each name from its module's or class's own
+    # __dict__, so deleting or moving one breaks the traced benchmark runs
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, quals in tracer.WRAPPED.items():
+        for qual in quals:
+            *path, attr = qual.split(".")
+            owner = importlib.import_module(f"bmext.{mod_name}")
+            for part in path:
+                owner = getattr(owner, part)
+            if attr not in vars(owner):
+                missing.append(f"{mod_name}.{qual}")
+    assert missing == []

@@ -221,6 +221,36 @@ def test_round_trip_property_on_stacks_and_blocks(scale, frac):
     assert abs(scale.inverse(y) - x) <= 1e-9 * (1.0 + abs(y)) + 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(scale=random_scales(), y=st.floats(min_value=-1e300, max_value=1e300))
+def test_inverse_meets_its_tolerance_or_refuses(scale, y):
+    try:
+        x = scale.inverse(y)
+    except ValueError:
+        return
+    assert scale.contains(x)
+    assert abs(scale.eval(x) - y) <= 1e-9 * (1.0 + abs(y))
+
+
+def test_inverse_deep_in_a_stack_and_far_out():
+    # the root of t = 1000 lies within 1e-300 of the stacked end 0, and the
+    # root of t = 1e300 a long way out on the half-line
+    t = make_scale(-math.inf, 0.0)
+    x = t.inverse(1000.0)
+    assert -1e-300 < x < 0.0 and abs(t(x) - 1000.0) <= 1e-9 * 1001.0
+    t = make_scale(0.0, math.inf)
+    x = t.inverse(1e300)
+    assert abs(t(x) - 1e300) <= 1e-9 * (1.0 + 1e300)
+
+
+def test_inverse_refuses_what_no_float_reaches():
+    # near a stacked end t grows by one per dyadic shell, so floats stop near 1100
+    with pytest.raises(ValueError, match="no float x"):
+        make_scale(0.0, 2.0, include_lo=True).inverse(1e300)
+    with pytest.raises(ValueError, match="outside the scale range"):
+        make_scale(0.0, 2.0, include_lo=True).inverse(-5.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=0.999))
 def test_anchor_zero_property(frac):

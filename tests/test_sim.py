@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmext.cantor import CantorBlock
 from bmext.config import (
@@ -28,6 +30,7 @@ from bmext.sim import (
     snap_grid,
 )
 from bmext.trace import trace_structure
+from strategies import random_scales
 
 EX215 = preset("ex215")
 EX216 = preset("ex216")
@@ -139,6 +142,52 @@ def test_snap_grid_lands_on_gap_endpoints():
     # interior points move at most half a spacing
     base = np.linspace(0.0, 1.0, 25)
     assert np.max(np.abs(grid - base)) <= 1 / 48 + 1e-15
+
+
+def gap_ends(blk, depth):
+    """A block's snap targets as they were once listed: its ends and the float
+    ends of its exact gaps of levels <= depth."""
+    gaps = blk.gaps(depth)
+    return {float(blk.lo), float(blk.hi)} | {float(x) for _, lo, hi, _ in gaps for x in (lo, hi)}
+
+
+def reference_snap_grid(scale, lo, hi, cells, depth):
+    """snap_grid's snapping, run on the gap ends of the blocks that meet [lo, hi]."""
+    blocks = [sup.block for sup in scale.w_supports(depth) if sup.block is not None]
+    met = [b for b in blocks if float(b.hi) >= lo and float(b.lo) <= hi]
+    ordered = sorted(set().union(*(gap_ends(b, depth) for b in met)))
+    base = np.linspace(lo, hi, cells + 1)
+    half = (hi - lo) / (2 * cells)
+    out = [lo]
+    for c in base[1:-1]:
+        i = int(np.searchsorted(ordered, c))
+        near = [v for v in ordered[max(0, i - 1) : i + 1] if abs(v - c) <= half]
+        best = min(near, key=lambda v: (abs(v - c), v)) if near else c
+        if out[-1] < best < hi:
+            out.append(best)
+    out.append(hi)
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scale=random_scales(),
+    depth=st.integers(0, 10),
+    cells=st.integers(1, 400),
+    cut=st.tuples(st.floats(0.0, 0.45), st.floats(0.55, 1.0)),
+)
+def test_snap_targets_are_the_gap_ends(scale, depth, cells, cut):
+    # the gaps of levels <= depth are the spaces between level-depth remnants
+    for sup in scale.w_supports(depth):
+        if sup.block is not None:
+            ends = {x for pair in sup.block.float_remnants(depth) for x in pair}
+            assert ends == gap_ends(sup.block, depth)
+    a = scale.lo if math.isfinite(scale.lo) else scale.e - 3.0
+    b = scale.hi if math.isfinite(scale.hi) else scale.e + 3.0
+    lo, hi = a + cut[0] * (b - a), a + cut[1] * (b - a)
+    config = ExtensionConfig((IntervalSpec(scale),))
+    grid = snap_grid(config, 0, lo, hi, cells, depth=depth)
+    assert grid.tolist() == reference_snap_grid(scale, lo, hi, cells, depth).tolist()
 
 
 def test_holding_times_absorb_lebesgue_speed_only():
