@@ -178,16 +178,17 @@ def level_count(depth: int) -> int:
     return 1 << min(depth, 65)
 
 
-def check_work(what: str, count: int) -> None:
+def check_work(what: str, count: int, unit: str = "support items") -> None:
     """Refuse, before anything is built, a request for more than WORK_BUDGET items.
 
-    Callers work ``count`` out from the depth with :func:`level_count`, so
-    nothing is listed to get it, and below 2**64 it is not capped.
+    Callers work ``count`` out from the depth with :func:`level_count`, or
+    from a requested size, so nothing is listed to get it, and below 2**64
+    it is not capped.  ``unit`` names what is counted.
     """
     if count > WORK_BUDGET:
         shown = count if count < 1 << 64 else "more than 2**64"
         raise ValueError(
-            f"{what} would build {shown} support items,"
+            f"{what} would build {shown} {unit},"
             f" over the work budget of {WORK_BUDGET}"
         )
 

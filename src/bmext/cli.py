@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cantor import check_work
 from .config import (
     DEFAULT_SEED,
     PRESET_NAMES,
@@ -510,6 +511,14 @@ def _count(args, name: str, default: int) -> int:
     return value
 
 
+def _within_budget(what: str, count: int, unit: str) -> None:
+    """Refuse more than WORK_BUDGET items of work as a CommandError."""
+    try:
+        check_work(what, count, unit)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
+
+
 def _index(ctx: _Context, index) -> int:
     """An interval index of the configuration, else a CommandError."""
     count = len(ctx.config.intervals)
@@ -777,9 +786,14 @@ def _hitting_grid(args, ctx):
 
 
 def _sim_hitting(args, ctx) -> int:
-    from .sim import hitting_probability
+    from .sim import hitting_probability, stride_table_entries
 
     seed = _seed(args)
+    # the window's grid has at most cells + 1 sites, each a row of the table
+    _within_budget(
+        "simulate hitting's stride table",
+        stride_table_entries(_count(args, "cells", 48) + 1), "table entries",
+    )
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
     samples = _count(args, "samples", 100_000)
     est = hitting_probability(
@@ -914,8 +928,15 @@ def _sim_darned(args, ctx) -> int:
     return 0
 
 
+# what each walk size counts, for the work budget
+_WALK_SIZES = {"cells": "grid cells", "samples": "walkers", "steps": "walk steps"}
+
+
 def cmd_simulate(args) -> int:
     ctx = _load_context(args)
+    # refuse an oversized walk before the configuration is even validated
+    for name, unit in _WALK_SIZES.items():
+        _within_budget(f"simulate --{name}", _count(args, name, 1), unit)
     _require_valid(ctx)
     if args.kind is None:
         raise CommandError(

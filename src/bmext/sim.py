@@ -35,10 +35,13 @@ __all__ = [
     "simulate_path",
     "simulate_trace_chain",
     "snap_grid",
+    "stride_table_entries",
 ]
 
 _BATCH = 1 << 16
 _CHUNK = 1 << 15
+# steps a hitting walker takes on one uniform
+_STRIDE = 64
 
 
 def _site_array(sites) -> np.ndarray:
@@ -328,6 +331,68 @@ def simulate_path(
 # -- hitting statistics ------------------------------------------------------
 
 
+def stride_table_entries(sites: int) -> int:
+    """Entries of the stride table ``hitting_probability`` builds over ``sites`` sites.
+
+    Each site's row covers the ``2 * _STRIDE + 1`` sites one stride can reach.
+    """
+    return sites * (2 * _STRIDE + 1)
+
+
+def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int = _STRIDE) -> np.ndarray:
+    """Cumulated k-step law of the chain stopped on ``stop``, one row per site.
+
+    Column j of row i is the probability of standing at or below site
+    i - k + j after k steps from site i.  A walker moves at most k sites, so
+    these 2k + 1 columns hold the whole law.  The law is built from the
+    identity by k one-step updates of the whole band, and its cumulated
+    sums are capped at 1.
+    """
+    m = p.size
+    site = np.arange(m)[:, None] + np.arange(-k, k + 1)
+    moves = (site >= 0) & (site < m)
+    site = site.clip(0, m - 1)
+    moves &= ~stop[site]
+    up = np.where(moves, p[site], 0.0)
+    down = np.where(moves, 1.0 - p[site], 0.0)
+    hold = np.where(moves, 0.0, 1.0)
+    law = np.zeros(site.shape)
+    law[:, k] = 1.0
+    for _ in range(k):
+        nxt = law * hold
+        nxt[:, 1:] += law[:, :-1] * up[:, :-1]
+        nxt[:, :-1] += law[:, 1:] * down[:, 1:]
+        law = nxt
+    return np.minimum(np.cumsum(law, axis=1), 1.0)
+
+
+def _stride_lookup(cdf: np.ndarray):
+    """Search table of a banded cumulated law: flat rows, landing sites, last landings.
+
+    Row i is offset by i, so that one ``searchsorted`` of i + u over all rows
+    finds where a walker at site i lands with uniform u.
+    """
+    m, width = cdf.shape
+    offsets = np.arange(m)[:, None]
+    flat = (cdf + offsets).ravel()
+    dest = (offsets + np.arange(width) - width // 2).ravel()
+    # flat index of each row's last column of positive probability
+    rises = np.diff(cdf, axis=1, prepend=0.0) > 0
+    last = offsets[:, 0] * width + (width - 1 - np.argmax(rises[:, ::-1], axis=1))
+    return flat, dest, last
+
+
+def _stride_move(lookup, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sites the walkers at ``pos`` land on, one uniform each."""
+    flat, dest, last = lookup
+    idx = np.searchsorted(flat, pos + u, side="right")
+    # pos + u rounds up to pos + 1 when u is within half an ulp of 1, and can
+    # exceed the row's rounded total: either way the search runs past the
+    # row, and the walker takes the row's last site of positive probability
+    np.minimum(idx, last[pos], out=idx)
+    return dest[idx]
+
+
 def hitting_probability(
     chain: GridChain,
     x0: float,
@@ -344,11 +409,20 @@ def hitting_probability(
     ``budget`` steps, or frozen on an interior absorbing site, are excluded
     from the estimate and reported in ``excluded``.
 
+    Walkers move ``_STRIDE`` steps at a time on the exact law of the chain
+    stopped at l, r and every absorbing site, so where a walk ends has the
+    law of single steps, up to the rounding of that law (about 1e-14).
+
     Draw contract (the seeded results depend on it): walkers run in batches
     of ``_BATCH``, each batch on a generator from its own child of
-    ``SeedSequence(seed).spawn``; each step draws one ``rng.random(n)`` for
-    the n walkers still live, one uniform per walker in walker order, and a
-    walker steps up when its uniform is below its site's ``p_right``.
+    ``SeedSequence(seed).spawn``.  Each iteration draws one
+    ``rng.random(n)`` for the n walkers still live, one uniform per walker
+    in walker order.  While ``steps + _STRIDE <= budget`` an iteration is a
+    stride: a walker at site i lands on the first site whose cumulated
+    ``_STRIDE``-step law from i exceeds its uniform.  After that each
+    iteration is one step: a walker steps up when its uniform is below its
+    site's ``p_right``.  A budget below ``_STRIDE`` thus takes single steps
+    only.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -364,11 +438,18 @@ def hitting_probability(
     if not (il < i0 < ir):
         raise ValueError("need l <= x0 <= r on grid sites")
 
-    p = chain.p_right
+    # walkers never pass l or r, so they walk on the sites from l to r,
+    # numbered from l
+    m = ir - il + 1
+    check_work(
+        f"the {_STRIDE}-step table of {m} sites", stride_table_entries(m), "table entries"
+    )
+    p = chain.p_right[il : ir + 1]
     # outcome of arriving at each site: 0 walks on, 1 hit l, 2 hit r, 3 stuck
-    code = np.where(chain.absorbing, 3, 0).astype(np.int8)
-    code[il] = 1
-    code[ir] = 2
+    code = np.where(chain.absorbing[il : ir + 1], 3, 0).astype(np.int8)
+    code[0] = 1
+    code[-1] = 2
+    lookup = _stride_lookup(_stride_cdf(p, code != 0))
     ss = np.random.SeedSequence(seed)
     n_batches = -(-n_samples // _BATCH)
     tally = np.zeros(4, dtype=np.int64)
@@ -377,19 +458,23 @@ def hitting_probability(
         rng = np.random.default_rng(child)
         count = min(_BATCH, remaining)
         remaining -= count
-        pos = np.full(count, i0, dtype=np.int64)
+        pos = np.full(count, i0 - il, dtype=np.int64)
         steps = 0
         while pos.size and steps < budget:
-            up = rng.random(pos.size) < p[pos]
-            pos += up
-            pos += up
-            pos -= 1
+            if steps + _STRIDE <= budget:
+                pos = _stride_move(lookup, pos, rng.random(pos.size))
+                steps += _STRIDE
+            else:
+                up = rng.random(pos.size) < p[pos]
+                pos += up
+                pos += up
+                pos -= 1
+                steps += 1
             c = code[pos]
             if np.count_nonzero(c):
                 keep = c == 0
                 tally += np.bincount(c[~keep], minlength=4)
                 pos = pos[keep]
-            steps += 1
         tally[3] += pos.size
     _, succ, fail, excl = tally.tolist()
     settled = succ + fail

@@ -614,6 +614,41 @@ WINDOW = ("--preset", "ex215", "--x0", "0.3", "--left", "0", "--right", "1")
 
 
 @pytest.mark.parametrize(
+    "argv, what",
+    [
+        # was a numpy _ArrayMemoryError traceback from the grid's linspace
+        (("hitting", *WINDOW, "--cells", str(10**12)),
+         f"simulate --cells would build {10**12} grid cells"),
+        (("hitting", *WINDOW, "--samples", str(WORK_BUDGET + 1)),
+         f"simulate --samples would build {WORK_BUDGET + 1} walkers"),
+        (("path", *WINDOW, "--steps", str(10**15)),
+         f"simulate --steps would build {10**15} walk steps"),
+        (("path", *WINDOW, "--cells", str(WORK_BUDGET + 1)),
+         f"simulate --cells would build {WORK_BUDGET + 1} grid cells"),
+        (("trace", "--preset", "ex218", "--x0", "0.0", "--steps", str(WORK_BUDGET + 1)),
+         f"simulate --steps would build {WORK_BUDGET + 1} walk steps"),
+        (("darned", "--preset", "ex215", "--steps", str(10**18)),
+         f"simulate --steps would build {10**18} walk steps"),
+        # 40,001 sites of 129 table entries each
+        (("hitting", *WINDOW, "--cells", "40000"),
+         "simulate hitting's stride table would build 5160129 table entries"),
+    ],
+)
+def test_walk_size_over_the_work_budget_exits_1(capsys, argv, what):
+    err = refused(capsys, 1, "simulate", *argv)
+    assert err["type"] == "CommandError"
+    assert err["message"] == f"{what}, over the work budget of {WORK_BUDGET}"
+
+
+def test_simulate_hitting_budget_of_one_step_excludes_every_walk(capsys):
+    code, out = run(capsys, "simulate", "hitting", "--preset", "ex215", "--x0", "0.3",
+                    "--left", "0", "--right", "1", "--samples", "300", "--budget", "1")
+    assert code == 0
+    r = json.loads(out)["result"]
+    assert (r["samples"], r["excluded"], r["estimate"]) == (0, 300, "nan")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("simulate", "hitting", *WINDOW, "--samples", "10"),

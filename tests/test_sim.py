@@ -1,5 +1,6 @@
 """Grid-chain approximation: transition law, holding times, Monte Carlo runs."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -21,13 +22,18 @@ from bmext.darning import darn
 from bmext.scale import make_scale
 from bmext.sim import (
     _CHUNK,
+    _STRIDE,
     McEstimate,
+    _stride_cdf,
+    _stride_lookup,
+    _stride_move,
     build_chain,
     hitting_probability,
     simulate_darned,
     simulate_path,
     simulate_trace_chain,
     snap_grid,
+    stride_table_entries,
 )
 from bmext.trace import trace_structure
 from strategies import random_scales
@@ -302,8 +308,8 @@ def test_hitting_ex215_scale_ratio():
     assert est.within(7 / 12)
     assert est.excluded == 0
     # recorded values: 100k walkers span two batches, so the pin covers the
-    # spawned child seeds as well as the per-step draws
-    assert est == McEstimate(0.58339, 0.0015590014059819954, 100_000, 20260814, excluded=0)
+    # spawned child seeds as well as the per-stride draws
+    assert est == McEstimate(0.58184, 0.0015598225778801717, 100_000, 20260814, excluded=0)
 
 
 def test_hitting_from_the_target_is_exact():
@@ -326,13 +332,47 @@ def test_hitting_reports_budget_exclusions():
     assert est2 == McEstimate(0.49258542875564154, 0.012698616234831421, 1551, 2, excluded=449)
 
 
+def _contract_walk(chain, i0, n, seed, budget):
+    # the draw contract spelled out for one batch walking between the grid's
+    # ends: strides while a whole one fits in the budget, then single steps,
+    # one uniform per live walker each
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    lookup = _stride_lookup(_stride_cdf(chain.p_right, chain.absorbing))
+    end = chain.sites.size - 1
+    pos = np.full(n, i0)
+    hit_l = hit_r = steps = 0
+    while pos.size and steps < budget:
+        if steps + _STRIDE <= budget:
+            pos = _stride_move(lookup, pos, rng.random(pos.size))
+            steps += _STRIDE
+        else:
+            pos = pos + np.where(rng.random(pos.size) < chain.p_right[pos], 1, -1)
+            steps += 1
+        hit_l += int(np.count_nonzero(pos == 0))
+        hit_r += int(np.count_nonzero(pos == end))
+        pos = pos[(pos != 0) & (pos != end)]
+    return hit_l, hit_l + hit_r, pos.size
+
+
+@pytest.mark.parametrize("budget", [_STRIDE, _STRIDE + 3])
+def test_hitting_budget_takes_whole_strides_then_single_steps(budget):
+    # a budget of 67 is one stride and three single steps
+    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 13))
+    est = hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=2, budget=budget)
+    assert est.samples + est.excluded == 2_000
+    assert est.samples > 0 and est.excluded > 0
+    succ, settled, live = _contract_walk(chain, 6, 2_000, 2, budget)
+    assert (est.samples, est.excluded) == (settled, live)
+    assert est.estimate == succ / settled
+
+
 def test_hitting_between_interior_sites_pinned_values():
     # l and r are interior, non-absorbing sites: walkers stop on them all the same
     grid = snap_grid(EX215, 0, 0.0, 1.0, 24, depth=6)
     chain = build_chain(EX215, 0, grid)
     assert not chain.absorbing[[4, 16]].any()
     est = hitting_probability(chain, grid[8], grid[4], grid[16], 5_000, seed=7)
-    assert est == McEstimate(0.4502, 0.007036611029391619, 5_000, 7, excluded=0)
+    assert est == McEstimate(0.4448, 0.00702854694047204, 5_000, 7, excluded=0)
 
 
 def test_hitting_refuses_a_negative_budget():
@@ -347,6 +387,119 @@ def test_hitting_is_bitwise_deterministic():
     a = hitting_probability(chain, grid[8], 0.0, 1.0, 20_000, seed=42)
     b = hitting_probability(chain, grid[8], 0.0, 1.0, 20_000, seed=42)
     assert a == b
+
+
+# -- stride tables -----------------------------------------------------------
+
+
+def _fraction_stride_cdf(p, stop, k):
+    # the k-step law of the stopped chain, one exact step at a time
+    m = len(p)
+    rows = []
+    for i in range(m):
+        law = {i: Fraction(1)}
+        for _ in range(k):
+            nxt = {}
+            for s, w in law.items():
+                if stop[s]:
+                    moves = ((s, w),)
+                else:
+                    q = Fraction(p[s])
+                    moves = ((s + 1, w * q), (s - 1, w * (1 - q)))
+                for t, v in moves:
+                    nxt[t] = nxt.get(t, Fraction(0)) + v
+            law = nxt
+        total = Fraction(0)
+        row = []
+        for site in range(i - k, i + k + 1):
+            total += law.get(site, Fraction(0))
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def test_stride_table_is_the_exact_law_on_a_dyadic_chain():
+    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 9))
+    assert chain.absorbing[[0, -1]].all() and (chain.p_right[1:-1] == 0.5).all()
+    cdf = _stride_cdf(chain.p_right, chain.absorbing, k=8)
+    assert cdf.shape == (9, 17)
+    exact = _fraction_stride_cdf(chain.p_right.tolist(), chain.absorbing.tolist(), 8)
+    assert [[Fraction(v) for v in row] for row in cdf.tolist()] == exact
+
+
+def _slot_chain(config, left, right, depth):
+    n = config.locate((left + right) / 2)
+    grid = snap_grid(config, n, left, right, 48, depth=depth)
+    return config, n, build_chain(config, n, grid)
+
+
+# the grids of the benchmark's four hitting slots (perfbench/workloads.py,
+# HITTING_SLOTS at the middle of each left-end range) and verify's hitting grid
+STRIDE_GRIDS = [
+    ("ex215", 6, -0.5, 1.5),
+    ("ex216", 6, 0.5, 2.0),
+    ("darning-sojourn", 6, -0.5, 1.5),
+    ("ex218", 5, 0.35, 0.63),
+    ("ex215", 10, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("name, depth, left, right", STRIDE_GRIDS)
+def test_stride_table_keeps_the_scale_ratio(name, depth, left, right):
+    config, n, chain = _slot_chain(preset(name, depth=depth), left, right, depth)
+    m = chain.sites.size
+    stop = chain.absorbing.copy()
+    stop[[0, -1]] = True
+    cdf = _stride_cdf(chain.p_right, stop)
+    assert cdf.shape == (m, 2 * _STRIDE + 1)
+    assert stride_table_entries(m) == cdf.size
+    assert np.abs(cdf[:, -1] - 1.0).max() <= 1e-12
+    # the stopped chain's exact P(hit left before right), by a tridiagonal solve
+    a = np.eye(m)
+    b = np.zeros(m)
+    b[0] = 1.0
+    for i in np.flatnonzero(~stop):
+        a[i, i + 1] = -chain.p_right[i]
+        a[i, i - 1] = chain.p_right[i] - 1.0
+    h = np.linalg.solve(a, b)
+    scale = config.interval(n).scale
+    t = np.array([scale.eval(x) for x in chain.sites])
+    assert np.abs(h - (t[-1] - t) / (t[-1] - t[0])).max() <= 1e-12
+    # and a stride keeps it: h is harmonic for the table's law
+    law = np.diff(cdf, axis=1, prepend=0.0)
+    reach = np.arange(m)[:, None] + np.arange(-_STRIDE, _STRIDE + 1)
+    h_band = np.where((reach >= 0) & (reach < m), h[reach.clip(0, m - 1)], 0.0)
+    assert np.abs((law * h_band).sum(axis=1) - h).max() <= 1e-12
+
+
+@functools.cache
+def _stride_case(name, depth, left, right):
+    _, _, chain = _slot_chain(preset(name, depth=depth), left, right, depth)
+    stop = chain.absorbing.copy()
+    stop[[0, -1]] = True
+    cdf = _stride_cdf(chain.p_right, stop)
+    return cdf, _stride_lookup(cdf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid=st.sampled_from(STRIDE_GRIDS),
+    row=st.integers(0, 48),
+    u=st.one_of(
+        st.sampled_from([0.0, 1.0 - 2.0**-53]),
+        st.floats(0.0, 1.0, exclude_max=True),
+    ),
+)
+def test_stride_lookup_lands_on_a_site_of_positive_probability(grid, row, u):
+    cdf, lookup = _stride_case(*grid)
+    row = min(row, cdf.shape[0] - 1)
+    (site,) = _stride_move(lookup, np.array([row]), np.array([u]))
+    col = site - row + _STRIDE
+    assert 0 <= site < cdf.shape[0] and 0 <= col < cdf.shape[1]
+    below = cdf[row, col - 1] if col else 0.0
+    assert cdf[row, col] > below
+    # the inverse of the row's law, up to the rounding of the row offset
+    assert below - 1e-12 <= u < cdf[row, col] + 1e-12
 
 
 # -- trace chains ------------------------------------------------------------
