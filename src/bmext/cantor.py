@@ -39,7 +39,12 @@ WORK_BUDGET = 1 << 22
 
 # Digit budget when a rational's ternary expansion neither terminates nor
 # cycles within reach (huge denominators).  Truncation error is 2**-_DIGIT_CAP.
-_DIGIT_CAP = 256
+# Values keep the order of their arguments whenever the two expansions part
+# within the budget, and p/q < p'/q' part within log_3(q q') digits.  The unit
+# coordinate of a float in a block whose ends and width have numerators and
+# denominators below 2**13 has a denominator below 2**1100, so two of them
+# part within 1,388 digits.
+_DIGIT_CAP = 1400
 
 # Denominators up to this bound get full cycle detection, hence exact values.
 _CYCLE_DENOM_LIMIT = 10**6

@@ -104,7 +104,6 @@ SCHEMA_VERSION = 1
 DEFAULT_DEPTH = 8  # resolution of gap/atom/grid enumeration
 DEFAULT_TOL = 1e-9
 
-_COMMANDS = ("validate", "energy", "decompose", "darn", "trace", "simulate", "verify")
 _SIM_KINDS = ("hitting", "path", "trace", "darned")
 
 # parameters an experiment entry may preload, per command
@@ -763,7 +762,7 @@ def _need(args, name: str):
 
 
 def _hitting_grid(args, ctx):
-    from .sim import build_chain, snap_grid
+    from .sim import build_chain, nearest_site, snap_grid
 
     x0 = float(_need(args, "x0"))
     index = args.index
@@ -781,7 +780,7 @@ def _hitting_grid(args, ctx):
     cells = _count(args, "cells", 48)
     grid = snap_grid(ctx.config, index, left, right, cells, depth=args.depth)
     chain = build_chain(ctx.config, index, grid)
-    used = float(grid[int(abs(grid - x0).argmin())])
+    used = float(grid[nearest_site(grid, x0)[0]])
     return index, left, right, grid, chain, x0, used
 
 
@@ -891,7 +890,7 @@ def _sim_trace(args, ctx) -> int:
 
 
 def _sim_darned(args, ctx) -> int:
-    from .sim import simulate_darned
+    from .sim import nearest_site, simulate_darned
 
     seed = _seed(args)
     index = _index(ctx, 0 if args.index is None else args.index)
@@ -900,7 +899,7 @@ def _sim_darned(args, ctx) -> int:
     if not sites:
         raise CommandError("the darned image has no atoms at this depth")
     x0 = sites[len(sites) // 2] if args.x0 is None else float(args.x0)
-    x0 = min(sites, key=lambda s: abs(s - x0))
+    x0 = sites[int(nearest_site(sites, x0)[0])]
     steps = _count(args, "steps", 100_000)
     occ = simulate_darned(spec, sites, x0, steps, seed=seed)
     result = {

@@ -231,13 +231,6 @@ def validate(config: ExtensionConfig) -> ValidationReport:
     if not ivs:
         return ValidationReport(False, ["no intervals given"])
 
-    # scale validity is enforced at construction; re-run for safety
-    for idx, iv in enumerate(ivs):
-        try:
-            iv.scale._validate()
-        except ValueError as exc:
-            errors.append(f"interval {idx} {iv.describe()}: {exc}")
-
     if not math.isinf(ivs[0].lo):
         errors.append(
             f"line not covered below {ivs[0].lo}: an unbounded leftover cannot be Lebesgue-null"
@@ -407,7 +400,7 @@ def build_trace_measure(config: ExtensionConfig) -> TraceMeasure:
             wlo = iv.lo + margin if scale.stack_lo else iv.lo
             whi = iv.hi - margin if scale.stack_hi else iv.hi
             wmass = scale.singular_between(wlo, whi)
-            tmass = scale.stieltjes_mass(wlo, whi)
+            tmass = scale.eval(whi) - scale.eval(wlo)
             if wmass <= 0.0 or not math.isfinite(tmass) or tmass <= 0.0:
                 continue
             terms.append((k, wlo, whi, wmass, tmass))

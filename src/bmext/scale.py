@@ -198,10 +198,6 @@ class ScaleFunction:
         object.__setattr__(self, "stacks", tuple(stacks))
         self._check_blocks()
 
-    def _validate(self):
-        self._check_endpoints()
-        self._check_blocks()
-
     def _check_endpoints(self):
         lo, hi = self.lo, self.hi
         if not lo < hi:
@@ -316,12 +312,6 @@ class ScaleFunction:
         return float(Fraction(x) - Fraction(self.e) + self.signed_mass(x))
 
     __call__ = eval
-
-    def stieltjes_mass(self, u: float, v: float) -> float:
-        """dt-mass of (u, v] inside the interval, possibly infinite."""
-        tv = self.eval(v)
-        tu = self.eval(u)
-        return tv - tu
 
     # -- inversion --------------------------------------------------------
 

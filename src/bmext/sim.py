@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cantor import check_work, level_count
 from .config import ExtensionConfig, TraceMeasure
@@ -31,6 +32,7 @@ __all__ = [
     "VisitTable",
     "build_chain",
     "hitting_probability",
+    "nearest_site",
     "simulate_darned",
     "simulate_path",
     "simulate_trace_chain",
@@ -55,6 +57,27 @@ def _site_array(sites) -> np.ndarray:
     return arr
 
 
+def nearest_site(sites, x) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each point's nearest site, ties to the left, and whether it is the point.
+
+    ``sites`` must increase strictly.  A site is the point when
+    ``math.isclose`` says so at rel_tol = abs_tol = 1e-12, a test symmetric
+    in its two arguments (``np.isclose``'s is not).  A scalar x gives 0-d
+    arrays.
+    """
+    sites = np.asarray(sites, dtype=float)
+    x = np.asarray(x, dtype=float)
+    j = np.searchsorted(sites, x)
+    left = np.maximum(j - 1, 0)
+    right = np.minimum(j, sites.size - 1)
+    i = np.where(sites[right] - x < x - sites[left], right, left)
+    on = [
+        math.isclose(s, y, rel_tol=1e-12, abs_tol=1e-12)
+        for s, y in zip(sites[i].ravel().tolist(), x.ravel().tolist())
+    ]
+    return i, np.array(on, dtype=bool).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class GridChain:
     """Embedded jump chain of one diffusion on a finite site grid.
@@ -76,13 +99,10 @@ class GridChain:
             arr.setflags(write=False)
 
     def site_index(self, x: float) -> int:
-        i = int(np.searchsorted(self.sites, x))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.sites.size and math.isclose(
-                self.sites[j], x, rel_tol=1e-12, abs_tol=1e-12
-            ):
-                return j
-        raise ValueError(f"{x} is not a grid site")
+        i, on = nearest_site(self.sites, x)
+        if not on:
+            raise ValueError(f"{x} is not a grid site")
+        return int(i)
 
 
 @dataclass(frozen=True)
@@ -175,14 +195,13 @@ def snap_grid(
             continue
         # the block's ends and its gaps of levels <= depth: every remnant end
         targets.update(x for pair in blk.float_remnants(depth) for x in pair)
-    ordered = sorted(targets)
-    base = np.linspace(lo, hi, cells + 1)
-    half = (hi - lo) / (2 * cells)
+    base = np.linspace(lo, hi, cells + 1)[1:-1]
+    if targets:
+        ordered = np.array(sorted(targets))
+        near = ordered[nearest_site(ordered, base)[0]]
+        base = np.where(np.abs(near - base) <= (hi - lo) / (2 * cells), near, base)
     out = [lo]
-    for c in base[1:-1]:
-        i = int(np.searchsorted(ordered, c))
-        near = [v for v in ordered[max(0, i - 1) : i + 1] if abs(v - c) <= half]
-        best = min(near, key=lambda v: (abs(v - c), v)) if near else c
+    for best in base.tolist():
         if out[-1] < best < hi:
             out.append(best)
     out.append(hi)
@@ -346,24 +365,26 @@ def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int = _STRIDE) -> np.ndarray
     i - k + j after k steps from site i.  A walker moves at most k sites, so
     these 2k + 1 columns hold the whole law.  The law is built from the
     identity by k one-step updates of the whole band, and its cumulated
-    sums are capped at 1.
+    sums are capped at 1.  The band's move weights are windows onto per-site
+    vectors padded by k stopped sites at each end.
     """
     m = p.size
-    site = np.arange(m)[:, None] + np.arange(-k, k + 1)
-    moves = (site >= 0) & (site < m)
-    site = site.clip(0, m - 1)
-    moves &= ~stop[site]
-    up = np.where(moves, p[site], 0.0)
-    down = np.where(moves, 1.0 - p[site], 0.0)
-    hold = np.where(moves, 0.0, 1.0)
-    law = np.zeros(site.shape)
+    stopped = np.concatenate((np.ones(k, dtype=bool), stop, np.ones(k, dtype=bool)))
+    q = np.concatenate((np.zeros(k), p, np.zeros(k)))
+    up = sliding_window_view(np.where(stopped, 0.0, q), 2 * k + 1)
+    down = sliding_window_view(np.where(stopped, 0.0, 1.0 - q), 2 * k + 1)
+    hold = sliding_window_view(np.where(stopped, 1.0, 0.0), 2 * k + 1)
+    law = np.zeros((m, 2 * k + 1))
     law[:, k] = 1.0
+    nxt = np.empty_like(law)
+    flow = np.empty((m, 2 * k))
     for _ in range(k):
-        nxt = law * hold
-        nxt[:, 1:] += law[:, :-1] * up[:, :-1]
-        nxt[:, :-1] += law[:, 1:] * down[:, 1:]
-        law = nxt
-    return np.minimum(np.cumsum(law, axis=1), 1.0)
+        np.multiply(law, hold, out=nxt)
+        nxt[:, 1:] += np.multiply(law[:, :-1], up[:, :-1], out=flow)
+        nxt[:, :-1] += np.multiply(law[:, 1:], down[:, 1:], out=flow)
+        law, nxt = nxt, law
+    cdf = np.cumsum(law, axis=1, out=nxt)
+    return np.minimum(cdf, 1.0, out=cdf)
 
 
 def _stride_lookup(cdf: np.ndarray):
@@ -409,20 +430,19 @@ def hitting_probability(
     ``budget`` steps, or frozen on an interior absorbing site, are excluded
     from the estimate and reported in ``excluded``.
 
-    Walkers move ``_STRIDE`` steps at a time on the exact law of the chain
-    stopped at l, r and every absorbing site, so where a walk ends has the
-    law of single steps, up to the rounding of that law (about 1e-14).
+    Walkers move up to ``_STRIDE`` steps at a time on the exact law of the
+    chain stopped at l, r and every absorbing site, so where a walk ends has
+    the law of single steps, up to the rounding of that law (about 1e-14).
 
     Draw contract (the seeded results depend on it): walkers run in batches
     of ``_BATCH``, each batch on a generator from its own child of
     ``SeedSequence(seed).spawn``.  Each iteration draws one
     ``rng.random(n)`` for the n walkers still live, one uniform per walker
-    in walker order.  While ``steps + _STRIDE <= budget`` an iteration is a
-    stride: a walker at site i lands on the first site whose cumulated
-    ``_STRIDE``-step law from i exceeds its uniform.  After that each
-    iteration is one step: a walker steps up when its uniform is below its
-    site's ``p_right``.  A budget below ``_STRIDE`` thus takes single steps
-    only.
+    in walker order, and moves them ``k = min(_STRIDE, budget - steps)``
+    steps: a walker at site i lands on the first site whose cumulated
+    k-step law from i exceeds its uniform.  Only a budget that is not a
+    multiple of ``_STRIDE`` needs a second, shorter table, for its last
+    iteration.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -449,7 +469,8 @@ def hitting_probability(
     code = np.where(chain.absorbing[il : ir + 1], 3, 0).astype(np.int8)
     code[0] = 1
     code[-1] = 2
-    lookup = _stride_lookup(_stride_cdf(p, code != 0))
+    # the k-step lookup for each k walked: _STRIDE, and the budget's tail
+    tables = {}
     ss = np.random.SeedSequence(seed)
     n_batches = -(-n_samples // _BATCH)
     tally = np.zeros(4, dtype=np.int64)
@@ -461,15 +482,11 @@ def hitting_probability(
         pos = np.full(count, i0 - il, dtype=np.int64)
         steps = 0
         while pos.size and steps < budget:
-            if steps + _STRIDE <= budget:
-                pos = _stride_move(lookup, pos, rng.random(pos.size))
-                steps += _STRIDE
-            else:
-                up = rng.random(pos.size) < p[pos]
-                pos += up
-                pos += up
-                pos -= 1
-                steps += 1
+            k = min(_STRIDE, budget - steps)
+            if k not in tables:
+                tables[k] = _stride_lookup(_stride_cdf(p, code != 0, k))
+            pos = _stride_move(tables[k], pos, rng.random(pos.size))
+            steps += k
             c = code[pos]
             if np.count_nonzero(c):
                 keep = c == 0
@@ -496,9 +513,9 @@ def _brownian_chain(sites: np.ndarray) -> GridChain:
     m = sites.size
     p = np.zeros(m)
     hold = np.zeros(m)
-    for i in range(1, m - 1):
-        p[i] = (sites[i] - sites[i - 1]) / (sites[i + 1] - sites[i - 1])
-        hold[i] = (sites[i] - sites[i - 1]) * (sites[i + 1] - sites[i])
+    dl = sites[1:-1] - sites[:-2]
+    p[1:-1] = dl / (sites[2:] - sites[:-2])
+    hold[1:-1] = dl * (sites[2:] - sites[1:-1])
     p[0] = 1.0
     p[-1] = 0.0
     if m > 1:
@@ -547,8 +564,7 @@ def simulate_trace_chain(
             f"trace site {float(unweighable[0])!r} has an infinite trace-measure weight:"
             " its cell reaches an excluded stacked endpoint"
         )
-    k0 = int(np.argmin(np.abs(k_sites - x0)))
-    if not math.isclose(k_sites[k0], x0, rel_tol=1e-12, abs_tol=1e-12):
+    if not nearest_site(k_sites, x0)[1]:
         raise ValueError("x0 must be one of the trace sites")
     if k_sites.size == 1:
         return VisitTable(
@@ -573,12 +589,9 @@ def simulate_trace_chain(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = _walk(chain, chain.site_index(x0), n_steps, rng)
     chain_visits = np.bincount(idx, minlength=chain.sites.size)
-    visits = np.zeros(k_sites.size, dtype=np.int64)
-    for a, s in enumerate(k_sites):
-        try:
-            visits[a] = chain_visits[chain.site_index(s)]
-        except ValueError:
-            continue  # trace site outside this walk's window stays unvisited
+    # a trace site that is no site of this walk's grid stays unvisited
+    j, on = nearest_site(chain.sites, k_sites)
+    visits = np.where(on, chain_visits[j], 0)
     weighted = visits * weights
     total = weighted.sum()
     frequency = weighted / total if total > 0 else weighted
@@ -586,16 +599,6 @@ def simulate_trace_chain(
 
 
 # -- darned chains -----------------------------------------------------------
-
-
-def _nearest_site(sites: np.ndarray, loc: float) -> int:
-    j = int(np.searchsorted(sites, loc))
-    if j == 0:
-        return 0
-    if j == sites.size:
-        return sites.size - 1
-    # ties go to the left site
-    return j - 1 if loc - sites[j - 1] <= sites[j] - loc else j
 
 
 def simulate_darned(
@@ -620,14 +623,18 @@ def simulate_darned(
     sites = _site_array(grid)
     if sites[0] < spec.image_lo or sites[-1] > spec.image_hi:
         raise ValueError("window must lie inside the image interval")
-    i0 = _nearest_site(sites, x0)
-    if not math.isclose(sites[i0], x0, rel_tol=1e-12, abs_tol=1e-12):
+    i0, on = nearest_site(sites, x0)
+    if not on:
         raise ValueError("x0 must be a grid site")
+    i0 = int(i0)
 
     masses = [Fraction(0)] * sites.size
-    for loc, mass in spec.atoms + spec.residue:
-        if sites[0] <= loc <= sites[-1]:
-            masses[_nearest_site(sites, loc)] += mass
+    inside = [
+        (loc, mass) for loc, mass in spec.atoms + spec.residue if sites[0] <= loc <= sites[-1]
+    ]
+    at, _ = nearest_site(sites, [float(loc) for loc, _ in inside])
+    for a, (_, mass) in zip(at.tolist(), inside):
+        masses[a] += mass
     total = sum(masses, Fraction(0))
     if total == 0:
         raise ValueError("zero image mass in the window")

@@ -7,10 +7,22 @@ library misses.  The last test runs the command-line battery twice and
 demands byte-identical reports.
 """
 
+import hashlib
+
+import pytest
+
 import bmext.cli as cli
 from bmext import verify
 
 SEED = verify.DEFAULT_SEED
+
+# sha256 of the `bmext verify --seed S --deterministic` report, recorded on
+# Python 3.11.7 before the walk layer took one nearest-site lookup and one
+# walker-move rule; a refactor keeps both reports byte for byte
+VERIFY_DIGESTS = {
+    20260814: "be96cce9607b98d6a8bf4a09cbbb6587892c03a75df4c6253b61106c7621d77b",
+    20260821: "c39c4d5a2bf21ba8a4a5b9bb1e920d3a9dc08e81f0b900f0e8f9bf8c3a458499",
+}
 
 
 def _passes(check):
@@ -64,3 +76,11 @@ def test_verify_reports_are_byte_identical(capsys):
     assert out1 == out2
     assert out1.splitlines()[1] == f"seed={SEED}"
     assert "10 passed, 0 failed" in out1
+    assert hashlib.sha256(out1.encode()).hexdigest() == VERIFY_DIGESTS[SEED]
+
+
+@pytest.mark.parametrize("seed", sorted(set(VERIFY_DIGESTS) - {SEED}))
+def test_verify_report_matches_its_digest(capsys, seed):
+    assert cli.main(["verify", "--seed", str(seed), "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[seed]

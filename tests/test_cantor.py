@@ -102,6 +102,17 @@ def test_monotone_and_bounds():
         assert a <= b
 
 
+def test_order_kept_next_to_a_cycling_point():
+    # 9/28 = 0.(022200) in ternary cycles, so its value is exact; a float
+    # 1e-300 above it shares about its first 630 digits, and a cut after 256
+    # of them put W(1e-300) below W(0) on this block (seen as a negative pairwise
+    # singular mass in test_singular_between_matches_the_pairwise_sum)
+    block = CantorBlock(Fraction(-27, 32), Fraction(57, 32), Fraction(1, 4))
+    assert (0 - block.lo) / block.width == Fraction(9, 28)
+    assert block.value_exact(1e-300) >= block.value_exact(0.0)
+    assert block.value_exact(-1e-300) <= block.value_exact(0.0)
+
+
 UNIT = CantorBlock(0, 1)
 
 

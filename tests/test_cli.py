@@ -367,6 +367,27 @@ def test_trace_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(table).hexdigest() == csv_sha, key
 
 
+WALK_PINS = json.loads((pathlib.Path(__file__).parent / "walk_pins.json").read_text())
+WALK_CSV = {"path": "sim_path.csv", "trace": "sim_trace.csv", "darned": "sim_darned.csv"}
+
+
+def test_walk_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
+    # sha256 of stdout and of the --out CSV (none for hitting) of one small
+    # seeded run of each simulate kind on the benchmark's walk presets, from
+    # starting points on, off and halfway between sites
+    monkeypatch.chdir(tmp_path)
+    for key, (out_sha, csv_sha) in WALK_PINS.items():
+        code, out = run(capsys, "simulate", *key.split(), "--out", "out", "--deterministic")
+        assert code == 0, key
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, key
+        csv = WALK_CSV.get(key.split()[0])
+        if csv is None:
+            assert csv_sha is None, key
+        else:
+            table = (tmp_path / "out" / csv).read_bytes()
+            assert hashlib.sha256(table).hexdigest() == csv_sha, key
+
+
 def test_darn_without_singular_part_exits_1(capsys):
     code, out = run(capsys, "darn", "--preset", "ex218", "--index", "1")
     assert code == 1
@@ -698,19 +719,19 @@ def test_verify_takes_only_seed_and_deterministic(capsys):
     assert "unrecognized arguments: --depth 3" in usage_error(capsys, "verify", "--depth", "3")
 
 
-WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
+NO_X0_WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
 
 
 @pytest.mark.parametrize(
     "argv, flag",
     [
         # was exit 0 with x0_used 0.0: the first grid site stood in for NaN
-        (("simulate", "path", *WINDOW, "--x0", "nan", "--steps", "10"), "--x0"),
+        (("simulate", "path", *NO_X0_WINDOW, "--x0", "nan", "--steps", "10"), "--x0"),
         # were exit 0 with x0_used 0.0625, the first darned site
         (("simulate", "darned", "--preset", "ex215", "--depth", "4", "--x0", "nan"), "--x0"),
         (("simulate", "darned", "--preset", "ex215", "--depth", "4", "--x0", "inf"), "--x0"),
         # was the whole walk, then exit 1 with json's "Out of range float values"
-        (("simulate", "hitting", *WINDOW, "--x0", "nan", "--samples", "100"), "--x0"),
+        (("simulate", "hitting", *NO_X0_WINDOW, "--x0", "nan", "--samples", "100"), "--x0"),
         # was exit 1 with "need lo < hi"
         (("simulate", "hitting", "--preset", "ex215", "--x0", "0.5", "--left", "0",
           "--right", "nan"), "--right"),

@@ -44,7 +44,7 @@ def test_eval_monotone_strict():
 def test_lebesgue_dominated_by_dt():
     t = ex215_scale()
     for u, v in [(-1.0, 0.5), (0.1, 0.9), (0.4, 0.45), (0.9, 3.0)]:
-        assert t.stieltjes_mass(u, v) >= (v - u) - 1e-15
+        assert t.eval(v) - t.eval(u) >= (v - u) - 1e-15
 
 
 def _uw_split(t, u, v):
@@ -73,7 +73,7 @@ def test_uw_split():
     # split accounting matches the Stieltjes mass
     for u, v in [(0.0, 0.7), (-1.0, 2.0), (0.2, 0.3)]:
         leb, sing = _uw_split(t, u, v)
-        assert abs((leb + sing) - t.stieltjes_mass(u, v)) < 1e-11
+        assert abs((leb + sing) - (t.eval(v) - t.eval(u))) < 1e-11
 
 
 def test_inverse_round_trip():
@@ -168,9 +168,10 @@ def test_blocks_may_touch():
 
 def test_stieltjes_mass_with_boundaries():
     t = make_scale(0.0, 1.0)
-    assert t.stieltjes_mass(0.0, 0.5) == math.inf
-    assert t.stieltjes_mass(0.5, 1.0) == math.inf
-    assert math.isfinite(t.stieltjes_mass(0.25, 0.75))
+    # the dt-mass of (u, v] is t(v) - t(u), infinite at an excluded end
+    assert t.eval(0.5) - t.eval(0.0) == math.inf
+    assert t.eval(1.0) - t.eval(0.5) == math.inf
+    assert math.isfinite(t.eval(0.75) - t.eval(0.25))
 
 
 def test_integral_t_against_quadrature():

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bmext import sim
 from bmext.cantor import CantorBlock
 from bmext.config import (
     ComplementSpec,
@@ -29,6 +30,7 @@ from bmext.sim import (
     _stride_move,
     build_chain,
     hitting_probability,
+    nearest_site,
     simulate_darned,
     simulate_path,
     simulate_trace_chain,
@@ -221,6 +223,44 @@ def test_holding_bounded_by_cell_speed_times_scale_width():
         assert 0.0 < chain.mean_holding[i] <= cap * (1 + 1e-9)
 
 
+# -- nearest sites -----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ints=st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=30, unique=True),
+    shift=st.integers(-12, 12),
+    picks=st.lists(st.integers(-(2**21) - 4, 2**21 + 4), max_size=20),
+)
+def test_nearest_site_is_the_leftmost_argmin(ints, shift, picks):
+    # sites and points are multiples of 2**shift / 2 below 2**23 of them, so
+    # every distance is exact and argmin's ties are the true ties
+    ints = sorted(ints)
+    sites = np.array(ints, dtype=float) * 2.0**shift
+    # in half-units: random points, the sites, the midpoints between
+    # neighbours, and a point beyond each end
+    halves = picks + [2 * a for a in ints] + [a + b for a, b in zip(ints, ints[1:])]
+    halves += [2 * ints[0] - 3, 2 * ints[-1] + 3]
+    x = np.array(halves, dtype=float) * 2.0 ** (shift - 1)
+    i, on = nearest_site(sites, x)
+    assert i.tolist() == np.argmin(np.abs(sites[:, None] - x), axis=0).tolist()
+    assert on.tolist() == np.isin(x, sites).tolist()
+    i0, on0 = nearest_site(sites, x[0])
+    assert (i0.shape, on0.shape) == ((), ())
+    assert (int(i0), bool(on0)) == (i[0], on[0])
+
+
+def test_nearest_site_tolerance_is_symmetric():
+    # math.isclose takes the larger of the two tolerances, not their sum as
+    # np.isclose does, so 1 + 1.5e-12 is not 1, whichever of the two is the site
+    for sites, x in (([1.0, 2.0], 1.0 + 1.5e-12), ([1.0 + 1.5e-12, 2.0], 1.0)):
+        assert not nearest_site(sites, x)[1]
+    for sites, x in (([1.0, 2.0], 1.0 + 5e-13), ([1.0 + 5e-13, 2.0], 1.0)):
+        assert nearest_site(sites, x)[1]
+    # a site is never close to a non-finite point
+    assert not nearest_site([0.0, 1.0], [math.inf, -math.inf, math.nan])[1].any()
+
+
 # -- single trajectories -----------------------------------------------------
 
 
@@ -329,25 +369,23 @@ def test_hitting_reports_budget_exclusions():
     est2 = hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=2, budget=50)
     assert est2.samples + est2.excluded == 2_000
     assert est2.excluded > 0
-    assert est2 == McEstimate(0.49258542875564154, 0.012698616234831421, 1551, 2, excluded=449)
+    # one 50-step stride; recorded when a budget's tail became one short stride
+    assert est2 == McEstimate(0.5106109324758843, 0.012680800760313797, 1555, 2, excluded=445)
 
 
 def _contract_walk(chain, i0, n, seed, budget):
     # the draw contract spelled out for one batch walking between the grid's
-    # ends: strides while a whole one fits in the budget, then single steps,
-    # one uniform per live walker each
+    # ends: each iteration moves every live walker min(_STRIDE, budget - steps)
+    # steps on one uniform
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    lookup = _stride_lookup(_stride_cdf(chain.p_right, chain.absorbing))
     end = chain.sites.size - 1
     pos = np.full(n, i0)
     hit_l = hit_r = steps = 0
     while pos.size and steps < budget:
-        if steps + _STRIDE <= budget:
-            pos = _stride_move(lookup, pos, rng.random(pos.size))
-            steps += _STRIDE
-        else:
-            pos = pos + np.where(rng.random(pos.size) < chain.p_right[pos], 1, -1)
-            steps += 1
+        k = min(_STRIDE, budget - steps)
+        lookup = _stride_lookup(_stride_cdf(chain.p_right, chain.absorbing, k))
+        pos = _stride_move(lookup, pos, rng.random(pos.size))
+        steps += k
         hit_l += int(np.count_nonzero(pos == 0))
         hit_r += int(np.count_nonzero(pos == end))
         pos = pos[(pos != 0) & (pos != end)]
@@ -355,8 +393,8 @@ def _contract_walk(chain, i0, n, seed, budget):
 
 
 @pytest.mark.parametrize("budget", [_STRIDE, _STRIDE + 3])
-def test_hitting_budget_takes_whole_strides_then_single_steps(budget):
-    # a budget of 67 is one stride and three single steps
+def test_hitting_budget_takes_whole_strides_then_one_short_stride(budget):
+    # a budget of 67 is one stride of 64 steps and one of three
     chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 13))
     est = hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=2, budget=budget)
     assert est.samples + est.excluded == 2_000
@@ -364,6 +402,24 @@ def test_hitting_budget_takes_whole_strides_then_single_steps(budget):
     succ, settled, live = _contract_walk(chain, 6, 2_000, 2, budget)
     assert (est.samples, est.excluded) == (settled, live)
     assert est.estimate == succ / settled
+
+
+def test_hitting_builds_each_stride_table_once_per_call(monkeypatch):
+    built = []
+
+    def recording(p, stop, k=_STRIDE):
+        built.append(k)
+        return _stride_cdf(p, stop, k)
+
+    monkeypatch.setattr(sim, "_stride_cdf", recording)
+    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 13))
+    # two batches, each ending on a three-step stride
+    hitting_probability(chain, 0.5, 0.0, 1.0, sim._BATCH + 10, seed=3, budget=2 * _STRIDE + 3)
+    assert built == [_STRIDE, 3]
+    # the default budget is a whole number of strides: no tail table
+    built.clear()
+    hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=3)
+    assert built == [_STRIDE]
 
 
 def test_hitting_between_interior_sites_pinned_values():
@@ -425,6 +481,25 @@ def test_stride_table_is_the_exact_law_on_a_dyadic_chain():
     assert cdf.shape == (9, 17)
     exact = _fraction_stride_cdf(chain.p_right.tolist(), chain.absorbing.tolist(), 8)
     assert [[Fraction(v) for v in row] for row in cdf.tolist()] == exact
+
+
+@pytest.mark.parametrize("k", [1, 3, _STRIDE])
+@pytest.mark.parametrize("interior_stop", [False, True])
+def test_short_and_full_stride_tables_are_the_exact_law(k, interior_stop):
+    # the tables a budget's tail and a full stride walk on, against the
+    # Fraction law, with and without a stopped interior site
+    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 9))
+    stop = chain.absorbing.copy()
+    stop[3] = interior_stop
+    cdf = _stride_cdf(chain.p_right, stop, k)
+    assert cdf.shape == (9, 2 * k + 1)
+    exact = _fraction_stride_cdf(chain.p_right.tolist(), stop.tolist(), k)
+    got = [[Fraction(v) for v in row] for row in cdf.tolist()]
+    if interior_stop:
+        # the live mass between two stopped sites rounds, by about 4e-17 at k = 64
+        assert max(abs(a - b) for ra, rb in zip(got, exact) for a, b in zip(ra, rb)) <= 2**-52
+    else:
+        assert got == exact
 
 
 def _slot_chain(config, left, right, depth):
@@ -520,6 +595,22 @@ def test_extension_trace_confined_to_one_gap():
     assert set(table.support().tolist()) == {1 / 3, 2 / 3}
     assert table.frequency.sum() == pytest.approx(1.0, rel=1e-12)
     assert (table.frequency > 0).sum() == 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40, unique=True))
+def test_brownian_chain_matches_the_per_site_formulas(points):
+    sites = np.array(sorted(points))
+    assume(np.all(np.diff(sites) > 0))
+    chain = sim._brownian_chain(sites)
+    m = sites.size
+    p = [1.0] + [0.0] * (m - 1)
+    hold = [(sites[1] - sites[0]) ** 2] + [0.0] * (m - 2) + [(sites[-1] - sites[-2]) ** 2]
+    for i in range(1, m - 1):
+        p[i] = (sites[i] - sites[i - 1]) / (sites[i + 1] - sites[i - 1])
+        hold[i] = (sites[i] - sites[i - 1]) * (sites[i + 1] - sites[i])
+    p[-1] = 0.0
+    assert chain.p_right.tolist() == p and chain.mean_holding.tolist() == hold
 
 
 def test_brownian_trace_visits_every_dust_site():
