@@ -25,13 +25,28 @@ A scenario file is JSON with this layout (unknown fields are rejected):
 Intervals are listed in increasing order; function definitions carry one
 part per interval, in the same order, as (lo, hi, dx-rate, singular-rate)
 cells.  Endpoints accept the strings "inf" and "-inf"; block weights accept
-numbers or exact fraction strings; an experiment value is read as the
-command's own flag reads it.  Schema violations and out-of-range
-options (a negative --depth or --seed, a --depth of 0 for a trace, a
-count below 1, a NaN or infinite --x0, --left, --right or --tol) exit
-with code 2, semantic failures (overlapping intervals, impossible
-requests, an --out that cannot be written) with 1.  A closed stdout
-exits 1 with nothing on stderr.
+numbers or exact fraction strings.
+
+The argument parser is the one record of the command surface: the commands,
+the flags each takes, the values each flag accepts and the handler that runs
+it.  Every command but verify takes --scenario or --preset, --depth, --tol,
+--seed, --experiment and --deterministic; energy, decompose and trace take
+--function, darn and simulate --index, decompose and simulate --samples,
+and decompose, darn, trace and simulate --out.  simulate also takes its walk
+kind, --x0, --left, --right, --steps, --mode, --cells and --budget; verify
+takes only --seed and --deterministic.  An experiment's keys are its
+command's own flags less the run flags (scenario, preset, depth, tol, out,
+experiment, deterministic), and each value is read as that flag reads it.
+
+The parser refuses, with exit code 2, a flag the command does not take, a
+--seed or --depth below 0 (below 1 for trace), a --samples, --steps,
+--cells or --budget below 1, and a NaN or infinite --x0, --left, --right or
+--tol; a scenario is refused alike when one of its experiments carries such
+a value.  --index, --experiment and the --depth of simulate trace are
+checked when the command runs, since their range depends on the
+configuration or the walk kind.  Schema violations exit 2 too, semantic
+failures (overlapping intervals, impossible requests, an --out that cannot
+be written) 1.  A closed stdout exits 1 with nothing on stderr.
 
 Every command prints one JSON document that embeds the scenario hash, the
 working depth, and the seed; bulk tables (atoms, paths, occupation counts,
@@ -104,20 +119,9 @@ SCHEMA_VERSION = 1
 DEFAULT_DEPTH = 8  # resolution of gap/atom/grid enumeration
 DEFAULT_TOL = 1e-9
 
-_SIM_KINDS = ("hitting", "path", "trace", "darned")
-
-# parameters an experiment entry may preload, per command
-_EXPERIMENT_KEYS = {
-    "validate": set(),
-    "energy": {"function", "seed"},
-    "decompose": {"function", "seed", "samples"},
-    "darn": {"index", "seed"},
-    "trace": {"function", "seed"},
-    "simulate": {
-        "kind", "x0", "left", "right", "samples", "steps",
-        "seed", "index", "mode", "cells", "budget",
-    },
-}
+# flags that choose how a command runs, not what it computes: an experiment
+# preloads any other flag of its command
+_RUN_FLAGS = {"scenario", "preset", "depth", "tol", "out", "experiment", "deterministic", "help"}
 
 
 class ScenarioError(ValueError):
@@ -310,20 +314,15 @@ def _parse_experiment(exp, path: str) -> dict:
     if not isinstance(exp, dict):
         raise ScenarioError(f"{path}: expected an object")
     command = exp.get("command")
-    if command not in _EXPERIMENT_KEYS:
-        raise ScenarioError(
-            f"{path}.command: expected one of {', '.join(sorted(_EXPERIMENT_KEYS))}"
-        )
-    allowed = _EXPERIMENT_KEYS[command] | {"command"}
-    _reject_unknown(exp, allowed, path)
+    commands = sorted(c for c in _commands() if "scenario" in _flags(c))
+    if command not in commands:
+        raise ScenarioError(f"{path}.command: expected one of {', '.join(commands)}")
     flags = _flags(command)
-    parsed = {
+    _reject_unknown(exp, flags.keys() - _RUN_FLAGS | {"command"}, path)
+    return {
         key: value if key == "command" else _flag_value(flags[key], value, f"{path}.{key}")
         for key, value in exp.items()
     }
-    if parsed.get("seed", 0) < 0:
-        raise ScenarioError(f"{path}.seed: --seed must be non-negative, got {parsed['seed']}")
-    return parsed
 
 
 def _flag_value(action: argparse.Action, value, path: str):
@@ -331,14 +330,17 @@ def _flag_value(action: argparse.Action, value, path: str):
 
     JSON numbers and strings are read as the flag's text would be, with the
     type and choices of the command's parser; anything the flag refuses
-    there (a fractional seed, true, null, an unknown kind) is refused here.
+    there (a fractional or negative seed, true, null, an unknown kind) is
+    refused here, with the type's own message where it gives one.
     """
     flag = action.option_strings[0] if action.option_strings else action.dest
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ScenarioError(f"{path}: expected a value for {flag}, got {json.dumps(value)}")
     try:
         parsed = (action.type or str)(str(value))
-    except (ValueError, argparse.ArgumentTypeError):
+    except argparse.ArgumentTypeError as exc:
+        raise ScenarioError(f"{path}: {flag} {exc}") from None
+    except ValueError:
         raise ScenarioError(f"{path}: {value!r} is not a valid {flag} value") from None
     if action.choices is not None and parsed not in action.choices:
         raise ScenarioError(
@@ -454,8 +456,6 @@ class _Context:
 
 
 def _load_context(args) -> _Context:
-    if args.depth < 0:
-        raise UsageError(f"--depth must be non-negative, got {args.depth}")
     if getattr(args, "scenario", None):
         sc = load_scenario(args.scenario)
         ctx = _Context(
@@ -482,7 +482,11 @@ def _load_context(args) -> _Context:
         for key, value in exp.items():
             if key != "command" and getattr(args, key, None) is None:
                 setattr(args, key, value)
-    _seed(args)  # refuse a bad seed before any work
+    # defaults apply once the experiment has filled in what it carries: the
+    # seed here, each walk size where it is read, as `args.steps or 10_000`
+    # (the parser refuses a size below 1)
+    if args.seed is None:
+        args.seed = DEFAULT_SEED
     return ctx
 
 
@@ -490,24 +494,6 @@ def _require_valid(ctx: _Context) -> None:
     report = validate(ctx.config)
     if not report.ok:
         raise CommandError("invalid configuration: " + "; ".join(report.errors))
-
-
-def _seed(args) -> int:
-    if args.seed is None:
-        return DEFAULT_SEED
-    if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
-
-
-def _count(args, name: str, default: int) -> int:
-    """A positive count option, or ``default`` when it is not given."""
-    value = getattr(args, name)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise UsageError(f"--{name} must be a positive integer, got {value!r}")
-    return value
 
 
 def _within_budget(what: str, count: int, unit: str) -> None:
@@ -545,34 +531,37 @@ def _jnum(x):
     return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
 
 
-def _emit(args, ctx, command: str, parameters: dict, result: dict, files=None) -> None:
+def _emit(args, ctx, command: str, parameters: dict, result: dict, table=None) -> None:
+    """Print the command's JSON document, after writing its CSV table under --out.
+
+    ``table`` is (files key, file name, stamp, columns, rows), where ``rows``
+    is a callable that builds the table's rows, called only under --out.
+    """
     doc = {
         "command": command,
         "scenario": {"name": ctx.name, "source": ctx.source, "sha256": ctx.sha},
-        "parameters": {"depth": args.depth, "seed": _seed(args), "tol": args.tol,
+        "parameters": {"depth": args.depth, "seed": args.seed, "tol": args.tol,
                        **parameters},
         "result": result,
     }
-    if files:
-        doc["files"] = files
+    if table is not None and args.out:
+        key, fname, meta, columns, build_rows = table
+        rows = build_rows()
+        path = os.path.join(args.out, fname)
+        stamp = {"scenario": ctx.sha, "depth": args.depth, "seed": args.seed, **meta}
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write("# " + " ".join(f"{k}={v}" for k, v in stamp.items()) + "\n")
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows(rows)
+        except OSError as exc:
+            raise CommandError(f"--out {args.out}: cannot write {fname}: {exc}") from None
+        doc["files"] = {key: path}
     if not args.deterministic:
         doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
-
-
-def _write_csv(args, ctx, fname: str, meta: dict, columns, rows) -> str:
-    path = os.path.join(args.out, fname)
-    stamp = {"scenario": ctx.sha, "depth": args.depth, "seed": _seed(args), **meta}
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in stamp.items()) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise CommandError(f"--out {args.out}: cannot write {fname}: {exc}") from None
-    return path
 
 
 def _fmt(x: float) -> str:
@@ -627,31 +616,22 @@ def cmd_decompose(args) -> int:
         "orthogonal": abs(cross) <= args.tol,
         "additivity_gap": _jnum(e - e1 - e2) if finite else None,
     }
-    files = None
-    if args.out:
+
+    def rows():
         # sample over the hull of the function's finite breakpoints
-        pts = [
-            x
-            for part in f.parts
-            for piece in part.pieces
-            for x in piece[:2]
-            if math.isfinite(x)
-        ]
+        pts = [x for part in f.parts for piece in part.pieces for x in piece[:2]
+               if math.isfinite(x)]
         w_lo, w_hi = (min(pts), max(pts)) if pts else (0.0, 1.0)
-        count = _count(args, "samples", 101)
-        rows = []
-        for i in range(count):
-            x = w_lo + (w_hi - w_lo) * i / max(count - 1, 1)
-            if ctx.config.locate(x) is None:
-                continue
-            rows.append((_fmt(x), _fmt(f(x)), _fmt(f1(x)), _fmt(f2(x))))
-        path = _write_csv(
-            args, ctx, "decompose_values.csv",
-            {"command": "decompose", "function": args.function},
-            ("x", "value", "smooth", "complement"), rows,
-        )
-        files = {"values": path}
-    _emit(args, ctx, "decompose", {"function": args.function}, result, files)
+        count = args.samples or 101
+        xs = (w_lo + (w_hi - w_lo) * i / max(count - 1, 1) for i in range(count))
+        return [(_fmt(x), _fmt(f(x)), _fmt(f1(x)), _fmt(f2(x)))
+                for x in xs if ctx.config.locate(x) is not None]
+
+    _emit(args, ctx, "decompose", {"function": args.function}, result, (
+        "values", "decompose_values.csv",
+        {"command": "decompose", "function": args.function},
+        ("x", "value", "smooth", "complement"), rows,
+    ))
     return 0
 
 
@@ -676,17 +656,13 @@ def cmd_darn(args) -> int:
         "total_mass": str(spec.total_mass()),
         "slow_reflection": {"lo": at_lo, "hi": at_hi},
     }
-    files = None
-    if args.out:
-        rows = [(_fmt(loc), str(mass), "atom") for loc, mass in spec.atoms]
-        rows += [(_fmt(loc), str(mass), "residue") for loc, mass in spec.residue]
-        path = _write_csv(
-            args, ctx, "darn_atoms.csv",
-            {"command": "darn", "interval": index},
-            ("location", "mass", "kind"), rows,
-        )
-        files = {"atoms": path}
-    _emit(args, ctx, "darn", {"index": index}, result, files)
+    _emit(args, ctx, "darn", {"index": index}, result, (
+        "atoms", "darn_atoms.csv", {"command": "darn", "interval": index},
+        ("location", "mass", "kind"),
+        lambda: [(_fmt(loc), str(mass), kind)
+                 for kind, pairs in (("atom", spec.atoms), ("residue", spec.residue))
+                 for loc, mass in pairs],
+    ))
     return 0
 
 
@@ -703,13 +679,7 @@ def _singular_densities(config: ExtensionConfig, f: PiecewiseFn) -> tuple:
     return tuple(dens)
 
 
-def _trace_depth(args) -> None:
-    if args.depth < 1:
-        raise UsageError(f"--depth must be at least 1 for the trace set, got {args.depth}")
-
-
 def cmd_trace(args) -> int:
-    _trace_depth(args)
     ctx = _load_context(args)
     f = _resolve_function(ctx, args.function)
     _require_valid(ctx)
@@ -732,19 +702,12 @@ def cmd_trace(args) -> int:
             "note": report.note,
         },
     }
-    files = None
-    if args.out:
-        rows = [
-            (_fmt(a), _fmt(b), _fmt(contribution))
-            for a, b, contribution in jump_contributions(ctx.config, tf)
-        ]
-        path = _write_csv(
-            args, ctx, "trace_jumps.csv",
-            {"command": "trace", "function": args.function, "form": "brownian"},
-            ("gap_lo", "gap_hi", "contribution"), rows,
-        )
-        files = {"jumps": path}
-    _emit(args, ctx, "trace", {"function": args.function}, result, files)
+    _emit(args, ctx, "trace", {"function": args.function}, result, (
+        "jumps", "trace_jumps.csv",
+        {"command": "trace", "function": args.function, "form": "brownian"},
+        ("gap_lo", "gap_hi", "contribution"),
+        lambda: [(_fmt(a), _fmt(b), _fmt(c)) for a, b, c in jump_contributions(ctx.config, tf)],
+    ))
     return 0
 
 
@@ -777,8 +740,7 @@ def _hitting_grid(args, ctx):
         index = _index(ctx, index)
     left = float(_need(args, "left"))
     right = float(_need(args, "right"))
-    cells = _count(args, "cells", 48)
-    grid = snap_grid(ctx.config, index, left, right, cells, depth=args.depth)
+    grid = snap_grid(ctx.config, index, left, right, args.cells or 48, depth=args.depth)
     chain = build_chain(ctx.config, index, grid)
     used = float(grid[nearest_site(grid, x0)[0]])
     return index, left, right, grid, chain, x0, used
@@ -787,17 +749,16 @@ def _hitting_grid(args, ctx):
 def _sim_hitting(args, ctx) -> int:
     from .sim import hitting_probability, stride_table_entries
 
-    seed = _seed(args)
     # the window's grid has at most cells + 1 sites, each a row of the table
     _within_budget(
         "simulate hitting's stride table",
-        stride_table_entries(_count(args, "cells", 48) + 1), "table entries",
+        stride_table_entries((args.cells or 48) + 1), "table entries",
     )
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
-    samples = _count(args, "samples", 100_000)
+    samples = args.samples or 100_000
     est = hitting_probability(
         chain, used, left, right, samples,
-        seed=seed, budget=_count(args, "budget", 10_000_000),
+        seed=args.seed, budget=args.budget or 10_000_000,
     )
     result = {
         "kind": "hitting",
@@ -818,10 +779,9 @@ def _sim_hitting(args, ctx) -> int:
 def _sim_path(args, ctx) -> int:
     from .sim import simulate_path
 
-    seed = _seed(args)
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
-    steps = _count(args, "steps", 10_000)
-    sample = simulate_path(chain, used, budget=steps, seed=seed)
+    steps = args.steps or 10_000
+    sample = simulate_path(chain, used, budget=steps, seed=args.seed)
     result = {
         "kind": "path",
         "interval_index": index,
@@ -832,36 +792,28 @@ def _sim_path(args, ctx) -> int:
         "final_site": float(sample.sites[-1]),
         "elapsed_time": float(sample.times[-1]),
     }
-    files = None
-    if args.out:
-        rows = [
-            (i, _fmt(site), _fmt(t))
-            for i, (site, t) in enumerate(zip(sample.sites, sample.times))
-        ]
-        path = _write_csv(
-            args, ctx, "sim_path.csv",
-            {"command": "simulate", "kind": "path",
-             "grid": f"{left}:{right}:{grid.size}"},
-            ("step", "site", "time"), rows,
-        )
-        files = {"path": path}
-    _emit(args, ctx, "simulate", {"steps": steps}, result, files)
+    _emit(args, ctx, "simulate", {"steps": steps}, result, (
+        "path", "sim_path.csv",
+        {"command": "simulate", "kind": "path", "grid": f"{left}:{right}:{grid.size}"},
+        ("step", "site", "time"),
+        lambda: [(i, _fmt(site), _fmt(t))
+                 for i, (site, t) in enumerate(zip(sample.sites, sample.times))],
+    ))
     return 0
 
 
 def _sim_trace(args, ctx) -> int:
     from .sim import simulate_trace_chain
 
-    _trace_depth(args)
-    seed = _seed(args)
+    if args.depth < 1:  # the bound depends on the walk kind, so it is not the parser's
+        raise UsageError(f"--depth must be at least 1 for the trace set, got {args.depth}")
     sites = trace_structure(ctx.config, args.depth).sites()
     mu = build_trace_measure(ctx.config)
     mode = args.mode or "extension"
     x0 = float(_need(args, "x0"))
-    steps = _count(args, "steps", 100_000)
+    steps = args.steps or 100_000
     table = simulate_trace_chain(
-        ctx.config, mu, sites, x0, steps,
-        seed=seed, mode=mode, cells=_count(args, "cells", 16),
+        ctx.config, mu, sites, x0, steps, seed=args.seed, mode=mode, cells=args.cells or 16,
     )
     support = table.support()
     result = {
@@ -871,28 +823,18 @@ def _sim_trace(args, ctx) -> int:
         "support_count": int(support.size),
         "steps": steps,
     }
-    files = None
-    if args.out:
-        rows = [
-            (_fmt(s), int(v), _fmt(w), _fmt(fq))
-            for s, v, w, fq in zip(
-                table.sites, table.visits, table.weights, table.frequency
-            )
-        ]
-        path = _write_csv(
-            args, ctx, "sim_trace.csv",
-            {"command": "simulate", "kind": "trace", "mode": mode},
-            ("site", "visits", "weight", "frequency"), rows,
-        )
-        files = {"sites": path}
-    _emit(args, ctx, "simulate", {"steps": steps, "mode": mode}, result, files)
+    _emit(args, ctx, "simulate", {"steps": steps, "mode": mode}, result, (
+        "sites", "sim_trace.csv", {"command": "simulate", "kind": "trace", "mode": mode},
+        ("site", "visits", "weight", "frequency"),
+        lambda: [(_fmt(s), int(v), _fmt(w), _fmt(fq)) for s, v, w, fq in zip(
+            table.sites, table.visits, table.weights, table.frequency)],
+    ))
     return 0
 
 
 def _sim_darned(args, ctx) -> int:
     from .sim import nearest_site, simulate_darned
 
-    seed = _seed(args)
     index = _index(ctx, 0 if args.index is None else args.index)
     spec = darn(ctx.config, index, depth=args.depth)
     sites = sorted({float(loc) for loc, _ in spec.atoms})
@@ -900,8 +842,8 @@ def _sim_darned(args, ctx) -> int:
         raise CommandError("the darned image has no atoms at this depth")
     x0 = sites[len(sites) // 2] if args.x0 is None else float(args.x0)
     x0 = sites[int(nearest_site(sites, x0)[0])]
-    steps = _count(args, "steps", 100_000)
-    occ = simulate_darned(spec, sites, x0, steps, seed=seed)
+    steps = args.steps or 100_000
+    occ = simulate_darned(spec, sites, x0, steps, seed=args.seed)
     result = {
         "kind": "darned",
         "interval_index": index,
@@ -911,22 +853,18 @@ def _sim_darned(args, ctx) -> int:
         "steps": steps,
         "occupation_total": _jnum(float(occ.occupation.sum())),
     }
-    files = None
-    if args.out:
-        rows = [
-            (_fmt(s), _fmt(m), int(v), _fmt(o))
-            for s, m, v, o in zip(occ.sites, occ.site_mass, occ.visits, occ.occupation)
-        ]
-        path = _write_csv(
-            args, ctx, "sim_darned.csv",
-            {"command": "simulate", "kind": "darned", "interval": index},
-            ("site", "mass", "visits", "occupation"), rows,
-        )
-        files = {"occupation": path}
-    _emit(args, ctx, "simulate", {"steps": steps}, result, files)
+    _emit(args, ctx, "simulate", {"steps": steps}, result, (
+        "occupation", "sim_darned.csv",
+        {"command": "simulate", "kind": "darned", "interval": index},
+        ("site", "mass", "visits", "occupation"),
+        lambda: [(_fmt(s), _fmt(m), int(v), _fmt(o)) for s, m, v, o in zip(
+            occ.sites, occ.site_mass, occ.visits, occ.occupation)],
+    ))
     return 0
 
 
+_SIM_RUNNERS = {"hitting": _sim_hitting, "path": _sim_path, "trace": _sim_trace,
+                "darned": _sim_darned}
 # what each walk size counts, for the work budget
 _WALK_SIZES = {"cells": "grid cells", "samples": "walkers", "steps": "walk steps"}
 
@@ -935,26 +873,19 @@ def cmd_simulate(args) -> int:
     ctx = _load_context(args)
     # refuse an oversized walk before the configuration is even validated
     for name, unit in _WALK_SIZES.items():
-        _within_budget(f"simulate --{name}", _count(args, name, 1), unit)
+        _within_budget(f"simulate --{name}", getattr(args, name) or 1, unit)
     _require_valid(ctx)
     if args.kind is None:
         raise CommandError(
-            f"pass a walk kind ({', '.join(_SIM_KINDS)}) or an experiment"
-            " that names one"
+            f"pass a walk kind ({', '.join(_SIM_RUNNERS)}) or an experiment that names one"
         )
-    runner = {
-        "hitting": _sim_hitting,
-        "path": _sim_path,
-        "trace": _sim_trace,
-        "darned": _sim_darned,
-    }[args.kind]
-    return runner(args, ctx)
+    return _SIM_RUNNERS[args.kind](args, ctx)
 
 
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    seed = _seed(args)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     rows = run_all(seed)
     width = max(len(r.name) for r in rows)
     lines = ["bmext verification battery", f"seed={seed}"]
@@ -991,28 +922,56 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """The type of an int flag that refuses values below ``low`` (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            bound = "non-negative" if low == 0 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse refuses text that int() cannot read as "invalid int value"
+    return parse
+
+
+_NON_NEGATIVE = _int_at_least(0)
+_POSITIVE = _int_at_least(1)
+
+# the flags that some scenario commands take and others do not
+_SHARED_FLAGS = {
+    "function": {"help": "built-in or scenario-defined name"},
+    "index": {"type": int, "help": "interval index"},
+    "samples": {"type": _POSITIVE, "help": "walker count / sample point count"},
+    "out": {"metavar": "DIR", "help": "directory for CSV tables"},
+}
+
+
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=None,
                    help=f"random seed (default {DEFAULT_SEED})")
     p.add_argument("--deterministic", action="store_true",
                    help="omit wall-clock stamps so reruns are byte-identical")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, handler, help: str, *shared: str, depth=_NON_NEGATIVE):
+    """A scenario command's parser: the flags every one takes, then ``shared``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
     _add_run_options(p)
     src = p.add_mutually_exclusive_group()
     src.add_argument("--scenario", metavar="PATH", help="scenario file (JSON)")
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in configuration")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+    p.add_argument("--depth", type=depth, default=DEFAULT_DEPTH,
                    help="enumeration depth for gaps, atoms, and grids")
     p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
                    help="tolerance used in yes/no judgements")
-    p.add_argument("--samples", type=int, default=None,
-                   help="walker count / sample point count")
-    p.add_argument("--out", metavar="DIR", default=None,
-                   help="directory for CSV tables")
     p.add_argument("--experiment", type=int, default=None, metavar="I",
                    help="preload parameters from the scenario's experiment I")
+    for flag in shared:
+        p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    return p
 
 
 @functools.cache
@@ -1025,69 +984,49 @@ def _build_parser() -> argparse.ArgumentParser:
         " traces, and seeded walks.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    _add_command(sub, "validate", cmd_validate, "check a configuration and report")
+    _add_command(sub, "energy", cmd_energy, "energy of a named function", "function")
+    _add_command(sub, "decompose", cmd_decompose, "split into smooth and complement parts",
+                 "function", "samples", "out")
+    _add_command(sub, "darn", cmd_darn, "collapse an interval's singular set", "index", "out")
+    _add_command(sub, "trace", cmd_trace, "restrict a function to the trace set",
+                 "function", "out", depth=_POSITIVE)
 
-    p = sub.add_parser("validate", help="check a configuration and report")
-    _add_common(p)
-
-    p = sub.add_parser("energy", help="energy of a named function")
-    _add_common(p)
-    p.add_argument("--function", help="built-in or scenario-defined name")
-
-    p = sub.add_parser("decompose", help="split into smooth and complement parts")
-    _add_common(p)
-    p.add_argument("--function")
-
-    p = sub.add_parser("darn", help="collapse an interval's singular set")
-    _add_common(p)
-    p.add_argument("--index", type=int, default=None, help="interval index")
-
-    p = sub.add_parser("trace", help="restrict a function to the trace set")
-    _add_common(p)
-    p.add_argument("--function")
-
-    p = sub.add_parser("simulate", help="run a seeded walk")
-    _add_common(p)
-    p.add_argument("kind", nargs="?", choices=_SIM_KINDS)
+    p = _add_command(sub, "simulate", cmd_simulate, "run a seeded walk",
+                     "index", "samples", "out")
+    p.add_argument("kind", nargs="?", choices=_SIM_RUNNERS)
     p.add_argument("--x0", type=_finite_float, default=None)
     p.add_argument("--left", type=_finite_float, default=None)
     p.add_argument("--right", type=_finite_float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--index", type=int, default=None)
+    p.add_argument("--steps", type=_POSITIVE, default=None)
     p.add_argument("--mode", choices=("extension", "brownian"), default=None)
-    p.add_argument("--cells", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--cells", type=_POSITIVE, default=None)
+    p.add_argument("--budget", type=_POSITIVE, default=None)
 
     p = sub.add_parser("verify", help="run the self-check battery")
+    p.set_defaults(handler=cmd_verify)
     _add_run_options(p)
-
     return top
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, by name."""
+    return next(
+        a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
 
 
 @functools.cache
 def _flags(command: str) -> dict[str, argparse.Action]:
     """The actions of a command's parser, by destination."""
-    sub = next(
-        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    return {action.dest: action for action in sub.choices[command]._actions}
-
-
-_DISPATCH = {
-    "validate": cmd_validate,
-    "energy": cmd_energy,
-    "decompose": cmd_decompose,
-    "darn": cmd_darn,
-    "trace": cmd_trace,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-}
+    return {action.dest: action for action in _commands()[command]._actions}
 
 
 def main(argv=None) -> int:
     try:
         try:
             args = _build_parser().parse_args(argv)
-            code = _DISPATCH[args.command](args)
+            code = args.handler(args)
         except ValueError as exc:
             # CommandError and every module-level rejection exit 1; input
             # that cannot be parsed exits 2

@@ -358,7 +358,7 @@ def stride_table_entries(sites: int) -> int:
     return sites * (2 * _STRIDE + 1)
 
 
-def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int = _STRIDE) -> np.ndarray:
+def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
     """Cumulated k-step law of the chain stopped on ``stop``, one row per site.
 
     Column j of row i is the probability of standing at or below site
@@ -388,30 +388,29 @@ def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int = _STRIDE) -> np.ndarray
 
 
 def _stride_lookup(cdf: np.ndarray):
-    """Search table of a banded cumulated law: flat rows, landing sites, last landings.
+    """Search table of a banded cumulated law: flat rows and last landings.
 
     Row i is offset by i, so that one ``searchsorted`` of i + u over all rows
-    finds where a walker at site i lands with uniform u.
+    finds where a walker at site i lands with uniform u.  A row's last
+    landing is the flat index of its last column of positive probability,
+    which is the first column that holds the row's total.
     """
     m, width = cdf.shape
-    offsets = np.arange(m)[:, None]
-    flat = (cdf + offsets).ravel()
-    dest = (offsets + np.arange(width) - width // 2).ravel()
-    # flat index of each row's last column of positive probability
-    rises = np.diff(cdf, axis=1, prepend=0.0) > 0
-    last = offsets[:, 0] * width + (width - 1 - np.argmax(rises[:, ::-1], axis=1))
-    return flat, dest, last
+    last = np.arange(m) * width + np.argmax(cdf == cdf[:, -1:], axis=1)
+    return (cdf + np.arange(m)[:, None]).ravel(), last
 
 
 def _stride_move(lookup, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The sites the walkers at ``pos`` land on, one uniform each."""
-    flat, dest, last = lookup
+    flat, last = lookup
+    width = flat.size // last.size
     idx = np.searchsorted(flat, pos + u, side="right")
     # pos + u rounds up to pos + 1 when u is within half an ulp of 1, and can
     # exceed the row's rounded total: either way the search runs past the
     # row, and the walker takes the row's last site of positive probability
     np.minimum(idx, last[pos], out=idx)
-    return dest[idx]
+    # flat index pos * width + j is site pos + j - width // 2
+    return idx - pos * (width - 1) - width // 2
 
 
 def hitting_probability(

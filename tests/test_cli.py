@@ -1,6 +1,8 @@
 """Command line: scenario schema, envelopes, CSV tables, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmext.cli as cli
 from bmext.cantor import WORK_BUDGET, CantorBlock
@@ -388,6 +392,26 @@ def test_walk_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
             assert hashlib.sha256(table).hexdigest() == csv_sha, key
 
 
+CLI_PINS = json.loads((pathlib.Path(__file__).parent / "cli_pins.json").read_text())
+
+
+def test_exact_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
+    # exit code and sha256 of stdout (and of the decompose --out CSV) of
+    # validate, energy and decompose on every preset and built-in at depths 4
+    # and 6, and of the JSON error of each refusal class
+    monkeypatch.chdir(tmp_path)
+    for key, (code, out_sha, csv_sha) in CLI_PINS.items():
+        argv = [*key.split(), "--deterministic"]
+        if argv[0] == "decompose":
+            argv += ["--out", "out"]
+        got, out = run(capsys, *argv)
+        assert got == code, key
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha, key
+        if csv_sha is not None:
+            table = (tmp_path / "out" / "decompose_values.csv").read_bytes()
+            assert hashlib.sha256(table).hexdigest() == csv_sha, key
+
+
 def test_darn_without_singular_part_exits_1(capsys):
     code, out = run(capsys, "darn", "--preset", "ex218", "--index", "1")
     assert code == 1
@@ -686,9 +710,10 @@ def test_simulate_hitting_budget_of_one_step_excludes_every_walk(capsys):
 )
 def test_negative_seed_exits_2(capsys, argv):
     # was numpy's bare "expected non-negative integer" with exit 1, and three
-    # verify checks printed as FAIL
+    # verify checks printed as FAIL; the parser refuses it, naming the command
     err = refused(capsys, 2, *argv, "--seed", "-5")
-    assert err == {"type": "UsageError", "message": "--seed must be non-negative, got -5"}
+    assert err == {"type": "UsageError",
+                   "message": f"bmext {argv[0]}: argument --seed: must be non-negative, got -5"}
 
 
 def test_negative_experiment_seed_exits_2(tmp_path, capsys):
@@ -717,6 +742,98 @@ def test_trace_depth_0_exits_2(capsys, argv):
 
 def test_verify_takes_only_seed_and_deterministic(capsys):
     assert "unrecognized arguments: --depth 3" in usage_error(capsys, "verify", "--depth", "3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--preset", "ex215", "--samples", "3"),
+        ("energy", "--preset", "ex215", "--function", "tent", "--out", "d"),
+        ("darn", "--preset", "ex215", "--samples", "3"),
+        ("trace", "--preset", "ex215", "--function", "tent", "--samples", "3"),
+        ("validate", "--preset", "ex215", "--function", "tent"),
+    ],
+    ids=["validate-samples", "energy-out", "darn-samples", "trace-samples",
+         "validate-function"],
+)
+def test_a_flag_the_command_does_not_read_exits_2(capsys, argv):
+    # each was accepted and ignored
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in usage_error(capsys, *argv)
+
+
+def test_decompose_samples_is_refused_without_out(capsys):
+    # was read, and so refused, only under --out
+    message = usage_error(capsys, "decompose", "--preset", "ex215", "--function", "tent",
+                          "--samples", "0")
+    assert message == "bmext decompose: argument --samples: must be at least 1, got 0"
+
+
+def test_validate_experiment_carries_a_seed(tmp_path, capsys):
+    doc = {"schema": 1, "config": {"intervals": [{"lo": "-inf", "hi": "inf"}]},
+           "experiments": [{"command": "validate", "seed": 11}]}
+    code, out = run(capsys, "validate", "--scenario", write(tmp_path, doc), "--experiment", "0")
+    assert code == 0
+    assert json.loads(out)["parameters"]["seed"] == 11
+
+
+# the lowest value of each int flag of a scenario command (None: every int
+# passes the parser, and the command checks it against the configuration)
+INT_FLAG_LOW = {"seed": 0, "depth": 0, "samples": 1, "steps": 1, "cells": 1, "budget": 1,
+                "index": None, "experiment": None}
+SCENARIO_COMMANDS = ("validate", "energy", "decompose", "darn", "trace", "simulate")
+WHOLE_LINE = {"schema": 1, "config": {"intervals": [{"lo": "-inf", "hi": "inf"}]}}
+
+
+def _int_flags(command):
+    return sorted(dest for dest, action in cli._flags(command).items()
+                  if action.type is not None and type(action.type("7")) is int)
+
+
+def test_every_int_flag_has_a_stated_bound():
+    assert {f for c in SCENARIO_COMMANDS for f in _int_flags(c)} == set(INT_FLAG_LOW)
+    assert _int_flags("verify") == ["seed"]
+
+
+def _main(argv):
+    """Exit code and JSON document of one in-process run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, json.loads(buf.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_argv_and_experiments_refuse_the_same_int_values(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(SCENARIO_COMMANDS))
+    flag = data.draw(st.sampled_from(_int_flags(command)))
+    low = 1 if (command, flag) == ("trace", "depth") else INT_FLAG_LOW[flag]
+    value = data.draw(st.integers(-3, 3).map(lambda d: (low or 0) + d)
+                      | st.integers(-2**70, 2**70))
+    refused = low is not None and value < low
+    bound = f"must be {'non-negative' if low == 0 else f'at least {low}'}, got {value}"
+    # on argv the parser refuses the value, or the command runs far enough to
+    # ask for a configuration
+    code, doc = _main([command, f"--{flag}", str(value)])
+    assert code == 2
+    if refused:
+        assert doc["error"]["type"] == "UsageError"
+        assert doc["error"]["message"] == f"bmext {command}: argument --{flag}: {bound}"
+    else:
+        assert doc["error"] == {"type": "ScenarioError",
+                                "message": "pass --preset NAME or --scenario PATH"}
+    if flag in cli._RUN_FLAGS:
+        return
+    # in an experiment the same value is refused when the scenario is read
+    scenario = dict(WHOLE_LINE, experiments=[{"command": command, flag: value}])
+    path = tmp_path_factory.getbasetemp() / "int-flag-scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, doc = _main(["validate", "--scenario", str(path), "--deterministic"])
+    if refused:
+        assert code == 2 and doc["error"]["type"] == "ScenarioError"
+        assert doc["error"]["message"] == f"$.experiments[0].{flag}: --{flag} {bound}"
+    else:
+        assert code == 0 and doc["result"]["ok"]
 
 
 NO_X0_WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")

@@ -525,7 +525,7 @@ def test_stride_table_keeps_the_scale_ratio(name, depth, left, right):
     m = chain.sites.size
     stop = chain.absorbing.copy()
     stop[[0, -1]] = True
-    cdf = _stride_cdf(chain.p_right, stop)
+    cdf = _stride_cdf(chain.p_right, stop, _STRIDE)
     assert cdf.shape == (m, 2 * _STRIDE + 1)
     assert stride_table_entries(m) == cdf.size
     assert np.abs(cdf[:, -1] - 1.0).max() <= 1e-12
@@ -552,7 +552,7 @@ def _stride_case(name, depth, left, right):
     _, _, chain = _slot_chain(preset(name, depth=depth), left, right, depth)
     stop = chain.absorbing.copy()
     stop[[0, -1]] = True
-    cdf = _stride_cdf(chain.p_right, stop)
+    cdf = _stride_cdf(chain.p_right, stop, _STRIDE)
     return cdf, _stride_lookup(cdf)
 
 
