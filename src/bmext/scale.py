@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .cantor import CantorBlock, cantor_fraction
@@ -282,6 +283,15 @@ class ScaleFunction:
             total = total - m if s.side == "lo" else total + m
         return total
 
+    @cached_property
+    def _anchor_mass(self) -> Fraction | int:
+        """``cumulative_mass`` at the anchor e, where every value of t and
+        every function on this interval is measured from."""
+        return self.cumulative_mass(self.e)
+
+    def _mass_at(self, x) -> Fraction | int | float:
+        return self._anchor_mass if x == self.e else self.cumulative_mass(x)
+
     def singular_between(self, u, v) -> float:
         """Total W-mass (blocks plus stacks) strictly between u and v.
 
@@ -292,11 +302,11 @@ class ScaleFunction:
                 raise ValueError(f"x={x} outside the interval <{self.lo}, {self.hi}>")
         if u == v or not (self.blocks or self.stacks):
             return 0.0
-        return float(abs(self.cumulative_mass(v) - self.cumulative_mass(u)))
+        return float(abs(self._mass_at(v) - self._mass_at(u)))
 
     def signed_mass(self, x) -> Fraction | float:
         """Exact W-mass from the anchor to x, signed: the darning image of x."""
-        return self.cumulative_mass(x) - self.cumulative_mass(self.e)
+        return self._mass_at(x) - self._anchor_mass
 
     def eval(self, x) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.

@@ -651,10 +651,10 @@ def simulate_darned(
         steps = rng.integers(0, 2, size=min(_CHUNK, n_steps - start), dtype=np.int64) * 2 - 1
         walk = free + np.cumsum(steps)
         free = int(walk[-1])
-        # folding a free walk at half-integer walls gives the lazy reflected chain
-        folded = np.mod(walk, 2 * m)
-        folded = np.where(folded >= m, 2 * m - 1 - folded, folded)
-        visits += np.bincount(folded, minlength=m)
+        # folding a free walk at half-integer walls gives the lazy reflected
+        # chain: residue j >= m of the period 2m is site 2m - 1 - j
+        h = np.bincount(np.mod(walk, 2 * m), minlength=2 * m)
+        visits += h[:m] + h[:m - 1:-1]
     visits[i0] += 1
     weighted = visits * site_mass
     total_w = weighted.sum()

@@ -19,6 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .cantor import CantorBlock, check_work, level_count
 from .config import ExtensionConfig
@@ -219,6 +220,18 @@ def _cell_mass(config, clo: float, chi: float) -> float:
     )
 
 
+@lru_cache(maxsize=1)
+def _cell_masses(config, structure: TraceStructure) -> tuple[float, ...]:
+    """The W-mass of every cell of ``structure``, 0.0 for a point cell.
+
+    The last pair is kept: extensions of many functions on one structure,
+    as verify's trace check makes, evaluate W once per cell end.
+    """
+    return tuple(
+        0.0 if clo == chi else _cell_mass(config, clo, chi) for clo, chi in structure.cells
+    )
+
+
 def _interp_value(config, tf: TraceFn, lows: list[float], x: float) -> float:
     """The harmonic interpolation evaluated at x: affine across gaps, flat
     beyond the extreme cells, mass-linear inside cells carrying singular mass.
@@ -239,7 +252,7 @@ def _interp_value(config, tf: TraceFn, lows: list[float], x: float) -> float:
     vl, vh = values[i]
     if x == clo or vl == vh:
         return vl
-    mass = _cell_mass(config, clo, chi)
+    mass = _cell_masses(config, st)[i]
     if math.isinf(mass):
         raise ValueError("no finite interpolation through an infinite singular stretch")
     if mass > 0.0:
@@ -260,12 +273,11 @@ def harmonic_extension(config: ExtensionConfig, tf: TraceFn) -> PiecewiseFn:
 
     # per-cell and per-gap (u, w) densities
     cell_uw = []
-    for (clo, chi), (vl, vh) in zip(cells, values):
+    for (clo, chi), (vl, vh), mass in zip(cells, values, _cell_masses(config, st)):
         dv = vh - vl
         if clo == chi:
             cell_uw.append((0.0, 0.0))
             continue
-        mass = _cell_mass(config, clo, chi)
         if math.isinf(mass):
             if dv != 0.0:
                 raise ValueError(

@@ -201,7 +201,13 @@ _BUMPS_EX218 = (
 
 
 def _bump_fn(c: float, s: float, a: float, config: ExtensionConfig) -> PiecewiseFn:
-    """Piecewise-linear interpolant of a*(1-((x-c)/s)^2)^2 on its support."""
+    """Piecewise-linear interpolant of a*(1-((x-c)/s)^2)^2 on its support.
+
+    The cuts, values and slopes are built as arrays with the float
+    operations of the scalar formula, in its order; the square goes through
+    Python's float ``**`` (libm pow), which numpy's ``** 2`` (a multiply)
+    does not always match.
+    """
 
     def f(x: float) -> float:
         u = (x - c) / s
@@ -216,15 +222,16 @@ def _bump_fn(c: float, s: float, a: float, config: ExtensionConfig) -> Piecewise
         if not inside:
             parts.append(IntervalPart(0.0, ((iv.lo, iv.hi, 0.0, 0.0),)))
             continue
-        cuts = [c - s + 2 * s * i / _BUMP_CELLS for i in range(_BUMP_CELLS + 1)]
-        vals = [f(x) for x in cuts]
+        cuts = (c - s) + (2 * s) * np.arange(_BUMP_CELLS + 1) / _BUMP_CELLS
+        u = (cuts - c) / s
+        squares = np.array([g**2 for g in (1.0 - u * u).tolist()])
+        vals = np.where(np.abs(u) < 1.0, a * squares, 0.0)
+        slopes = np.diff(vals) / np.diff(cuts)
+        cuts = cuts.tolist()
         pieces = []
         if iv.lo < cuts[0]:
             pieces.append((iv.lo, cuts[0], 0.0, 0.0))
-        pieces += [
-            (cuts[i], cuts[i + 1], (vals[i + 1] - vals[i]) / (cuts[i + 1] - cuts[i]), 0.0)
-            for i in range(_BUMP_CELLS)
-        ]
+        pieces += zip(cuts[:-1], cuts[1:], slopes.tolist(), [0.0] * _BUMP_CELLS)
         if cuts[-1] < iv.hi:
             pieces.append((cuts[-1], iv.hi, 0.0, 0.0))
         parts.append(IntervalPart(f(iv.scale.e), tuple(pieces)))

@@ -15,6 +15,8 @@ from bmext.scale import ScaleFunction, make_scale
 from bmext.trace import (
     TraceFn,
     TraceKind,
+    _cell_mass,
+    _cell_masses,
     harmonic_extension,
     jump_contributions,
     trace_energy_bm,
@@ -311,6 +313,74 @@ def test_harmonic_extension_lists_no_support(monkeypatch):
     monkeypatch.setattr(ScaleFunction, "w_supports", lambda *a: calls.append(a) or listed(*a))
     harmonic_extension(cfg, tf)
     assert calls == []
+
+
+def test_restriction_reads_w_at_each_anchor_once(monkeypatch):
+    # PiecewiseFn.eval measures W from its interval's anchor e; W(e) is
+    # evaluated once per scale, not once per site
+    cfg = preset("ex217", 5)
+    at_anchor = []
+    counted = ScaleFunction.cumulative_mass
+    monkeypatch.setattr(
+        ScaleFunction,
+        "cumulative_mass",
+        lambda self, x: at_anchor.append(x == self.e) or counted(self, x),
+    )
+    trace_restriction(cfg, named_function(cfg, "cantor"), 5)
+    assert len(at_anchor) > 1000
+    assert sum(at_anchor) <= len(cfg.intervals)
+
+
+def _random_trace_fn(st, rng):
+    values = tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in st.cells)
+    return TraceFn(st, values, (0.0,) * st.n_intervals)
+
+
+def test_harmonic_extensions_of_one_structure_share_cell_masses(monkeypatch):
+    # verify's trace check extends 20 functions on one depth-8 structure;
+    # W is evaluated once per cell end for all of them, not once per extension
+    cfg = preset("ex215")
+    st = trace_structure(cfg, 8)
+    rng = random.Random(7)
+    fns = [_random_trace_fn(st, rng) for _ in range(20)]
+    calls = []
+    counted = ScaleFunction.cumulative_mass
+    monkeypatch.setattr(
+        ScaleFunction, "cumulative_mass", lambda self, x: calls.append(x) or counted(self, x)
+    )
+    _cell_masses.cache_clear()
+    for tf in fns:
+        harmonic_extension(cfg, tf)
+    assert sorted(calls) == sorted(x for cell in st.cells for x in cell)
+
+
+def test_cell_mass_memo_follows_config_and_structure():
+    # a unit block and a weight-2 block on [0, 1] give equal structures with
+    # different masses; alternating over them and over depths must never
+    # read another pair's masses
+    heavy = ExtensionConfig(
+        (IntervalSpec(make_scale(-math.inf, math.inf, blocks=[(0, 1, 2)])),), name="heavy"
+    )
+    cases = [(EX215, 5), (heavy, 5), (preset("ex216"), 5), (EX215, 6)]
+    assert trace_structure(EX215, 5) == trace_structure(heavy, 5)
+    rng = random.Random(11)
+    runs = []
+    for cfg, depth in cases:
+        st = trace_structure(cfg, depth)
+        # on ex216 a symmetric function keeps one value across the trap cell at 0
+        tf = (
+            trace_restriction(cfg, named_function(cfg, "tent"), depth)
+            if cfg.name == "ex216"
+            else _random_trace_fn(st, rng)
+        )
+        _cell_masses.cache_clear()
+        runs.append((cfg, st, tf, harmonic_extension(cfg, tf)))
+    for _ in range(2):
+        for cfg, st, tf, fresh in runs:
+            assert harmonic_extension(cfg, tf) == fresh
+            assert _cell_masses(cfg, st) == tuple(
+                0.0 if lo == hi else _cell_mass(cfg, lo, hi) for lo, hi in st.cells
+            )
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
