@@ -760,6 +760,9 @@ def _sim_hitting(args, ctx) -> int:
         chain, used, left, right, samples,
         seed=args.seed, budget=args.budget or 10_000_000,
     )
+    # the diffusion's exact P(hit left before right) from x0_used
+    tl, tx, tr = (ctx.config.interval(index).scale.eval(x) for x in (left, used, right))
+    target = (tr - tx) / (tr - tl)
     result = {
         "kind": "hitting",
         "interval_index": index,
@@ -771,6 +774,7 @@ def _sim_hitting(args, ctx) -> int:
         "std_error": _jnum(est.std_error),
         "samples": est.samples,
         "excluded": est.excluded,
+        "target": target if math.isfinite(target) else None,
     }
     _emit(args, ctx, "simulate", {"samples": samples}, result)
     return 0

@@ -42,8 +42,10 @@ __all__ = [
 
 _BATCH = 1 << 16
 _CHUNK = 1 << 15
-# steps a hitting walker takes on one uniform
+# steps a hitting walker takes on one uniform: on the band law of a window of
+# more than 2 * _STRIDE + 1 sites, and on the dense law of a smaller one
 _STRIDE = 64
+_DENSE_STRIDE = 1 << 10
 
 
 def _site_array(sites) -> np.ndarray:
@@ -350,12 +352,20 @@ def simulate_path(
 # -- hitting statistics ------------------------------------------------------
 
 
+def _dense(sites: int) -> bool:
+    # a window no wider than one band row walks on its dense law
+    return sites <= 2 * _STRIDE + 1
+
+
 def stride_table_entries(sites: int) -> int:
     """Entries of the stride table ``hitting_probability`` builds over ``sites`` sites.
 
-    Each site's row covers the ``2 * _STRIDE + 1`` sites one stride can reach.
+    A window of more than ``2 * _STRIDE + 1`` sites gives each site a row
+    over the ``2 * _STRIDE + 1`` sites one stride can reach.  A smaller one
+    lays each site's dense law out over the ``2 * sites - 1`` sites within
+    ``sites - 1`` of it.  A budget's tail table is no larger.
     """
-    return sites * (2 * _STRIDE + 1)
+    return sites * (2 * sites - 1 if _dense(sites) else 2 * _STRIDE + 1)
 
 
 def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
@@ -384,6 +394,34 @@ def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
         nxt[:, :-1] += np.multiply(law[:, 1:], down[:, 1:], out=flow)
         law, nxt = nxt, law
     cdf = np.cumsum(law, axis=1, out=nxt)
+    return np.minimum(cdf, 1.0, out=cdf)
+
+
+def _dense_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
+    """Cumulated k-step law of the chain stopped on ``stop``, as a band of half-width m - 1.
+
+    Both window ends must be stopped.  The one-step matrix is raised to the
+    k-th power by binary powering: k = 2**j takes j squarings.  Column j of
+    row i is the probability of standing at or below site i - (m - 1) + j
+    after k steps from site i, the layout of :func:`_stride_cdf` with k
+    replaced by m - 1; its cumulated sums are capped at 1.
+    """
+    m = p.size
+    live = np.flatnonzero(~stop)
+    step = np.diag(stop.astype(float))
+    step[live, live + 1] = p[live]
+    step[live, live - 1] = 1.0 - p[live]
+    law = None
+    while k:
+        if k & 1:
+            law = step if law is None else law @ step
+        k >>= 1
+        if k:
+            step = step @ step
+    band = np.zeros((m, 2 * m - 1))
+    rows = np.arange(m)
+    np.put_along_axis(band, rows + (m - 1 - rows)[:, None], law, axis=1)
+    cdf = np.cumsum(band, axis=1)
     return np.minimum(cdf, 1.0, out=cdf)
 
 
@@ -429,19 +467,22 @@ def hitting_probability(
     ``budget`` steps, or frozen on an interior absorbing site, are excluded
     from the estimate and reported in ``excluded``.
 
-    Walkers move up to ``_STRIDE`` steps at a time on the exact law of the
-    chain stopped at l, r and every absorbing site, so where a walk ends has
-    the law of single steps, up to the rounding of that law (about 1e-14).
+    Walkers move up to K steps at a time on the exact law of the chain
+    stopped at l, r and every absorbing site, so where a walk ends has the
+    law of single steps, up to the rounding of that law (about 1e-14).  A
+    window of m <= 2 * ``_STRIDE`` + 1 sites from l to r takes
+    K = ``_DENSE_STRIDE`` steps on its dense m x m law, built by repeated
+    squaring; a wider one takes K = ``_STRIDE`` steps on the band of the
+    2 * ``_STRIDE`` + 1 sites a stride can reach.
 
     Draw contract (the seeded results depend on it): walkers run in batches
     of ``_BATCH``, each batch on a generator from its own child of
     ``SeedSequence(seed).spawn``.  Each iteration draws one
     ``rng.random(n)`` for the n walkers still live, one uniform per walker
-    in walker order, and moves them ``k = min(_STRIDE, budget - steps)``
-    steps: a walker at site i lands on the first site whose cumulated
-    k-step law from i exceeds its uniform.  Only a budget that is not a
-    multiple of ``_STRIDE`` needs a second, shorter table, for its last
-    iteration.
+    in walker order, and moves them ``k = min(K, budget - steps)`` steps: a
+    walker at site i lands on the first site whose cumulated k-step law
+    from i exceeds its uniform.  Only a budget that is not a multiple of K
+    needs a second, shorter table, for its last iteration.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -460,15 +501,16 @@ def hitting_probability(
     # walkers never pass l or r, so they walk on the sites from l to r,
     # numbered from l
     m = ir - il + 1
+    stride, build_cdf = (_DENSE_STRIDE, _dense_cdf) if _dense(m) else (_STRIDE, _stride_cdf)
     check_work(
-        f"the {_STRIDE}-step table of {m} sites", stride_table_entries(m), "table entries"
+        f"the {stride}-step table of {m} sites", stride_table_entries(m), "table entries"
     )
     p = chain.p_right[il : ir + 1]
     # outcome of arriving at each site: 0 walks on, 1 hit l, 2 hit r, 3 stuck
     code = np.where(chain.absorbing[il : ir + 1], 3, 0).astype(np.int8)
     code[0] = 1
     code[-1] = 2
-    # the k-step lookup for each k walked: _STRIDE, and the budget's tail
+    # the k-step lookup for each k walked: the stride, and the budget's tail
     tables = {}
     ss = np.random.SeedSequence(seed)
     n_batches = -(-n_samples // _BATCH)
@@ -481,9 +523,9 @@ def hitting_probability(
         pos = np.full(count, i0 - il, dtype=np.int64)
         steps = 0
         while pos.size and steps < budget:
-            k = min(_STRIDE, budget - steps)
+            k = min(stride, budget - steps)
             if k not in tables:
-                tables[k] = _stride_lookup(_stride_cdf(p, code != 0, k))
+                tables[k] = _stride_lookup(build_cdf(p, code != 0, k))
             pos = _stride_move(tables[k], pos, rng.random(pos.size))
             steps += k
             c = code[pos]

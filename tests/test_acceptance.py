@@ -17,11 +17,12 @@ from bmext import verify
 SEED = verify.DEFAULT_SEED
 
 # sha256 of the `bmext verify --seed S --deterministic` report, recorded on
-# Python 3.11.7 before the walk layer took one nearest-site lookup and one
-# walker-move rule; a refactor keeps both reports byte for byte
+# Python 3.11.7 when windows of at most 129 sites took 1,024-step hitting
+# strides (only the hitting line moved); a refactor keeps both reports byte
+# for byte
 VERIFY_DIGESTS = {
-    20260814: "be96cce9607b98d6a8bf4a09cbbb6587892c03a75df4c6253b61106c7621d77b",
-    20260821: "c39c4d5a2bf21ba8a4a5b9bb1e920d3a9dc08e81f0b900f0e8f9bf8c3a458499",
+    20260814: "cfebab2c9ae3e25fc24b71d42b17d4af24bf3e32b46e56775b643b79b9824697",
+    20260821: "1b329c17635a50b49b68744d671e4ff38404f846d3b69335631d3aadfb26d565",
 }
 
 

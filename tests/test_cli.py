@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bmext.cli as cli
+from bmext import verify
 from bmext.cantor import WORK_BUDGET, CantorBlock
 from bmext.config import preset
 from bmext.forms import energy
@@ -461,6 +462,39 @@ def test_simulate_hitting_estimate(capsys):
     assert abs(r["estimate"] - 7 / 12) <= 4 * r["std_error"]
     code2, out2 = run(capsys, *argv)
     assert code2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize(
+    "preset_name, x0, left, right, exact",
+    [
+        # t(x) = x + C(x) on [0, 1]; x0_used is the float nearest 1/3, and the
+        # exact ratio at it reads C off the float's own ternary digits.  That
+        # float lies 1.85e-17 below 1/3, where C falls short of 1/2 by about
+        # 2.5e-11 (Holder exponent log 2 / log 3), so the target is 7/12 + 1.27e-11
+        ("ex215", "0.3333333333333333", "0", "1",
+         lambda x: (2 - x - verify._digit_oracle(x)) / 2),
+        # the middle of the first gap: C = 1/2 and t = 1 exactly
+        ("ex215", "0.5", "0", "1", lambda x: Fraction(1, 2)),
+        # the excluded endpoint 0 walls ex216's right half-line off: t(0) = -inf
+        ("ex216", "0.5", "0", "1", lambda x: Fraction(0)),
+    ],
+)
+def test_simulate_hitting_reports_its_exact_target(capsys, preset_name, x0, left, right, exact):
+    code, out = run(capsys, "simulate", "hitting", "--preset", preset_name, "--x0", x0,
+                    "--left", left, "--right", right, "--samples", "500")
+    assert code == 0
+    r = json.loads(out)["result"]
+    assert abs(r["target"] - exact(Fraction(r["x0_used"]))) <= 1e-15
+    assert r["samples"] == 500 and r["excluded"] == 0
+
+
+def test_simulate_hitting_target_is_null_when_the_ratio_is_not_finite(capsys):
+    # ex216's left half-line excludes 0, so t(right) = +inf and the ratio is inf/inf
+    code, out = run(capsys, "simulate", "hitting", "--preset", "ex216", "--x0", "-0.5",
+                    "--left", "-1", "--right", "0", "--samples", "500")
+    assert code == 0
+    r = json.loads(out)["result"]
+    assert r["target"] is None and r["estimate"] == 1.0
 
 
 def test_simulate_hitting_requires_x0(capsys):

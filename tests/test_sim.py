@@ -1,6 +1,7 @@
 """Grid-chain approximation: transition law, holding times, Monte Carlo runs."""
 
 import functools
+import hashlib
 import math
 from fractions import Fraction
 
@@ -23,8 +24,10 @@ from bmext.darning import darn
 from bmext.scale import make_scale
 from bmext.sim import (
     _CHUNK,
+    _DENSE_STRIDE,
     _STRIDE,
     McEstimate,
+    _dense_cdf,
     _stride_cdf,
     _stride_lookup,
     _stride_move,
@@ -349,7 +352,7 @@ def test_hitting_ex215_scale_ratio():
     assert est.excluded == 0
     # recorded values: 100k walkers span two batches, so the pin covers the
     # spawned child seeds as well as the per-stride draws
-    assert est == McEstimate(0.58184, 0.0015598225778801717, 100_000, 20260814, excluded=0)
+    assert est == McEstimate(0.57897, 0.0015613013058399959, 100_000, 20260814, excluded=0)
 
 
 def test_hitting_from_the_target_is_exact():
@@ -369,21 +372,36 @@ def test_hitting_reports_budget_exclusions():
     est2 = hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=2, budget=50)
     assert est2.samples + est2.excluded == 2_000
     assert est2.excluded > 0
-    # one 50-step stride; recorded when a budget's tail became one short stride
+    # one 50-step stride; recorded when a budget's tail became one short band
+    # stride, and the same on the dense law
     assert est2 == McEstimate(0.5106109324758843, 0.012680800760313797, 1555, 2, excluded=445)
+
+
+# the two routes to a stride table: the band of a wide window and the dense
+# law of a window of at most 2 * _STRIDE + 1 sites
+ROUTES = {"band": (_stride_cdf, _STRIDE), "dense": (_dense_cdf, _DENSE_STRIDE)}
+
+
+def _route(m):
+    return "dense" if m <= 2 * _STRIDE + 1 else "band"
+
+
+def _half_width(route, m):
+    return _STRIDE if route == "band" else m - 1
 
 
 def _contract_walk(chain, i0, n, seed, budget):
     # the draw contract spelled out for one batch walking between the grid's
-    # ends: each iteration moves every live walker min(_STRIDE, budget - steps)
-    # steps on one uniform
+    # ends: each iteration moves every live walker min(K, budget - steps)
+    # steps on one uniform, K being the stride of the window's route
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     end = chain.sites.size - 1
+    table, stride = ROUTES[_route(chain.sites.size)]
     pos = np.full(n, i0)
     hit_l = hit_r = steps = 0
     while pos.size and steps < budget:
-        k = min(_STRIDE, budget - steps)
-        lookup = _stride_lookup(_stride_cdf(chain.p_right, chain.absorbing, k))
+        k = min(stride, budget - steps)
+        lookup = _stride_lookup(table(chain.p_right, chain.absorbing, k))
         pos = _stride_move(lookup, pos, rng.random(pos.size))
         steps += k
         hit_l += int(np.count_nonzero(pos == 0))
@@ -392,34 +410,119 @@ def _contract_walk(chain, i0, n, seed, budget):
     return hit_l, hit_l + hit_r, pos.size
 
 
-@pytest.mark.parametrize("budget", [_STRIDE, _STRIDE + 3])
-def test_hitting_budget_takes_whole_strides_then_one_short_stride(budget):
-    # a budget of 67 is one stride of 64 steps and one of three
-    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 13))
-    est = hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=2, budget=budget)
+def _brownian_chain(sites):
+    return build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, sites))
+
+
+def _check_contract(sites, i0, budget):
+    chain = _brownian_chain(sites)
+    est = hitting_probability(chain, chain.sites[i0], 0.0, 1.0, 2_000, seed=2, budget=budget)
     assert est.samples + est.excluded == 2_000
     assert est.samples > 0 and est.excluded > 0
-    succ, settled, live = _contract_walk(chain, 6, 2_000, 2, budget)
+    succ, settled, live = _contract_walk(chain, i0, 2_000, 2, budget)
     assert (est.samples, est.excluded) == (settled, live)
     assert est.estimate == succ / settled
 
 
-def test_hitting_builds_each_stride_table_once_per_call(monkeypatch):
+@pytest.mark.parametrize("budget", [_STRIDE, _STRIDE + 3])
+def test_hitting_budget_takes_whole_strides_then_one_short_stride(budget):
+    # a budget of 67 is one stride of 64 steps and one of three, on the band
+    # of the narrowest window that walks on it
+    _check_contract(2 * _STRIDE + 2, 8, budget)
+
+
+@pytest.mark.parametrize(
+    "sites, i0, budget",
+    [(129, 8, _DENSE_STRIDE), (129, 8, _DENSE_STRIDE + 3), (13, 6, _STRIDE + 3)],
+)
+def test_dense_hitting_budget_takes_whole_strides_then_one_short_stride(sites, i0, budget):
+    # the same on the dense law of the widest window that walks on it, and a
+    # budget shorter than one dense stride
+    _check_contract(sites, i0, budget)
+
+
+def _record_tables(monkeypatch):
     built = []
+    for name in ("_stride_cdf", "_dense_cdf"):
+        def recording(p, stop, k, _build=getattr(sim, name), _name=name):
+            built.append((_name, k))
+            return _build(p, stop, k)
 
-    def recording(p, stop, k=_STRIDE):
-        built.append(k)
-        return _stride_cdf(p, stop, k)
+        monkeypatch.setattr(sim, name, recording)
+    return built
 
-    monkeypatch.setattr(sim, "_stride_cdf", recording)
-    chain = build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 13))
-    # two batches, each ending on a three-step stride
-    hitting_probability(chain, 0.5, 0.0, 1.0, sim._BATCH + 10, seed=3, budget=2 * _STRIDE + 3)
-    assert built == [_STRIDE, 3]
-    # the default budget is a whole number of strides: no tail table
-    built.clear()
-    hitting_probability(chain, 0.5, 0.0, 1.0, 2_000, seed=3)
-    assert built == [_STRIDE]
+
+def test_hitting_builds_each_stride_table_once_per_call(monkeypatch):
+    built = _record_tables(monkeypatch)
+    # the widest dense window and the narrowest band window
+    for sites in (2 * _STRIDE + 1, 2 * _STRIDE + 2):
+        table, stride = ROUTES[_route(sites)]
+        chain = _brownian_chain(sites)
+        x0 = chain.sites[sites // 2]
+        # two batches, each ending on a three-step stride
+        built.clear()
+        hitting_probability(chain, x0, 0.0, 1.0, sim._BATCH + 10, seed=3, budget=2 * stride + 3)
+        assert built == [(table.__name__, stride), (table.__name__, 3)]
+        # the default budget is a whole number of strides: no tail table
+        built.clear()
+        hitting_probability(chain, x0, 0.0, 1.0, 2_000, seed=3)
+        assert built == [(table.__name__, stride)]
+
+
+@pytest.mark.parametrize("sites", [3, 49, 129, 130, 1000])
+def test_stride_table_entries_count_the_table_the_call_builds(monkeypatch, sites):
+    shapes = []
+
+    def recording(cdf):
+        shapes.append(cdf.shape)
+        return _stride_lookup(cdf)
+
+    monkeypatch.setattr(sim, "_stride_lookup", recording)
+    chain = _brownian_chain(sites)
+    route = _route(sites)
+    _, stride = ROUTES[route]
+    hitting_probability(chain, chain.sites[1], 0.0, 1.0, 10, seed=1, budget=stride)
+    assert shapes == [(sites, 2 * _half_width(route, sites) + 1)]
+    assert stride_table_entries(sites) == sites * shapes[0][1]
+
+
+@pytest.mark.parametrize("sites, stride", [(49, _DENSE_STRIDE), (130, _STRIDE)])
+def test_hitting_table_refusal_names_the_stride_it_would_walk(monkeypatch, sites, stride):
+    monkeypatch.setattr("bmext.cantor.WORK_BUDGET", 100)
+    chain = _brownian_chain(sites)
+    with pytest.raises(ValueError) as info:
+        hitting_probability(chain, chain.sites[1], 0.0, 1.0, 10, seed=1)
+    assert str(info.value) == (
+        f"the {stride}-step table of {sites} sites would build"
+        f" {stride_table_entries(sites)} table entries, over the work budget of 100"
+    )
+
+
+def test_band_route_lands_where_it_did_before_the_dense_route():
+    # a window of 2 * _STRIDE + 2 sites keeps the 64-step band bit for bit:
+    # sha256 of the landing sites of 20,000 (row, uniform) pairs, u = 0 and
+    # u = 1 - 2**-53 included, and a seeded estimate over 40 full strides
+    # and a 37-step tail, all recorded before windows of at most
+    # 2 * _STRIDE + 1 sites took the dense law
+    config = preset("ex215", depth=6)
+    grid = snap_grid(config, 0, -0.5, 1.5, 129, depth=6)
+    assert grid.size == 2 * _STRIDE + 2
+    chain = build_chain(config, 0, grid)
+    stop = chain.absorbing.copy()
+    stop[[0, -1]] = True
+    rng = np.random.default_rng(20261019)
+    pos = rng.integers(0, grid.size, 20_000)
+    u = rng.random(20_000)
+    u[:2] = [0.0, 1.0 - 2.0**-53]
+    digests = {
+        64: "31834cf881a46840041aaf114b024063f562b91f620f0621a079c7c750e2680e",
+        37: "495f27799017adf2fda1a5372bfda7aae4a9ac65e40d3b6edbdfe22e1dfe2f6a",
+    }
+    for k, digest in digests.items():
+        site = _stride_move(_stride_lookup(_stride_cdf(chain.p_right, stop, k)), pos, u)
+        assert hashlib.sha256(site.astype(np.int64).tobytes()).hexdigest() == digest
+    est = hitting_probability(chain, grid[60], -0.5, 1.5, 3_000, seed=5, budget=64 * 40 + 37)
+    assert est == McEstimate(0.5395814376706096, 0.015041936211257533, 1099, 5, excluded=1901)
 
 
 def test_hitting_between_interior_sites_pinned_values():
@@ -428,7 +531,7 @@ def test_hitting_between_interior_sites_pinned_values():
     chain = build_chain(EX215, 0, grid)
     assert not chain.absorbing[[4, 16]].any()
     est = hitting_probability(chain, grid[8], grid[4], grid[16], 5_000, seed=7)
-    assert est == McEstimate(0.4448, 0.00702854694047204, 5_000, 7, excluded=0)
+    assert est == McEstimate(0.443, 0.007025672353191748, 5_000, 7, excluded=0)
 
 
 def test_hitting_refuses_a_negative_budget():
@@ -448,8 +551,10 @@ def test_hitting_is_bitwise_deterministic():
 # -- stride tables -----------------------------------------------------------
 
 
-def _fraction_stride_cdf(p, stop, k):
-    # the k-step law of the stopped chain, one exact step at a time
+def _fraction_stride_cdf(p, stop, k, half=None):
+    # the k-step law of the stopped chain, one exact step at a time, cumulated
+    # over the sites within ``half`` (by default k) of the start
+    half = k if half is None else half
     m = len(p)
     rows = []
     for i in range(m):
@@ -467,7 +572,7 @@ def _fraction_stride_cdf(p, stop, k):
             law = nxt
         total = Fraction(0)
         row = []
-        for site in range(i - k, i + k + 1):
+        for site in range(i - half, i + half + 1):
             total += law.get(site, Fraction(0))
             row.append(total)
         rows.append(row)
@@ -502,6 +607,39 @@ def test_short_and_full_stride_tables_are_the_exact_law(k, interior_stop):
         assert got == exact
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("interior_stop", [False, True])
+def test_dense_tables_are_the_exact_law(k, interior_stop):
+    # the dense powers against the Fraction law, laid out over the 2m - 1
+    # sites within m - 1 of each start; a dyadic chain's law is exact in floats
+    chain = _brownian_chain(9)
+    stop = chain.absorbing.copy()
+    stop[3] = interior_stop
+    cdf = _dense_cdf(chain.p_right, stop, k)
+    assert cdf.shape == (9, 17)
+    exact = _fraction_stride_cdf(chain.p_right.tolist(), stop.tolist(), k, half=8)
+    assert [[Fraction(v) for v in row] for row in cdf.tolist()] == exact
+
+
+def test_squared_table_keeps_the_scale_on_verify_grid():
+    # verify's hitting window: ten squarings of the one-step matrix
+    grid = snap_grid(EX215, 0, 0.0, 1.0, 48, depth=10)
+    chain = build_chain(EX215, 0, grid)
+    m = grid.size
+    stop = chain.absorbing.copy()
+    stop[[0, -1]] = True
+    cdf = _dense_cdf(chain.p_right, stop, _DENSE_STRIDE)
+    assert np.abs(cdf[:, -1] - 1.0).max() <= 1e-12
+    band = np.diff(cdf, axis=1, prepend=0.0)
+    law = np.take_along_axis(band, m - 1 - np.arange(m)[:, None] + np.arange(m), axis=1)
+    # law[i, j] is P^K[i, j]; the chain is exactly scale-harmonic, so every
+    # live row keeps the scale values, whatever the rounding of the squares
+    t = np.array([EX215.interval(0).scale.eval(x) for x in grid])
+    live = ~stop
+    assert (t[live] > 0).all()
+    assert (np.abs(law @ t - t)[live] <= 1e-12 * t[live]).all()
+
+
 def _slot_chain(config, left, right, depth):
     n = config.locate((left + right) / 2)
     grid = snap_grid(config, n, left, right, 48, depth=depth)
@@ -525,10 +663,6 @@ def test_stride_table_keeps_the_scale_ratio(name, depth, left, right):
     m = chain.sites.size
     stop = chain.absorbing.copy()
     stop[[0, -1]] = True
-    cdf = _stride_cdf(chain.p_right, stop, _STRIDE)
-    assert cdf.shape == (m, 2 * _STRIDE + 1)
-    assert stride_table_entries(m) == cdf.size
-    assert np.abs(cdf[:, -1] - 1.0).max() <= 1e-12
     # the stopped chain's exact P(hit left before right), by a tridiagonal solve
     a = np.eye(m)
     b = np.zeros(m)
@@ -540,36 +674,43 @@ def test_stride_table_keeps_the_scale_ratio(name, depth, left, right):
     scale = config.interval(n).scale
     t = np.array([scale.eval(x) for x in chain.sites])
     assert np.abs(h - (t[-1] - t) / (t[-1] - t[0])).max() <= 1e-12
-    # and a stride keeps it: h is harmonic for the table's law
-    law = np.diff(cdf, axis=1, prepend=0.0)
-    reach = np.arange(m)[:, None] + np.arange(-_STRIDE, _STRIDE + 1)
-    h_band = np.where((reach >= 0) & (reach < m), h[reach.clip(0, m - 1)], 0.0)
-    assert np.abs((law * h_band).sum(axis=1) - h).max() <= 1e-12
+    for route, (table, stride) in ROUTES.items():
+        cdf = table(chain.p_right, stop, stride)
+        half = _half_width(route, m)
+        assert cdf.shape == (m, 2 * half + 1)
+        assert np.abs(cdf[:, -1] - 1.0).max() <= 1e-12
+        # and a stride keeps it: h is harmonic for the table's law
+        law = np.diff(cdf, axis=1, prepend=0.0)
+        reach = np.arange(m)[:, None] + np.arange(-half, half + 1)
+        h_band = np.where((reach >= 0) & (reach < m), h[reach.clip(0, m - 1)], 0.0)
+        assert np.abs((law * h_band).sum(axis=1) - h).max() <= 1e-12
 
 
 @functools.cache
-def _stride_case(name, depth, left, right):
+def _stride_case(name, depth, left, right, route):
     _, _, chain = _slot_chain(preset(name, depth=depth), left, right, depth)
     stop = chain.absorbing.copy()
     stop[[0, -1]] = True
-    cdf = _stride_cdf(chain.p_right, stop, _STRIDE)
+    table, stride = ROUTES[route]
+    cdf = table(chain.p_right, stop, stride)
     return cdf, _stride_lookup(cdf)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     grid=st.sampled_from(STRIDE_GRIDS),
+    route=st.sampled_from(sorted(ROUTES)),
     row=st.integers(0, 48),
     u=st.one_of(
         st.sampled_from([0.0, 1.0 - 2.0**-53]),
         st.floats(0.0, 1.0, exclude_max=True),
     ),
 )
-def test_stride_lookup_lands_on_a_site_of_positive_probability(grid, row, u):
-    cdf, lookup = _stride_case(*grid)
+def test_stride_lookup_lands_on_a_site_of_positive_probability(grid, route, row, u):
+    cdf, lookup = _stride_case(*grid, route)
     row = min(row, cdf.shape[0] - 1)
     (site,) = _stride_move(lookup, np.array([row]), np.array([u]))
-    col = site - row + _STRIDE
+    col = site - row + _half_width(route, cdf.shape[0])
     assert 0 <= site < cdf.shape[0] and 0 <= col < cdf.shape[1]
     below = cdf[row, col - 1] if col else 0.0
     assert cdf[row, col] > below

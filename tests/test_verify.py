@@ -1,5 +1,10 @@
 """The verify battery's own builders against their former, plainer versions."""
 
+import pathlib
+import runpy
+
+import pytest
+
 from bmext import verify
 from bmext.config import preset
 from bmext.forms import IntervalPart, PiecewiseFn, energy
@@ -51,3 +56,16 @@ def test_bump_builder_matches_the_list_builder_and_keeps_the_worst_gap():
             target = 0.5 * a * a / s * verify._BUMP_GRAD_SQ
             worst = max(worst, abs(energy(cfg, got) - target) / target)
     assert worst == 2.1875001809945616e-09
+
+
+def _battery_seeds():
+    # the seeds the benchmark's verify workload runs the battery on
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["VERIFY_SEEDS"]
+
+
+@pytest.mark.parametrize("seed", sorted({*_battery_seeds(), verify.DEFAULT_SEED}))
+def test_hitting_check_passes_on_every_battery_seed(seed):
+    # a 3-sigma test of two seeded 100k-walker runs: a change of the walk's
+    # draws moves every estimate, and each of these seeds must still pass
+    assert verify.check_hitting(seed)
