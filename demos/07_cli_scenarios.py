@@ -7,6 +7,7 @@ installed.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +53,14 @@ SCENARIO = {
     ],
 }
 
+
+def bmext(*argv: str) -> None:
+    """Run one command in-process; stop the demo if it is refused."""
+    code = cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"bmext {' '.join(argv)} exited {code}")
+
+
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.json"
     path.write_text(json.dumps(SCENARIO))
@@ -60,22 +69,23 @@ with tempfile.TemporaryDirectory() as tmp:
     # The reported sha256 depends only on the configuration content, so
     # this file hashes identically to the ex215 preset it reproduces.
     print("== validate ==")
-    cli.main(["validate", "--scenario", str(path), "--deterministic"])
+    bmext("validate", "--scenario", str(path), "--deterministic")
 
     # bmext energy --scenario demo.json --function ramp-and-stair
     # unit dx-slope and unit staircase slope on [0, 1]: energy 1/2 + 1/2.
     print("\n== energy ==")
-    cli.main(["energy", "--scenario", str(path), "--function", "ramp-and-stair", "--deterministic"])
+    bmext("energy", "--scenario", str(path), "--function", "ramp-and-stair", "--deterministic")
 
-    # bmext simulate --scenario demo.json --experiment 0
-    # parameters come from the experiment entry; flags would override.
-    print("\n== simulate, experiment 0 ==")
-    cli.main(["simulate", "--scenario", str(path), "--experiment", "0", "--deterministic"])
+    # bmext simulate hitting --scenario demo.json --experiment 0
+    # parameters come from the experiment entry; flags would override.  The
+    # walk kind is named on the command line too, and must match the entry's.
+    print("\n== simulate hitting, experiment 0 ==")
+    bmext("simulate", "hitting", "--scenario", str(path), "--experiment", "0", "--deterministic")
 
     # Presets skip the file: bmext darn --preset ex215 --out tables/
     print("\n== darn a preset, with a CSV table ==")
     out = Path(tmp) / "tables"
-    cli.main(["darn", "--preset", "ex215", "--depth", "4", "--out", str(out), "--deterministic"])
+    bmext("darn", "--preset", "ex215", "--depth", "4", "--out", str(out), "--deterministic")
     print("\nfirst lines of the atom table:")
     for line in (out / "darn_atoms.csv").read_text().splitlines()[:6]:
         print(f"  {line}")

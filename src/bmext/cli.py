@@ -28,25 +28,26 @@ cells.  Endpoints accept the strings "inf" and "-inf"; block weights accept
 numbers or exact fraction strings.
 
 The argument parser is the one record of the command surface: the commands,
-the flags each takes, the values each flag accepts and the handler that runs
-it.  Every command but verify takes --scenario or --preset, --depth, --tol,
---seed, --experiment and --deterministic; energy, decompose and trace take
---function, darn and simulate --index, decompose and simulate --samples,
-and decompose, darn, trace and simulate --out.  simulate also takes its walk
-kind, --x0, --left, --right, --steps, --mode, --cells and --budget; verify
-takes only --seed and --deterministic.  An experiment's keys are its
-command's own flags less the run flags (scenario, preset, depth, tol, out,
-experiment, deterministic), and each value is read as that flag reads it.
+the walk kinds of simulate (hitting, path, trace and darned, each a parser of
+its own), the flags each takes, the values each flag accepts and the handler
+that runs it; `bmext <command> [<kind>] --help` prints it.  verify takes only
+--seed and --deterministic.  Every other command and kind takes --scenario or
+--preset, --depth, --tol, --seed, --experiment and --deterministic, and only
+the flags it reads besides.  An experiment's keys are its command's own flags
+less the run flags (scenario, preset, depth, tol, out, experiment,
+deterministic), each read as that flag reads it; a simulate experiment names
+its kind, whose flags it carries, and runs only under that kind.
 
-The parser refuses, with exit code 2, a flag the command does not take, a
---seed or --depth below 0 (below 1 for trace), a --samples, --steps,
---cells or --budget below 1, and a NaN or infinite --x0, --left, --right or
---tol; a scenario is refused alike when one of its experiments carries such
-a value.  --index, --experiment and the --depth of simulate trace are
-checked when the command runs, since their range depends on the
-configuration or the walk kind.  Schema violations exit 2 too, semantic
-failures (overlapping intervals, impossible requests, an --out that cannot
-be written) 1.  A closed stdout exits 1 with nothing on stderr.
+The parser refuses, with exit code 2, a flag the command or kind does not
+take, a --seed or --depth below 0 (below 1 for trace and simulate trace), a
+--budget below 1, a --samples, --steps or --cells outside [1, WORK_BUDGET],
+and a NaN or infinite --x0, --left, --right or --tol; a scenario is refused
+alike when one of its experiments carries such a value.  An --index or
+--experiment out of range, or a walk's --x0 outside its window, exits 1 when
+the command runs, since that range depends on the configuration.  Schema
+violations exit 2 too, semantic failures (overlapping intervals, impossible
+requests, an --out that cannot be written) 1.  A closed stdout exits 1 with
+nothing on stderr.
 
 Every command prints one JSON document that embeds the scenario hash, the
 working depth, and the seed; bulk tables (atoms, paths, occupation counts,
@@ -69,7 +70,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import check_work
+from .cantor import WORK_BUDGET, check_work
 from .config import (
     DEFAULT_SEED,
     PRESET_NAMES,
@@ -314,13 +315,17 @@ def _parse_experiment(exp, path: str) -> dict:
     if not isinstance(exp, dict):
         raise ScenarioError(f"{path}: expected an object")
     command = exp.get("command")
-    commands = sorted(c for c in _commands() if "scenario" in _flags(c))
+    commands = sorted(c for c in _subcommands(_build_parser()) if c != "verify")
     if command not in commands:
         raise ScenarioError(f"{path}.command: expected one of {', '.join(commands)}")
+    run = {"command": command}
     flags = _flags(command)
-    _reject_unknown(exp, flags.keys() - _RUN_FLAGS | {"command"}, path)
+    if "kind" in flags:  # simulate: the kind's parser reads the other keys
+        run["kind"] = _flag_value(flags["kind"], exp.get("kind"), f"{path}.kind")
+        flags = _flags(command, run["kind"])
+    _reject_unknown(exp, flags.keys() - _RUN_FLAGS | run.keys(), path)
     return {
-        key: value if key == "command" else _flag_value(flags[key], value, f"{path}.{key}")
+        key: run[key] if key in run else _flag_value(flags[key], value, f"{path}.{key}")
         for key, value in exp.items()
     }
 
@@ -474,13 +479,12 @@ def _load_context(args) -> _Context:
                 f" (scenario defines {len(ctx.experiments)})"
             )
         exp = ctx.experiments[args.experiment]
-        if exp["command"] != args.command:
-            raise CommandError(
-                f"experiment {args.experiment} is a {exp['command']!r} run,"
-                f" not {args.command!r}"
-            )
+        ran = " ".join(filter(None, (exp["command"], exp.get("kind"))))
+        asked = " ".join(filter(None, (args.command, getattr(args, "kind", None))))
+        if ran != asked:
+            raise CommandError(f"experiment {args.experiment} is a {ran!r} run, not {asked!r}")
         for key, value in exp.items():
-            if key != "command" and getattr(args, key, None) is None:
+            if getattr(args, key, None) is None:
                 setattr(args, key, value)
     # defaults apply once the experiment has filled in what it carries: the
     # seed here, each walk size where it is read, as `args.steps or 10_000`
@@ -496,12 +500,11 @@ def _require_valid(ctx: _Context) -> None:
         raise CommandError("invalid configuration: " + "; ".join(report.errors))
 
 
-def _within_budget(what: str, count: int, unit: str) -> None:
-    """Refuse more than WORK_BUDGET items of work as a CommandError."""
-    try:
-        check_work(what, count, unit)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
+def _valid_context(args) -> _Context:
+    """The run's context, once its configuration has passed validate."""
+    ctx = _load_context(args)
+    _require_valid(ctx)
+    return ctx
 
 
 def _index(ctx: _Context, index) -> int:
@@ -636,8 +639,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_darn(args) -> int:
-    ctx = _load_context(args)
-    _require_valid(ctx)
+    ctx = _valid_context(args)
     index = _index(ctx, 0 if args.index is None else args.index)
     spec = darn(ctx.config, index, depth=args.depth)
     at_lo, at_hi = spec.slow_reflection()
@@ -712,9 +714,10 @@ def cmd_trace(args) -> int:
 
 
 # -- simulate ----------------------------------------------------------------------
-# The walks need numpy, so each runner imports its sim functions when it runs:
-# the exact commands never load them.  Looking them up at call time also sees
-# any wrapper put on bmext.sim after this module was imported.
+# Each walk kind's runner is its parser's handler.  The walks need numpy, so
+# each runner imports its sim functions when it runs: the exact commands never
+# load them.  Looking them up at call time also sees any wrapper put on
+# bmext.sim after this module was imported.
 
 
 def _need(args, name: str):
@@ -727,33 +730,31 @@ def _need(args, name: str):
 def _hitting_grid(args, ctx):
     from .sim import build_chain, nearest_site, snap_grid
 
-    x0 = float(_need(args, "x0"))
-    index = args.index
+    x0 = _need(args, "x0")
+    index = ctx.config.locate(x0) if args.index is None else _index(ctx, args.index)
     if index is None:
-        index = ctx.config.locate(x0)
-        if index is None:
-            raise CommandError(
-                f"x0={x0} lies in the trap complement; pass --index to pick"
-                " an interval"
-            )
-    else:
-        index = _index(ctx, index)
-    left = float(_need(args, "left"))
-    right = float(_need(args, "right"))
+        raise CommandError(f"x0={x0} lies in the trap complement;"
+                           " pass --index to pick an interval")
+    left, right = _need(args, "left"), _need(args, "right")
     grid = snap_grid(ctx.config, index, left, right, args.cells or 48, depth=args.depth)
+    if not left <= x0 <= right:
+        raise CommandError(f"simulate {args.kind}: --x0 {x0} lies outside the window"
+                           f" [{left}, {right}]")
     chain = build_chain(ctx.config, index, grid)
     used = float(grid[nearest_site(grid, x0)[0]])
     return index, left, right, grid, chain, x0, used
 
 
-def _sim_hitting(args, ctx) -> int:
+def _sim_hitting(args) -> int:
     from .sim import hitting_probability, stride_table_entries
 
+    ctx = _valid_context(args)
     # the window's grid has at most cells + 1 sites, each a row of the table
-    _within_budget(
-        "simulate hitting's stride table",
-        stride_table_entries((args.cells or 48) + 1), "table entries",
-    )
+    try:
+        check_work("simulate hitting's stride table",
+                   stride_table_entries((args.cells or 48) + 1), "table entries")
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
     samples = args.samples or 100_000
     est = hitting_probability(
@@ -780,9 +781,10 @@ def _sim_hitting(args, ctx) -> int:
     return 0
 
 
-def _sim_path(args, ctx) -> int:
+def _sim_path(args) -> int:
     from .sim import simulate_path
 
+    ctx = _valid_context(args)
     index, left, right, grid, chain, x0, used = _hitting_grid(args, ctx)
     steps = args.steps or 10_000
     sample = simulate_path(chain, used, budget=steps, seed=args.seed)
@@ -806,15 +808,14 @@ def _sim_path(args, ctx) -> int:
     return 0
 
 
-def _sim_trace(args, ctx) -> int:
+def _sim_trace(args) -> int:
     from .sim import simulate_trace_chain
 
-    if args.depth < 1:  # the bound depends on the walk kind, so it is not the parser's
-        raise UsageError(f"--depth must be at least 1 for the trace set, got {args.depth}")
+    ctx = _valid_context(args)
     sites = trace_structure(ctx.config, args.depth).sites()
     mu = build_trace_measure(ctx.config)
     mode = args.mode or "extension"
-    x0 = float(_need(args, "x0"))
+    x0 = _need(args, "x0")
     steps = args.steps or 100_000
     table = simulate_trace_chain(
         ctx.config, mu, sites, x0, steps, seed=args.seed, mode=mode, cells=args.cells or 16,
@@ -836,15 +837,20 @@ def _sim_trace(args, ctx) -> int:
     return 0
 
 
-def _sim_darned(args, ctx) -> int:
+def _sim_darned(args) -> int:
     from .sim import nearest_site, simulate_darned
 
+    ctx = _valid_context(args)
     index = _index(ctx, 0 if args.index is None else args.index)
     spec = darn(ctx.config, index, depth=args.depth)
     sites = sorted({float(loc) for loc, _ in spec.atoms})
     if not sites:
         raise CommandError("the darned image has no atoms at this depth")
-    x0 = sites[len(sites) // 2] if args.x0 is None else float(args.x0)
+    x0 = sites[len(sites) // 2] if args.x0 is None else args.x0
+    lo, hi = float(spec.image_lo), float(spec.image_hi)
+    if not lo <= x0 <= hi:
+        raise CommandError(f"simulate darned: --x0 {x0} lies outside the darned image"
+                           f" [{lo}, {hi}]")
     x0 = sites[int(nearest_site(sites, x0)[0])]
     steps = args.steps or 100_000
     occ = simulate_darned(spec, sites, x0, steps, seed=args.seed)
@@ -865,25 +871,6 @@ def _sim_darned(args, ctx) -> int:
             occ.sites, occ.site_mass, occ.visits, occ.occupation)],
     ))
     return 0
-
-
-_SIM_RUNNERS = {"hitting": _sim_hitting, "path": _sim_path, "trace": _sim_trace,
-                "darned": _sim_darned}
-# what each walk size counts, for the work budget
-_WALK_SIZES = {"cells": "grid cells", "samples": "walkers", "steps": "walk steps"}
-
-
-def cmd_simulate(args) -> int:
-    ctx = _load_context(args)
-    # refuse an oversized walk before the configuration is even validated
-    for name, unit in _WALK_SIZES.items():
-        _within_budget(f"simulate --{name}", getattr(args, name) or 1, unit)
-    _require_valid(ctx)
-    if args.kind is None:
-        raise CommandError(
-            f"pass a walk kind ({', '.join(_SIM_RUNNERS)}) or an experiment that names one"
-        )
-    return _SIM_RUNNERS[args.kind](args, ctx)
 
 
 def cmd_verify(args) -> int:
@@ -926,29 +913,40 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """The type of an int flag that refuses values below ``low`` (exit 2)."""
+def _int_in(low: int, high: int | None = None):
+    """The type of an int flag that refuses values outside [low, high] (exit 2)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             bound = "non-negative" if low == 0 else f"at least {low}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
+        elif high is not None and value > high:
+            bound = f"at most {high}"
+        else:
+            return value
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
 
     parse.__name__ = "int"  # argparse refuses text that int() cannot read as "invalid int value"
     return parse
 
 
-_NON_NEGATIVE = _int_at_least(0)
-_POSITIVE = _int_at_least(1)
+_NON_NEGATIVE = _int_in(0)
+_POSITIVE = _int_in(1)
+_WORK = _int_in(1, WORK_BUDGET)  # a count of work items: the walk sizes, the samples
 
-# the flags that some scenario commands take and others do not
+# the flags that some commands and walk kinds take and others do not
 _SHARED_FLAGS = {
     "function": {"help": "built-in or scenario-defined name"},
     "index": {"type": int, "help": "interval index"},
-    "samples": {"type": _POSITIVE, "help": "walker count / sample point count"},
+    "samples": {"type": _WORK, "help": "walker count / sample point count"},
     "out": {"metavar": "DIR", "help": "directory for CSV tables"},
+    "x0": {"type": _finite_float, "help": "starting point"},
+    "left": {"type": _finite_float, "help": "left end of the walk's window"},
+    "right": {"type": _finite_float, "help": "right end of the walk's window"},
+    "cells": {"type": _WORK, "help": "grid cells"},
+    "steps": {"type": _WORK, "help": "walk steps"},
+    "mode": {"choices": ("extension", "brownian"), "help": "the trace form walked"},
+    "budget": {"type": _POSITIVE, "help": "step cap of each hitting walk"},
 }
 
 
@@ -960,7 +958,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_command(sub, name: str, handler, help: str, *shared: str, depth=_NON_NEGATIVE):
-    """A scenario command's parser: the flags every one takes, then ``shared``."""
+    """A scenario command's or walk kind's parser: the flags every one takes, then ``shared``."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(handler=handler)
     _add_run_options(p)
@@ -996,16 +994,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "trace", cmd_trace, "restrict a function to the trace set",
                  "function", "out", depth=_POSITIVE)
 
-    p = _add_command(sub, "simulate", cmd_simulate, "run a seeded walk",
-                     "index", "samples", "out")
-    p.add_argument("kind", nargs="?", choices=_SIM_RUNNERS)
-    p.add_argument("--x0", type=_finite_float, default=None)
-    p.add_argument("--left", type=_finite_float, default=None)
-    p.add_argument("--right", type=_finite_float, default=None)
-    p.add_argument("--steps", type=_POSITIVE, default=None)
-    p.add_argument("--mode", choices=("extension", "brownian"), default=None)
-    p.add_argument("--cells", type=_POSITIVE, default=None)
-    p.add_argument("--budget", type=_POSITIVE, default=None)
+    kinds = sub.add_parser("simulate", help="run a seeded walk").add_subparsers(
+        dest="kind", required=True)
+    window = ("index", "x0", "left", "right", "cells")
+    _add_command(kinds, "hitting", _sim_hitting, "P(hit --left before --right) from --x0",
+                 *window, "samples", "budget")
+    _add_command(kinds, "path", _sim_path, "one path of the grid walk", *window, "steps", "out")
+    _add_command(kinds, "trace", _sim_trace, "the time-changed walk on the trace set",
+                 "x0", "mode", "cells", "steps", "out", depth=_POSITIVE)
+    _add_command(kinds, "darned", _sim_darned, "the darned process of an interval",
+                 "index", "x0", "steps", "out")
 
     p = sub.add_parser("verify", help="run the self-check battery")
     p.set_defaults(handler=cmd_verify)
@@ -1013,17 +1011,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _commands() -> dict[str, argparse.ArgumentParser]:
-    """Each command's parser, by name."""
-    return next(
-        a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """The parsers of ``parser``'s commands or walk kinds, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 @functools.cache
-def _flags(command: str) -> dict[str, argparse.Action]:
-    """The actions of a command's parser, by destination."""
-    return {action.dest: action for action in _commands()[command]._actions}
+def _flags(command: str, kind: str | None = None) -> dict[str, argparse.Action]:
+    """The actions of a command's parser, or of its walk kind's, by destination."""
+    parser = _subcommands(_build_parser())[command]
+    if kind is not None:
+        parser = _subcommands(parser)[kind]
+    return {action.dest: action for action in parser._actions}
 
 
 def main(argv=None) -> int:

@@ -382,10 +382,11 @@ def test_walk_outputs_match_their_pins(tmp_path, capsys, monkeypatch):
     # starting points on, off and halfway between sites
     monkeypatch.chdir(tmp_path)
     for key, (out_sha, csv_sha) in WALK_PINS.items():
-        code, out = run(capsys, "simulate", *key.split(), "--out", "out", "--deterministic")
+        csv = WALK_CSV.get(key.split()[0])
+        out_flag = () if csv is None else ("--out", "out")
+        code, out = run(capsys, "simulate", *key.split(), *out_flag, "--deterministic")
         assert code == 0, key
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha, key
-        csv = WALK_CSV.get(key.split()[0])
         if csv is None:
             assert csv_sha is None, key
         else:
@@ -503,9 +504,45 @@ def test_simulate_hitting_requires_x0(capsys):
     assert "--x0" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each was walked from the nearest window end, with exit 0: hitting
+        # from 0.0 (estimate 1.0), path from 1.0 and darned from 0.99609375
+        (("hitting", "--preset", "ex215", "--x0", "-3", "--left", "0", "--right", "1"),
+         "simulate hitting: --x0 -3.0 lies outside the window [0.0, 1.0]"),
+        (("path", "--preset", "ex215", "--x0", "5", "--left", "0", "--right", "1"),
+         "simulate path: --x0 5.0 lies outside the window [0.0, 1.0]"),
+        (("darned", "--preset", "ex215", "--x0", "100"),
+         "simulate darned: --x0 100.0 lies outside the darned image [0.0, 1.0]"),
+    ],
+    ids=["hitting", "path", "darned"],
+)
+def test_start_point_outside_the_window_exits_1(capsys, argv, message):
+    assert refused(capsys, 1, "simulate", *argv) == {"type": "CommandError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, used",
+    [
+        (("hitting", "--x0", "1", "--left", "0", "--right", "1", "--samples", "10"), 1.0),
+        (("path", "--x0", "-0.0", "--left", "0", "--right", "1", "--steps", "10"), 0.0),
+        # the darned image's end is no site: the walk starts at the nearest one
+        (("darned", "--x0", "0", "--depth", "4", "--steps", "10"), 0.0625),
+    ],
+    ids=["hitting", "path", "darned"],
+)
+def test_start_point_on_the_window_end_is_walked_from_the_nearest_site(capsys, argv, used):
+    code, out = run(capsys, "simulate", *argv, "--preset", "ex215")
+    assert code == 0
+    assert json.loads(out)["result"]["x0_used"] == used
+
+
 def test_simulate_without_kind_exits_1(capsys):
+    # named for the exit 1 it had while the kind was optional; the parser now
+    # requires it
     code, out = run(capsys, "simulate", "--preset", "ex215")
-    assert code == 1
+    assert code == 2
     assert "kind" in json.loads(out)["error"]["message"]
 
 
@@ -569,7 +606,8 @@ def test_simulate_darned_occupation(tmp_path, capsys):
 def test_experiment_preloads_parameters(tmp_path, capsys):
     path = write(tmp_path, MIXED)
     code, out = run(
-        capsys, "simulate", "--scenario", path, "--experiment", "0", "--deterministic"
+        capsys, "simulate", "hitting", "--scenario", path, "--experiment", "0",
+        "--deterministic",
     )
     doc = json.loads(out)
     assert code == 0
@@ -582,7 +620,7 @@ def test_experiment_flags_win_over_scenario(tmp_path, capsys):
     path = write(tmp_path, MIXED)
     code, out = run(
         capsys,
-        "simulate", "--scenario", path, "--experiment", "0",
+        "simulate", "hitting", "--scenario", path, "--experiment", "0",
         "--samples", "800", "--deterministic",
     )
     assert code == 0
@@ -596,10 +634,28 @@ def test_experiment_command_mismatch_exits_1(tmp_path, capsys):
     assert "simulate" in json.loads(out)["error"]["message"]
 
 
+def test_experiment_kind_mismatch_exits_1(tmp_path, capsys):
+    err = refused(capsys, 1, "simulate", "path", "--scenario", write(tmp_path, MIXED),
+                  "--experiment", "0")
+    assert err == {"type": "CommandError",
+                   "message": "experiment 0 is a 'simulate hitting' run, not 'simulate path'"}
+
+
+def test_experiment_key_its_kind_does_not_read_exits_2(tmp_path, capsys):
+    # a hitting walk reads no --steps, so a hitting experiment cannot carry one
+    doc = json.loads(json.dumps(MIXED))
+    doc["experiments"][0]["steps"] = 10
+    err = refused(capsys, 2, "simulate", "hitting", "--scenario", write(tmp_path, doc),
+                  "--experiment", "0")
+    assert err == {"type": "ScenarioError",
+                   "message": "$.experiments[0]: unknown field(s) steps"}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
         ("kind", "nope"),  # was a KeyError traceback
+        ("kind", None),  # a walk experiment names the kind whose parser reads it
         ("seed", 1.7),  # was run, and reported, as seed 1
         ("right", True),  # was used as 1.0
         ("x0", "abc"),  # was exit 1
@@ -611,7 +667,7 @@ def test_experiment_value_the_flag_refuses_exits_2(tmp_path, capsys, key, value)
     doc = json.loads(json.dumps(MIXED))
     doc["experiments"].append(dict(MIXED["experiments"][0], **{key: value}))
     path = write(tmp_path, doc)
-    code, out = run(capsys, "simulate", "--scenario", path, "--experiment", "1")
+    code, out = run(capsys, "simulate", "hitting", "--scenario", path, "--experiment", "1")
     assert code == 2
     error = json.loads(out)["error"]
     assert error["type"] == "ScenarioError"
@@ -690,6 +746,13 @@ def test_non_positive_count_exits_2(capsys, argv):
 
 
 WINDOW = ("--preset", "ex215", "--x0", "0.3", "--left", "0", "--right", "1")
+WHOLE_LINE = {"schema": 1, "config": {"intervals": [{"lo": "-inf", "hi": "inf"}]}}
+
+
+def _experiment(command, **keys):
+    """A one-experiment scenario on the whole line for a command (and its walk kind)."""
+    run = dict(zip(("command", "kind"), command))
+    return dict(WHOLE_LINE, experiments=[dict(run, **keys)])
 
 
 @pytest.mark.parametrize(
@@ -713,10 +776,33 @@ WINDOW = ("--preset", "ex215", "--x0", "0.3", "--left", "0", "--right", "1")
          "simulate hitting's stride table would build 5160129 table entries"),
     ],
 )
-def test_walk_size_over_the_work_budget_exits_1(capsys, argv, what):
-    err = refused(capsys, 1, "simulate", *argv)
-    assert err["type"] == "CommandError"
-    assert err["message"] == f"{what}, over the work budget of {WORK_BUDGET}"
+def test_walk_size_over_the_work_budget_exits_1(tmp_path, capsys, argv, what):
+    # named for the exit 1 with which each was refused when the walk ran; the
+    # parser now refuses a --cells, --samples or --steps over the budget with
+    # exit 2, on argv and in an experiment alike, and only the stride table
+    # that --cells 40000 implies is still refused when the walk runs
+    kind, flag, value = argv[0], argv[-2], int(argv[-1])
+    if value <= WORK_BUDGET:
+        err = refused(capsys, 1, "simulate", *argv)
+        assert err == {"type": "CommandError",
+                       "message": f"{what}, over the work budget of {WORK_BUDGET}"}
+        return
+    bound = f"must be at most {WORK_BUDGET}, got {value}"
+    message = usage_error(capsys, "simulate", *argv)
+    assert message == f"bmext simulate {kind}: argument {flag}: {bound}"
+    path = write(tmp_path, _experiment(("simulate", kind), **{flag[2:]: value}))
+    err = refused(capsys, 2, "validate", "--scenario", path)
+    assert err == {"type": "ScenarioError",
+                   "message": f"$.experiments[0].{flag[2:]}: {flag} {bound}"}
+
+
+def test_decompose_samples_over_the_work_budget_exits_2(capsys):
+    # was a table of that many rows under --out
+    value = WORK_BUDGET + 1
+    message = usage_error(capsys, "decompose", "--preset", "ex215", "--function", "tent",
+                          "--samples", str(value))
+    assert message == (
+        f"bmext decompose: argument --samples: must be at most {WORK_BUDGET}, got {value}")
 
 
 def test_simulate_hitting_budget_of_one_step_excludes_every_walk(capsys):
@@ -745,9 +831,11 @@ def test_simulate_hitting_budget_of_one_step_excludes_every_walk(capsys):
 def test_negative_seed_exits_2(capsys, argv):
     # was numpy's bare "expected non-negative integer" with exit 1, and three
     # verify checks printed as FAIL; the parser refuses it, naming the command
+    # and, for simulate, the walk kind
     err = refused(capsys, 2, *argv, "--seed", "-5")
+    prog = " ".join(argv[:2] if argv[0] == "simulate" else argv[:1])
     assert err == {"type": "UsageError",
-                   "message": f"bmext {argv[0]}: argument --seed: must be non-negative, got -5"}
+                   "message": f"bmext {prog}: argument --seed: must be non-negative, got -5"}
 
 
 def test_negative_experiment_seed_exits_2(tmp_path, capsys):
@@ -755,8 +843,8 @@ def test_negative_experiment_seed_exits_2(tmp_path, capsys):
     doc["experiments"].append(dict(MIXED["experiments"][0], seed=-5))
     path = write(tmp_path, doc)
     # refused when the scenario is read, by every command that loads it
-    for argv in (("simulate", "--experiment", "1"), ("validate",)):
-        err = refused(capsys, 2, argv[0], "--scenario", path, *argv[1:])
+    for argv in (("simulate", "hitting", "--experiment", "1"), ("validate",)):
+        err = refused(capsys, 2, *argv, "--scenario", path)
         assert err["type"] == "ScenarioError"
         assert err["message"].startswith("$.experiments[1].seed: --seed must be non-negative")
 
@@ -810,22 +898,24 @@ def test_validate_experiment_carries_a_seed(tmp_path, capsys):
     assert json.loads(out)["parameters"]["seed"] == 11
 
 
-# the lowest value of each int flag of a scenario command (None: every int
-# passes the parser, and the command checks it against the configuration)
-INT_FLAG_LOW = {"seed": 0, "depth": 0, "samples": 1, "steps": 1, "cells": 1, "budget": 1,
-                "index": None, "experiment": None}
-SCENARIO_COMMANDS = ("validate", "energy", "decompose", "darn", "trace", "simulate")
-WHOLE_LINE = {"schema": 1, "config": {"intervals": [{"lo": "-inf", "hi": "inf"}]}}
+# the range of each int flag of a scenario command or walk kind (None: every
+# int passes the parser, and the command checks it against the configuration)
+INT_FLAG_RANGE = {"seed": (0, None), "depth": (0, None), "budget": (1, None),
+                  "samples": (1, WORK_BUDGET), "steps": (1, WORK_BUDGET),
+                  "cells": (1, WORK_BUDGET), "index": None, "experiment": None}
+WALK_KINDS = ("hitting", "path", "trace", "darned")
+SCENARIO_COMMANDS = (("validate",), ("energy",), ("decompose",), ("darn",), ("trace",),
+                     *(("simulate", kind) for kind in WALK_KINDS))
 
 
 def _int_flags(command):
-    return sorted(dest for dest, action in cli._flags(command).items()
+    return sorted(dest for dest, action in cli._flags(*command).items()
                   if action.type is not None and type(action.type("7")) is int)
 
 
 def test_every_int_flag_has_a_stated_bound():
-    assert {f for c in SCENARIO_COMMANDS for f in _int_flags(c)} == set(INT_FLAG_LOW)
-    assert _int_flags("verify") == ["seed"]
+    assert {f for c in SCENARIO_COMMANDS for f in _int_flags(c)} == set(INT_FLAG_RANGE)
+    assert _int_flags(("verify",)) == ["seed"]
 
 
 def _main(argv):
@@ -841,33 +931,87 @@ def _main(argv):
 def test_argv_and_experiments_refuse_the_same_int_values(tmp_path_factory, data):
     command = data.draw(st.sampled_from(SCENARIO_COMMANDS))
     flag = data.draw(st.sampled_from(_int_flags(command)))
-    low = 1 if (command, flag) == ("trace", "depth") else INT_FLAG_LOW[flag]
-    value = data.draw(st.integers(-3, 3).map(lambda d: (low or 0) + d)
-                      | st.integers(-2**70, 2**70))
-    refused = low is not None and value < low
-    bound = f"must be {'non-negative' if low == 0 else f'at least {low}'}, got {value}"
+    low, high = INT_FLAG_RANGE[flag] or (None, None)
+    if flag == "depth" and "trace" in command:
+        low = 1
+    near = [st.integers(-3, 3).map(lambda d, end=end: end + d) for end in (low, high)
+            if end is not None]
+    value = data.draw(st.one_of(*near, st.integers(-2**70, 2**70)))
+    bound = None  # the parser's message when it refuses the value
+    if low is not None and value < low:
+        bound = f"must be {'non-negative' if low == 0 else f'at least {low}'}, got {value}"
+    elif high is not None and value > high:
+        bound = f"must be at most {high}, got {value}"
     # on argv the parser refuses the value, or the command runs far enough to
     # ask for a configuration
-    code, doc = _main([command, f"--{flag}", str(value)])
+    code, doc = _main([*command, f"--{flag}", str(value)])
     assert code == 2
-    if refused:
+    if bound:
         assert doc["error"]["type"] == "UsageError"
-        assert doc["error"]["message"] == f"bmext {command}: argument --{flag}: {bound}"
+        assert doc["error"]["message"] == (
+            f"bmext {' '.join(command)}: argument --{flag}: {bound}")
     else:
         assert doc["error"] == {"type": "ScenarioError",
                                 "message": "pass --preset NAME or --scenario PATH"}
     if flag in cli._RUN_FLAGS:
         return
     # in an experiment the same value is refused when the scenario is read
-    scenario = dict(WHOLE_LINE, experiments=[{"command": command, flag: value}])
     path = tmp_path_factory.getbasetemp() / "int-flag-scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(_experiment(command, **{flag: value})))
     code, doc = _main(["validate", "--scenario", str(path), "--deterministic"])
-    if refused:
+    if bound:
         assert code == 2 and doc["error"]["type"] == "ScenarioError"
         assert doc["error"]["message"] == f"$.experiments[0].{flag}: --{flag} {bound}"
     else:
         assert code == 0 and doc["result"]["ok"]
+
+
+# the flags each walk kind reads beyond those every scenario command takes
+WALK_FLAGS = {
+    "hitting": {"index", "x0", "left", "right", "cells", "samples", "budget"},
+    "path": {"index", "x0", "left", "right", "cells", "steps", "out"},
+    "trace": {"x0", "mode", "cells", "steps", "out"},
+    "darned": {"index", "x0", "steps", "out"},
+}
+RUN_DESTS = {"help", "seed", "deterministic", "scenario", "preset", "depth", "tol", "experiment"}
+# one valid value of each walk flag, for a tiny walk of any kind
+WALK_VALUES = {"index": "0", "x0": "0.3333333333333333", "left": "0", "right": "1", "cells": "8",
+               "samples": "10", "budget": "100", "steps": "10", "mode": "brownian"}
+TINY_WALKS = {
+    "hitting": ("--preset", "ex215", "--depth", "4", "--x0", "0.5", "--left", "0",
+                "--right", "1", "--samples", "50"),
+    "path": ("--preset", "ex215", "--depth", "4", "--x0", "0.5", "--left", "0",
+             "--right", "1", "--steps", "50"),
+    "trace": ("--preset", "ex218", "--depth", "3", "--x0", "0.3333333333333333",
+              "--steps", "50"),
+    "darned": ("--preset", "ex215", "--depth", "4", "--steps", "50"),
+}
+READ = [(kind, flag) for kind in WALK_KINDS for flag in sorted(WALK_FLAGS[kind])]
+UNREAD = [(kind, flag) for kind in WALK_KINDS
+          for flag in sorted(set().union(*WALK_FLAGS.values()) - WALK_FLAGS[kind])]
+
+
+def test_each_walk_kind_takes_only_the_flags_it_reads():
+    for kind in WALK_KINDS:
+        assert set(cli._flags("simulate", kind)) == RUN_DESTS | WALK_FLAGS[kind], kind
+    assert (len(READ), len(UNREAD)) == (23, 17)
+
+
+@pytest.mark.parametrize("kind, flag", READ, ids=[f"{k}-{f}" for k, f in READ])
+def test_every_flag_a_walk_kind_reads_runs(tmp_path, capsys, kind, flag):
+    value = WALK_VALUES.get(flag, str(tmp_path / "out"))
+    code, out = run(capsys, "simulate", kind, *TINY_WALKS[kind], f"--{flag}", value)
+    assert code == 0
+    if flag == "out":
+        assert os.listdir(tmp_path / "out") == [f"sim_{kind}.csv"]
+
+
+@pytest.mark.parametrize("kind, flag", UNREAD, ids=[f"{k}-{f}" for k, f in UNREAD])
+def test_a_flag_the_walk_kind_does_not_read_exits_2(capsys, kind, flag):
+    # each was accepted and ignored
+    value = WALK_VALUES.get(flag, "d")
+    message = usage_error(capsys, "simulate", kind, *TINY_WALKS[kind], f"--{flag}", value)
+    assert message == f"bmext: unrecognized arguments: --{flag} {value}"
 
 
 NO_X0_WINDOW = ("--preset", "ex215", "--left", "0", "--right", "1", "--deterministic")
