@@ -65,6 +65,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -897,9 +898,19 @@ def cmd_verify(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+# a value that starts with "-" and that float() reads: -1, -0.5, -1e-3, -inf
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose refusals raise UsageError, so that main prints them as
-    JSON errors (exit 2) like every other refusal; subparsers inherit it."""
+    JSON errors (exit 2) like every other refusal; subparsers inherit it.
+    Every negative number is a flag's value, not an option: argparse alone
+    reads -1e-3 as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

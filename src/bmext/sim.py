@@ -13,6 +13,7 @@ adding residence time of its own.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,13 @@ _CHUNK = 1 << 15
 # more than 2 * _STRIDE + 1 sites, and on the dense law of a smaller one
 _STRIDE = 64
 _DENSE_STRIDE = 1 << 10
+# a path or trace walk moves in strides of at most K = _STRIDE steps, fewer
+# on a window whose tables would pass _WALK_TABLE entries, and fewer on a
+# walk too short to pay for a K-step table (see _walk_plan)
+_WALK_TABLE = 1 << 22
+_FIRST_STRIDE = 16
+_FIRST_CHUNK = 1 << 10
+_LAST_CHUNK = 1 << 16
 
 
 def _site_array(sites) -> np.ndarray:
@@ -183,6 +191,8 @@ def snap_grid(
     """
     if not (lo < hi):
         raise ValueError("need lo < hi")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"the window [{lo!r}, {hi!r}] is wider than the float range")
     if cells < 1:
         raise ValueError("need at least one cell")
     scale = config.interval(n).scale
@@ -287,69 +297,29 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     if b_hi == "absorb":
         absorbing[-1] = True
 
+    # Python floats: a holding time beyond the float range is inf or nan,
+    # refused below, without a numpy overflow warning
+    xs, ts = arr.tolist(), tvals.tolist()
     p = np.zeros(m)
     hold = np.zeros(m)
     for i in range(1, m - 1):
-        dl = tvals[i] - tvals[i - 1]
-        dr = tvals[i + 1] - tvals[i]
-        p[i] = _p_right(dl, dr)
-        hold[i] = _mean_exit(
-            scale, arr[i - 1], arr[i], arr[i + 1], tvals[i - 1], tvals[i], tvals[i + 1]
-        )
+        p[i] = _p_right(ts[i] - ts[i - 1], ts[i + 1] - ts[i])
+        hold[i] = _mean_exit(scale, xs[i - 1], xs[i], xs[i + 1], ts[i - 1], ts[i], ts[i + 1])
     if b_lo == "reflect":
         p[0] = 1.0
-        hold[0] = 2.0 * ((arr[1] - arr[0]) * tvals[1] - scale.integral_t(arr[0], arr[1]))
+        hold[0] = 2.0 * ((xs[1] - xs[0]) * ts[1] - scale.integral_t(xs[0], xs[1]))
     if b_hi == "reflect":
         p[-1] = 0.0
-        hold[-1] = 2.0 * (scale.integral_t(arr[-2], arr[-1]) - (arr[-1] - arr[-2]) * tvals[-2])
-    bad = ~absorbing & ~(np.isfinite(hold) & (hold > 0.0))
-    if bad.any():
-        raise ValueError(f"holding time degenerate at sites {arr[bad]}")
+        hold[-1] = 2.0 * (scale.integral_t(xs[-2], xs[-1]) - (xs[-1] - xs[-2]) * ts[-2])
+    for i in np.flatnonzero(~absorbing).tolist():
+        if not math.isfinite(hold[i]):
+            raise ValueError(f"holding time at site {xs[i]!r} is not finite")
+        if not hold[i] > 0.0:
+            raise ValueError(f"holding time at site {xs[i]!r} is not positive")
     return GridChain(arr, p, hold, (b_lo, b_hi), absorbing, interval_index=n)
 
 
-# -- single trajectories -----------------------------------------------------
-
-
-def _walk(chain: GridChain, i0: int, steps: int, rng) -> np.ndarray:
-    """Site indices of a walk from i0: at most ``steps`` steps, stopping on absorption.
-
-    Uniforms are drawn in chunks; the stream is the same as one draw per step.
-    """
-    p = chain.p_right.tolist()
-    absorbing = chain.absorbing.tolist()
-    idx = [i0]
-    pos = i0
-    while len(idx) <= steps and not absorbing[pos]:
-        for u in rng.random(min(_CHUNK, steps + 1 - len(idx))).tolist():
-            pos = pos + 1 if u < p[pos] else pos - 1
-            idx.append(pos)
-            if absorbing[pos]:
-                break
-    return np.array(idx)
-
-
-def simulate_path(
-    chain: GridChain,
-    x0: float,
-    budget: int = 1_000_000,
-    seed: int = 0,
-) -> PathSample:
-    """Walk the chain from x0 until absorption or the step budget runs out.
-
-    Time advances by the mean holding of each visited site.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    i = chain.site_index(x0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = _walk(chain, i, budget, rng)
-    times = np.concatenate(([0.0], np.cumsum(chain.mean_holding[idx[:-1]])))
-    exhausted = not chain.absorbing[idx[-1]]
-    return PathSample(chain.sites[idx], times, exhausted, seed)
-
-
-# -- hitting statistics ------------------------------------------------------
+# -- exact strides -----------------------------------------------------------
 
 
 def _dense(sites: int) -> bool:
@@ -368,33 +338,89 @@ def stride_table_entries(sites: int) -> int:
     return sites * (2 * sites - 1 if _dense(sites) else 2 * _STRIDE + 1)
 
 
+def _band_laws(p: np.ndarray, stop: np.ndarray, laws, low=None, held=None):
+    """Write the laws of 1, 2, ... steps of the chain stopped on ``stop`` into ``laws``.
+
+    A generator: it yields t once it has written the t-step law to
+    ``laws[t % n]``, n = ``len(laws)``, and goes on while asked.  ``laws``
+    holds arrays of shape (m, 2h + 1) and the 0-step law, the identity, at
+    ``laws[0]``.  One array may stand at several places of ``laws``, but
+    never next to itself: two arrays keep the last law only.  Column j of
+    row i is the probability of standing at site i - h + j after t steps
+    from site i.  A walker moves at most h sites, so while t <= h or
+    h >= m - 1 these columns hold the whole law.  Each law is one update of
+    the band from the last: the law times the holding weight, plus the flow
+    up from the column below, plus the flow down from the column above,
+    added in that order.  The update skips the columns a walker cannot have
+    reached, where every term is 0, so ``laws`` must be 0 there.  The band's
+    move weights are windows onto per-site vectors padded by h stopped sites
+    at each end.
+
+    ``low``, zeros of shape (k, m, 2h + 1) if given, receives at ``[t - 1]``
+    the share of the t-step law's first two terms in it, left 0 where the
+    law is 0.  ``held``, zeros of shape (k, m, s) if given, receives at
+    ``[t - 1, i, j]`` the share of the first term in P^t(i, z), z the j-th of
+    the s stopped sites, left 0 where that law is 0 or z lies off row i's
+    band.  With either, ask for at most k steps.
+    """
+    n = len(laws)
+    m, width = laws[0].shape
+    h = width // 2
+    stopped = np.concatenate((np.ones(h, dtype=bool), stop, np.ones(h, dtype=bool)))
+    q = np.concatenate((np.zeros(h), p, np.zeros(h)))
+    up = sliding_window_view(np.where(stopped, 0.0, q), width)
+    down = sliding_window_view(np.where(stopped, 0.0, 1.0 - q), width)
+    hold = sliding_window_view(np.where(stopped, 1.0, 0.0), width)
+    if held is not None:
+        # flat index of each stopped site's column in every row, where the
+        # band has it
+        rows = np.arange(m)[:, None]
+        cols = np.flatnonzero(stop) - rows + h
+        on_band = (cols >= 0) & (cols < width)
+        cols = np.where(on_band, rows * width + cols, 0)
+    laws[0][:, h] = 1.0
+    flow = np.empty((m, width - 1))
+    t = 0
+    while True:
+        law, nxt = laws[t % n], laws[(t + 1) % n]
+        # after t + 1 steps a walker stands in the columns a to e - 1
+        a, e = max(h - t - 1, 0), min(h + t + 2, width)
+        total = nxt[:, a:e]
+        np.multiply(law[:, a:e], hold[:, a:e], out=total)
+        nxt[:, a + 1:e] += np.multiply(law[:, a:e - 1], up[:, a:e - 1], out=flow[:, a:e - 1])
+        if low is not None:
+            share = low[t][:, a:e]
+            share[...] = total
+        nxt[:, a:e - 1] += np.multiply(law[:, a + 1:e], down[:, a + 1:e], out=flow[:, a:e - 1])
+        # a term of a 0 law is 0: dividing by 1 there keeps its share 0
+        if low is not None:
+            share /= total + (total == 0)
+        if held is not None:
+            # a stopped site's first term is the law it had one step before
+            first = law.reshape(-1)[cols] * on_band
+            after = nxt.reshape(-1)[cols] * on_band
+            np.divide(first, after + (after == 0), out=held[t])
+        t += 1
+        yield t
+
+
+def _capped_cdf(law: np.ndarray, out=None) -> np.ndarray:
+    # cumulated sums along each row, capped at 1
+    cdf = np.cumsum(law, axis=1, out=out)
+    return np.minimum(cdf, 1.0, out=cdf)
+
+
 def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
     """Cumulated k-step law of the chain stopped on ``stop``, one row per site.
 
     Column j of row i is the probability of standing at or below site
-    i - k + j after k steps from site i.  A walker moves at most k sites, so
-    these 2k + 1 columns hold the whole law.  The law is built from the
-    identity by k one-step updates of the whole band, and its cumulated
-    sums are capped at 1.  The band's move weights are windows onto per-site
-    vectors padded by k stopped sites at each end.
+    i - k + j after k >= 1 steps from site i: the cumulated sums of
+    :func:`_band_laws`' k-step law, capped at 1.
     """
-    m = p.size
-    stopped = np.concatenate((np.ones(k, dtype=bool), stop, np.ones(k, dtype=bool)))
-    q = np.concatenate((np.zeros(k), p, np.zeros(k)))
-    up = sliding_window_view(np.where(stopped, 0.0, q), 2 * k + 1)
-    down = sliding_window_view(np.where(stopped, 0.0, 1.0 - q), 2 * k + 1)
-    hold = sliding_window_view(np.where(stopped, 1.0, 0.0), 2 * k + 1)
-    law = np.zeros((m, 2 * k + 1))
-    law[:, k] = 1.0
-    nxt = np.empty_like(law)
-    flow = np.empty((m, 2 * k))
-    for _ in range(k):
-        np.multiply(law, hold, out=nxt)
-        nxt[:, 1:] += np.multiply(law[:, :-1], up[:, :-1], out=flow)
-        nxt[:, :-1] += np.multiply(law[:, 1:], down[:, 1:], out=flow)
-        law, nxt = nxt, law
-    cdf = np.cumsum(law, axis=1, out=nxt)
-    return np.minimum(cdf, 1.0, out=cdf)
+    laws = [np.zeros((p.size, 2 * k + 1)) for _ in range(2)]
+    for t in _band_laws(p, stop, laws):
+        if t == k:
+            return _capped_cdf(laws[k % 2], out=laws[(k + 1) % 2])
 
 
 def _dense_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
@@ -421,8 +447,7 @@ def _dense_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
     band = np.zeros((m, 2 * m - 1))
     rows = np.arange(m)
     np.put_along_axis(band, rows + (m - 1 - rows)[:, None], law, axis=1)
-    cdf = np.cumsum(band, axis=1)
-    return np.minimum(cdf, 1.0, out=cdf)
+    return _capped_cdf(band)
 
 
 def _stride_lookup(cdf: np.ndarray):
@@ -449,6 +474,208 @@ def _stride_move(lookup, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
     np.minimum(idx, last[pos], out=idx)
     # flat index pos * width + j is site pos + j - width // 2
     return idx - pos * (width - 1) - width // 2
+
+
+# -- single trajectories -----------------------------------------------------
+
+
+def _walk_stride(sites: int) -> int:
+    """The longest stride K of a walk over ``sites`` sites.
+
+    ``_STRIDE`` while the walk's tables fit in ``_WALK_TABLE`` entries, and
+    halved for wider windows, down to 1.  The tables are the K shares and at
+    most 6 laws of :func:`_strided_walk`, each a band of
+    2 min(K, sites - 1) + 1 columns per site.
+    """
+    k = _STRIDE
+    while k > 1 and (k + 6) * sites * (2 * min(k, sites - 1) + 1) > _WALK_TABLE:
+        k //= 2
+    return k
+
+
+def _walk_plan(steps: int, k: int) -> list:
+    """(strides, steps per stride) of each chunk of a walk of ``steps`` steps.
+
+    Chunk c walks min(``_FIRST_CHUNK`` * 2**c, ``_LAST_CHUNK``) steps in
+    strides of min(K, ``_FIRST_STRIDE`` * 2**(c // 3)) steps, K the largest
+    power of two up to ``k`` with 64 K**2 <= ``steps``: a stride of K steps
+    saves a walk more time than its table costs only over some 64 K**2
+    steps, and a walk absorbed early builds short tables only.  A walk
+    whose steps left are fewer than a stride ends in one stride of them.
+    """
+    while k > 1 and 64 * k * k > steps:
+        k //= 2
+    plan = []
+    c = 0
+    while steps:
+        kc = min(k, _FIRST_STRIDE << c // 3)
+        n = min(min(_FIRST_CHUNK << c, _LAST_CHUNK) // kc, steps // kc)
+        if n == 0:
+            n, kc = 1, steps
+        plan.append((n, kc))
+        steps -= n * kc
+        c += 1
+    return plan
+
+
+def _bridges(low: np.ndarray, x: np.ndarray, b: np.ndarray, u: np.ndarray,
+             held=None, stop_index=None) -> np.ndarray:
+    """Sites of strides of k = ``len(u)`` steps from ``x`` to ``b``, drawn from the end back.
+
+    Row t of the result holds each stride's site after t steps.  A walker at
+    site z after t steps stood after t - 1 steps at z itself (only if z is
+    stopped), at z - 1 or at z + 1, with odds the three terms that
+    :func:`_band_laws` adds, in that order, into the t-step law P^t(x, z).
+    ``held`` and ``low`` are its tables of the first term's share and of
+    the first two terms' share in P^t.  ``u[t - 1]`` picks among them, one
+    uniform per stride: the walker stays below the first share, stood at
+    z - 1 below the second, and at z + 1 otherwise.  The bridge only reaches
+    states of positive law, and a term's share is empty exactly when the
+    term is 0, so no step of zero probability is drawn: the bridge is the
+    exact law of the chain's steps given both stride ends, up to the
+    rounding of the laws.  ``held`` may be left out when no stride ends on
+    a stopped site; ``stop_index`` gives each site's column in it, -1 for a
+    live site.
+    """
+    k = u.shape[0]
+    width = low.shape[2]
+    low = low.reshape(low.shape[0], -1)
+    # flat index of site z in row x of a band: x * width + z - x + width // 2
+    base = x * (width - 1) + width // 2
+    at = np.empty((k + 1, x.size), dtype=np.int64)
+    at[k] = base + b
+    move = np.array([-1, 1])
+    if held is not None:
+        # flat index of the j-th stopped site in row x: x * s + j
+        row_base = x * held.shape[2]
+        held = held.reshape(held.shape[0], -1)
+    for t in range(k, 0, -1):
+        here = at[t]
+        v = u[t - 1]
+        step = move[(v >= low[t - 1][here]).view(np.uint8)]
+        if held is not None:
+            j = stop_index[here - base]
+            stays = (j >= 0) & (v < held[t - 1][row_base + np.maximum(j, 0)])
+            step[stays] = 0
+        np.add(here, step, out=at[t - 1])
+    return at - base
+
+
+def _landings(law: np.ndarray):
+    """Where a walker lands from each site of a band law, listed per site on first use.
+
+    Returns the list and the function that fills in site i's entry: the
+    law's cumulated sums from i, capped at 1, up to its last site of
+    positive law, which takes every uniform past them; and the sites these
+    columns stand for.  A walker at i with uniform u lands on
+    ``sites[bisect_right(cdf, u)]``.
+    """
+    m, width = law.shape
+    cdf = _capped_cdf(law)
+    last = np.argmax(cdf == cdf[:, -1:], axis=1).tolist()
+    rows = [None] * m
+
+    def row(i: int):
+        rows[i] = (cdf[i, :last[i]].tolist() + [math.inf],
+                   range(i - width // 2, i - width // 2 + last[i] + 1))
+        return rows[i]
+
+    return rows, row
+
+
+def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
+    """Yield the sites a walk from i0 visits after it starts, in order, chunk by chunk.
+
+    The walk takes ``steps`` steps, or fewer when it stops on its first
+    absorbing site.  It moves in strides of k steps, k growing with the
+    chunks up to K = ``_walk_stride(m)`` on an m-site window (``_walk_plan``).
+    Each stride's end is drawn from the exact k-step law of the chain
+    stopped at its absorbing sites: a walker at site i lands on the first
+    site whose cumulated law from i exceeds its uniform, or on the last site
+    of positive law when none does.  The ends form a chain, so they are
+    found in sequence.  Then the steps inside every stride of a chunk are
+    drawn at once by :func:`_bridges`.  The laws are built one step at a
+    time, as far as the chunks walked so far need them.
+
+    Draw contract (the seeded walks depend on it): chunk c plans n strides
+    of k steps (``_walk_plan``).  It draws one ``rng.random(n)`` for their
+    ends, in order, and stops at the first end that absorbs.  Then it draws
+    ``rng.random((k, s))`` for the bridges of the s strides it walked, row
+    t - 1 picking each stride's site after t - 1 steps.  An absorbed walk
+    draws nothing after the chunk it is absorbed in.
+    """
+    stopped = chain.absorbing.tolist()
+    if steps == 0 or stopped[i0]:
+        return
+    m = len(stopped)
+    plan = _walk_plan(steps, _walk_stride(m))
+    k = max(kc for _, kc in plan)
+    width = 2 * min(k, m - 1) + 1
+    # two arrays carry the laws from step to step; the law of each stride
+    # length the plan walks keeps its own
+    kept = {kc: np.zeros((m, width)) for _, kc in plan}
+    carry = [np.zeros((m, width)) for _ in range(2)]
+    laws = [kept[t] if t in kept else carry[t % 2] for t in range(k + 1)]
+    low = np.zeros((k, m, width))
+    stop_sites = np.flatnonzero(chain.absorbing)
+    held = np.zeros((k, m, stop_sites.size))
+    stop_index = np.full(m, -1)
+    stop_index[stop_sites] = np.arange(stop_sites.size)
+    build = _band_laws(chain.p_right, chain.absorbing, laws, low, held)
+    built = 0
+    landings = {}
+    pos = i0
+    for n, kc in plan:
+        while built < kc:
+            built = next(build)
+        if kc not in landings:
+            landings[kc] = _landings(kept[kc])
+        rows, row = landings[kc]
+        ends = [pos]
+        for u in rng.random(n).tolist():
+            cdf, sites = rows[pos] or row(pos)
+            pos = sites[bisect_right(cdf, u)]
+            ends.append(pos)
+            if stopped[pos]:
+                break
+        # only a stride that ends on a stopped site may hold its walker
+        z = _bridges(low, np.array(ends[:-1]), np.array(ends[1:]),
+                     rng.random((kc, len(ends) - 1)), held if stopped[pos] else None, stop_index)
+        sites = z[1:].T.reshape(-1)
+        if stopped[pos]:
+            # the walk ends where it first meets the absorbing site
+            yield sites[: sites.size - kc + int(np.argmax(z[1:, -1] == pos)) + 1]
+            return
+        yield sites
+
+
+def simulate_path(
+    chain: GridChain,
+    x0: float,
+    budget: int = 1_000_000,
+    seed: int = 0,
+) -> PathSample:
+    """Walk the chain from x0 until absorption or the step budget runs out.
+
+    Time advances by the mean holding of each visited site.  The walk moves
+    in strides: each stride's end is drawn from the exact law of the chain
+    stopped at its absorbing sites, then the steps inside it from the exact
+    law of the chain given both ends, so the path has the law of single
+    steps up to the rounding of those laws (about 1e-14).  The seeded path
+    follows the draw contract of :func:`_strided_walk`, on a generator from
+    ``SeedSequence(seed)``.
+    """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    i = chain.site_index(x0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    idx = np.concatenate([[i], *_strided_walk(chain, i, budget, rng)])
+    times = np.concatenate(([0.0], np.cumsum(chain.mean_holding[idx[:-1]])))
+    exhausted = not chain.absorbing[idx[-1]]
+    return PathSample(chain.sites[idx], times, exhausted, seed)
+
+
+# -- hitting statistics ------------------------------------------------------
 
 
 def hitting_probability(
@@ -593,7 +820,9 @@ def simulate_trace_chain(
     that interval's endpoints; in brownian mode the walk moves over the whole
     window as a free Brownian chain and every trace site is fair game.  The
     brownian mode is a qualitative device: it certifies reachability, not a
-    quantitative approximation of the time-changed process.
+    quantitative approximation of the time-changed process.  The walk is
+    drawn in strides as in :func:`simulate_path`, on a generator from
+    ``SeedSequence(seed)``, and its visits are counted chunk by chunk.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
@@ -628,8 +857,10 @@ def simulate_trace_chain(
         raise ValueError(f"unknown mode {mode!r}; use 'extension' or 'brownian'")
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = _walk(chain, chain.site_index(x0), n_steps, rng)
-    chain_visits = np.bincount(idx, minlength=chain.sites.size)
+    i0 = chain.site_index(x0)
+    chain_visits = np.bincount([i0], minlength=chain.sites.size)
+    for sites in _strided_walk(chain, i0, n_steps, rng):
+        chain_visits += np.bincount(sites, minlength=chain.sites.size)
     # a trace site that is no site of this walk's grid stays unvisited
     j, on = nearest_site(chain.sites, k_sites)
     visits = np.where(on, chain_visits[j], 0)

@@ -546,6 +546,44 @@ def test_simulate_without_kind_exits_1(capsys):
     assert "kind" in json.loads(out)["error"]["message"]
 
 
+def _one_line_refusal(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    message = json.loads(out)["error"]["message"]
+    assert "\n" not in message
+    return message
+
+
+def test_holding_time_beyond_the_float_range_is_refused_in_one_line(capsys):
+    # the cells near 1e308 hold a walker longer than any float: the refusal
+    # names the first such site, with no numpy overflow warning
+    message = _one_line_refusal(capsys, "simulate", "path", "--preset", "ex216", "--x0", "1e300",
+                                "--left", "0.5", "--right", "1e308", "--steps", "5")
+    assert message == "holding time at site 2.0833333333333333e+306 is not finite"
+
+
+def test_window_wider_than_the_float_range_is_refused_in_one_line(capsys):
+    message = _one_line_refusal(capsys, "simulate", "hitting", "--preset", "ex215", "--x0", "0.5",
+                                "--left", "-1e308", "--right", "1e308", "--samples", "5")
+    assert message == "the window [-1e+308, 1e+308] is wider than the float range"
+
+
+@pytest.mark.parametrize("left", ["-1e-3", "-1E-3", "-.5e-2", "-1e-308"])
+def test_negative_float_in_exponent_form_is_a_value(capsys, left):
+    code, out = run(capsys, "simulate", "hitting", "--preset", "ex215", "--x0", "0.5",
+                    "--left", left, "--right", "1", "--samples", "5", "--deterministic")
+    assert code == 0
+    assert json.loads(out)["result"]["window"] == [float(left), 1.0]
+
+
+@pytest.mark.parametrize("value", ["-inf", "-1e309", "-nan"])
+def test_negative_non_finite_float_is_refused_as_a_value(capsys, value):
+    message = usage_error(capsys, "simulate", "path", "--preset", "ex215", "--x0", "0.5",
+                          "--left", value, "--right", "1")
+    assert message.endswith(f"argument --left: must be a finite number, got {value!r}")
+
+
 def test_simulate_path_table(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out = run(

@@ -41,16 +41,17 @@ BASES = {
     "darned": ("--steps", "5"),
 }
 PRESETS = ("ex215", "ex216", "ex218", "darning-sojourn")
+# negative values in exponent form and at the float limit among them
 POINTS = (("0", "0.1", "0.25", "0.3", "0.3333333333333333", "0.5", "0.71", "1", "-0.0",
-           "-0.5", "1.5"),
-          ("nan", "inf", "-inf", "abc"))
+           "-0.5", "1.5", "-1e-3", "1e-3", "-1e308", "1e308", "1e300"),
+          ("nan", "inf", "-inf", "-1e309", "abc"))
 COUNTS = (("1", "2", "5"), ("0", "-1", str(WORK_BUDGET + 1)))
 # values of each flag the fuzz sets: valid ones (boundaries among them), and
 # ones that the parser or the command refuses
 VALUES = {
     "seed": (("0", "1", "7", str(2**64)), ("-1", "1.5")),
     "depth": (("0", "1", "2", "3", "4"), ("-1", "40", str(10**12))),
-    "tol": (("0", "1e-9", "-0.0", "1e300"), ("nan", "inf")),
+    "tol": (("0", "1e-9", "-0.0", "1e300"), ("nan", "inf", "-1e-3")),
     "experiment": ((), ("0", "-1")),
     "function": (("tent", "identity", "cantor"), ("nope",)),
     "index": (("0", "1"), ("-1", "2", "7")),

@@ -41,7 +41,7 @@ from bmext.sim import (
     stride_table_entries,
 )
 from bmext.trace import trace_structure
-from strategies import random_scales
+from strategies import random_configs, random_scales
 
 EX215 = preset("ex215")
 EX216 = preset("ex216")
@@ -267,6 +267,189 @@ def test_nearest_site_tolerance_is_symmetric():
 # -- single trajectories -----------------------------------------------------
 
 
+def _reference_walk(chain, i0, steps, rng):
+    """Site indices of the single-step walk from i0, stopping on absorption.
+
+    One uniform per step, drawn in chunks: the walker steps up when its
+    uniform is below the site's ``p_right``.  The strided walk of
+    ``simulate_path`` must have the law of this walk.
+    """
+    p = chain.p_right.tolist()
+    absorbing = chain.absorbing.tolist()
+    idx = [i0]
+    pos = i0
+    while len(idx) <= steps and not absorbing[pos]:
+        for u in rng.random(min(_CHUNK, steps + 1 - len(idx))).tolist():
+            pos = pos + 1 if u < p[pos] else pos - 1
+            idx.append(pos)
+            if absorbing[pos]:
+                break
+    return np.array(idx)
+
+
+# small chains: a reflecting end and an absorbing one; absorbing ends with a
+# trap behind a wall at either end
+SMALL_CHAINS = {
+    "reflect-absorb-3": (SOJOURN, 1, [-1.0, -0.5, 0.0]),
+    "reflect-absorb-4": (SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5]),
+    "wall-then-trap": (EX216, 0, [-1.0, -0.75, -0.5, -0.25, 0.0]),
+    "trap-then-wall": (EX216, 1, [0.0, 0.25, 0.5, 0.75, 1.0]),
+}
+
+
+def _exact_paths(chain, x, k):
+    # every k-step path from x of the chain stopped at its absorbing sites,
+    # with its probability: the product of its one-step probabilities
+    p = chain.p_right.tolist()
+    stop = chain.absorbing.tolist()
+    paths = [((x,), Fraction(1))]
+    for _ in range(k):
+        longer = []
+        for path, prob in paths:
+            z = path[-1]
+            if stop[z]:
+                longer.append((path + (z,), prob))
+                continue
+            for y, w in ((z + 1, Fraction(p[z])), (z - 1, 1 - Fraction(p[z]))):
+                if w:
+                    longer.append((path + (y,), prob * w))
+        paths = longer
+    return paths
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CHAINS))
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_stride_end_times_bridge_is_every_path_probability(name, k):
+    # the uniform interval that lands a stride from x on its end, times the
+    # intervals that pick each step of its bridge, is the probability of the
+    # path under single steps; and the bridge draws the path from uniforms
+    # inside those intervals
+    config, n, sites = SMALL_CHAINS[name]
+    chain = build_chain(config, n, sites)
+    m = chain.sites.size
+    width = 2 * min(k, m - 1) + 1
+    h = width // 2
+    laws = [np.zeros((m, width)) for _ in range(k + 1)]
+    low = np.zeros((k, m, width))
+    stop_sites = np.flatnonzero(chain.absorbing)
+    held = np.zeros((k, m, stop_sites.size))
+    for t in sim._band_laws(chain.p_right, chain.absorbing, laws, low, held):
+        if t == k:
+            break
+    stop_index = np.full(m, -1)
+    stop_index[stop_sites] = np.arange(stop_sites.size)
+    rows, row = sim._landings(laws[k])
+    checked = 0
+    for x in np.flatnonzero(~chain.absorbing).tolist():
+        cdf, ends = rows[x] or row(x)
+        bounds = [0.0, *cdf[:-1], 1.0]
+        landing = {b: hi - lo for b, lo, hi in zip(ends, bounds, bounds[1:])}
+        for path, exact in _exact_paths(chain, x, k):
+            prob = landing.get(path[-1], 0.0)
+            u = np.empty((k, 1))
+            for t in range(k, 0, -1):
+                z = path[t]
+                stay = held[t - 1, x, stop_index[z]] if stop_index[z] >= 0 else 0.0
+                below = low[t - 1, x, z - x + h]
+                a, e = {z: (0.0, stay), z - 1: (stay, below), z + 1: (below, 1.0)}[path[t - 1]]
+                prob *= e - a
+                u[t - 1] = (a + e) / 2
+            assert abs(prob - float(exact)) <= 1e-12, (x, path)
+            drawn = sim._bridges(low, np.array([x]), np.array([path[-1]]), u, held, stop_index)
+            assert drawn[:, 0].tolist() == list(path)
+            checked += 1
+    assert checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_configs(), st.data())
+def test_strided_path_moves_like_the_chain(config, data):
+    assume(config.intervals)
+    n = data.draw(st.integers(0, len(config.intervals) - 1))
+    iv = config.interval(n)
+    m = data.draw(st.integers(2, 9))
+    sites = np.linspace(max(iv.lo, -2.5), min(iv.hi, 2.5), m)
+    try:
+        chain = build_chain(config, n, sites)
+    except ValueError:
+        assume(False)
+    i0 = data.draw(st.integers(0, m - 1))
+    budget = data.draw(st.integers(0, 5_000))
+    # a small table budget forces short strides
+    table = data.draw(st.sampled_from([sim._WALK_TABLE, 300]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_WALK_TABLE", table)
+        path = simulate_path(chain, chain.sites[i0], budget, seed=data.draw(st.integers(0, 99)))
+    idx = np.searchsorted(chain.sites, path.sites)
+    assert np.array_equal(chain.sites[idx], path.sites) and idx[0] == i0
+    steps = np.diff(idx)
+    assert np.all(np.abs(steps) == 1)
+    # a step up needs p_right > 0 at its site, a step down p_right < 1: no
+    # walk crosses a wall
+    p = chain.p_right[idx[:-1]]
+    assert np.all(np.where(steps > 0, p > 0.0, p < 1.0))
+    # it stops on its first absorbing site, or after the whole budget
+    stuck = chain.absorbing[idx]
+    assert not stuck[:-1].any()
+    assert path.exhausted == (not stuck[-1])
+    assert path.steps <= budget if stuck[-1] else path.steps == budget
+
+
+def _visit_frequencies(walk, chain, i0, steps, seeds):
+    return np.array([
+        np.bincount(walk(seed), minlength=chain.sites.size) / (steps + 1) for seed in seeds
+    ])
+
+
+@pytest.mark.parametrize("sites", [9, 33])
+def test_strided_visits_match_single_steps(sites):
+    # eight seeds of each walk: every site's mean visit frequency agrees
+    # within 4.5 standard errors of the difference
+    ex218 = preset("ex218", depth=4)
+    n = ex218.locate(0.5)
+    iv = ex218.interval(n)
+    chain = build_chain(ex218, n, np.linspace(iv.lo, iv.hi, sites))
+    i0, steps, seeds = sites // 3, 40_000, range(8)
+    strided = _visit_frequencies(
+        lambda seed: np.searchsorted(
+            chain.sites, simulate_path(chain, chain.sites[i0], steps, seed=seed).sites
+        ),
+        chain, i0, steps, seeds,
+    )
+    single = _visit_frequencies(
+        lambda seed: _reference_walk(chain, i0, steps, np.random.default_rng(100 + seed)),
+        chain, i0, steps, seeds,
+    )
+    se = np.sqrt((strided.var(axis=0, ddof=1) + single.var(axis=0, ddof=1)) / len(seeds))
+    z = np.abs(strided.mean(axis=0) - single.mean(axis=0)) / se
+    assert z.max() < 4.5, z
+
+
+def test_strided_absorption_time_matches_single_steps():
+    # behind the trap's wall the walk is absorbed only at the far end: the
+    # mean absorption step of 300 paths of each walk agrees within 4.5
+    # standard errors of the difference
+    chain = build_chain(EX216, 1, [0.0, 0.25, 0.5, 0.75, 1.0])
+    strided = np.array([simulate_path(chain, 0.5, 10_000, seed=s).steps for s in range(300)])
+    single = np.array([
+        _reference_walk(chain, 2, 10_000, np.random.default_rng(1_000 + s)).size - 1
+        for s in range(300)
+    ])
+    se = math.sqrt((strided.var(ddof=1) + single.var(ddof=1)) / 300)
+    assert abs(strided.mean() - single.mean()) < 4.5 * se
+
+
+@pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 1_024, 3_071, 3_072, 100_000])
+def test_walk_plan_covers_the_budget_in_growing_strides(steps):
+    plan = sim._walk_plan(steps, _STRIDE)
+    assert sum(n * k for n, k in plan) == steps
+    full = [k for n, k in plan[:-1]]
+    assert full == sorted(full)
+    # no stride longer than the walk can pay for: 64 k**2 steps
+    cap = max(k for k in (1, 2, 4, 8, 16, 32, _STRIDE) if k == 1 or 64 * k * k <= steps)
+    assert all(k <= cap for _, k in plan)
+
+
 def test_path_from_trap_has_length_one():
     chain = build_chain(EX216, 0, [-1.0, -0.5, -0.25, 0.0])
     path = simulate_path(chain, 0.0, seed=3)
@@ -315,21 +498,21 @@ def test_path_seed_repeat_is_identical():
 
 
 def test_path_pinned_values():
-    # recorded values: the walk kernel must keep the draws, the path and the
-    # left-to-right time sums bit for bit
+    # recorded values: the strided walk must keep the draws, the path and
+    # the left-to-right time sums bit for bit
     chain = build_chain(SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5])
     absorbed = simulate_path(chain, -1.0, budget=200, seed=4)
-    assert not absorbed.exhausted and absorbed.steps == 47
+    assert not absorbed.exhausted and absorbed.steps == 3
     assert absorbed.sites[-1] == 0.5
-    assert absorbed.times[-1] == 12.361111111111109
+    assert absorbed.times[-1] == 0.8055555555555556
     ex218 = preset("ex218", depth=4)
     n = ex218.locate(0.5)
     iv = ex218.interval(n)
     chain = build_chain(ex218, n, np.linspace(iv.lo, iv.hi, 9))
     long = simulate_path(chain, 0.5, budget=10_000, seed=5)
     assert long.exhausted and long.steps == 10_000
-    assert long.sites[-1] == 0.5833333333333333
-    assert long.times[-1] == 17.361111111108166
+    assert long.sites[-1] == 0.41666666666666663
+    assert long.times[-1] == 17.36111111110817
 
 
 # -- hitting probabilities ---------------------------------------------------
@@ -770,11 +953,11 @@ def test_trace_visits_pinned_values():
     mu = build_trace_measure(config)
     grid = _dust_grid(config)
     ext = simulate_trace_chain(config, mu, grid, 1 / 3, 5_000, seed=7, mode="extension")
-    assert ext.visits.tolist() == [0] * 15 + [143, 245] + [0] * 15
+    assert ext.visits.tolist() == [0] * 15 + [128, 144] + [0] * 15
     bm = simulate_trace_chain(config, mu, grid, 0.0, 3_000, seed=8, mode="brownian")
     assert bm.visits.tolist() == [
-        48, 105, 124, 89, 85, 135, 136, 70, 122, 207, 186, 125, 157, 251, 286, 164,
-        32, 56, 62, 47, 36, 61, 76, 43, 31, 61, 55, 28, 25, 38, 40, 20,
+        43, 83, 85, 60, 52, 72, 75, 45, 51, 81, 57, 28, 34, 60, 51, 20,
+        47, 99, 108, 75, 92, 153, 166, 92, 98, 215, 220, 127, 130, 201, 192, 89,
     ]
 
 
