@@ -899,7 +899,7 @@ def cmd_verify(args) -> int:
 
 
 # a value that starts with "-" and that float() reads: -1, -0.5, -1e-3, -inf
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -618,7 +618,7 @@ def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
     laws = [kept[t] if t in kept else carry[t % 2] for t in range(k + 1)]
     low = np.zeros((k, m, width))
     stop_sites = np.flatnonzero(chain.absorbing)
-    held = np.zeros((k, m, stop_sites.size))
+    held = np.zeros((k, m, stop_sites.size)) if stop_sites.size else None
     stop_index = np.full(m, -1)
     stop_index[stop_sites] = np.arange(stop_sites.size)
     build = _band_laws(chain.p_right, chain.absorbing, laws, low, held)

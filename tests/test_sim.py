@@ -374,7 +374,8 @@ def test_strided_path_moves_like_the_chain(config, data):
     except ValueError:
         assume(False)
     i0 = data.draw(st.integers(0, m - 1))
-    budget = data.draw(st.integers(0, 5_000))
+    # long budgets walk 64-step strides: a stride of k steps needs 64 k**2
+    budget = data.draw(st.integers(0, 5_000) | st.integers(64 * _STRIDE**2, 300_000))
     # a small table budget forces short strides
     table = data.draw(st.sampled_from([sim._WALK_TABLE, 300]))
     with pytest.MonkeyPatch.context() as mp:
@@ -401,15 +402,16 @@ def _visit_frequencies(walk, chain, i0, steps, seeds):
     ])
 
 
-@pytest.mark.parametrize("sites", [9, 33])
-def test_strided_visits_match_single_steps(sites):
-    # eight seeds of each walk: every site's mean visit frequency agrees
-    # within 4.5 standard errors of the difference
+@pytest.mark.parametrize("sites, steps", [(9, 40_000), (33, 40_000), (33, 300_000)])
+def test_strided_visits_match_single_steps(sites, steps):
+    # eight seeds of each walk, strides of up to 16 and of up to 64 steps:
+    # every site's mean visit frequency agrees within 4.5 standard errors
+    # of the difference
     ex218 = preset("ex218", depth=4)
     n = ex218.locate(0.5)
     iv = ex218.interval(n)
     chain = build_chain(ex218, n, np.linspace(iv.lo, iv.hi, sites))
-    i0, steps, seeds = sites // 3, 40_000, range(8)
+    i0, seeds = sites // 3, range(8)
     strided = _visit_frequencies(
         lambda seed: np.searchsorted(
             chain.sites, simulate_path(chain, chain.sites[i0], steps, seed=seed).sites
