@@ -450,16 +450,21 @@ def _dense_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
     return _capped_cdf(band)
 
 
+def _last_landings(cdf: np.ndarray) -> np.ndarray:
+    # each row's last column of positive probability: the first that holds
+    # the row's total
+    return np.argmax(cdf == cdf[:, -1:], axis=1)
+
+
 def _stride_lookup(cdf: np.ndarray):
     """Search table of a banded cumulated law: flat rows and last landings.
 
     Row i is offset by i, so that one ``searchsorted`` of i + u over all rows
     finds where a walker at site i lands with uniform u.  A row's last
-    landing is the flat index of its last column of positive probability,
-    which is the first column that holds the row's total.
+    landing is the flat index of its last column of positive probability.
     """
     m, width = cdf.shape
-    last = np.arange(m) * width + np.argmax(cdf == cdf[:, -1:], axis=1)
+    last = np.arange(m) * width + _last_landings(cdf)
     return (cdf + np.arange(m)[:, None]).ravel(), last
 
 
@@ -572,7 +577,7 @@ def _landings(law: np.ndarray):
     """
     m, width = law.shape
     cdf = _capped_cdf(law)
-    last = np.argmax(cdf == cdf[:, -1:], axis=1).tolist()
+    last = _last_landings(cdf).tolist()
     rows = [None] * m
 
     def row(i: int):
