@@ -910,6 +910,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # argparse has no public hook for this: its private attribute holds
+        # the pattern that tells a negative number from an option.  Were it
+        # renamed in a later Python, this line would do nothing and
+        # test_negative_float_in_exponent_form_is_a_value would fail there;
+        # CI runs the newest Pythons for that.
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):

@@ -47,10 +47,13 @@ _CHUNK = 1 << 15
 # more than 2 * _STRIDE + 1 sites, and on the dense law of a smaller one
 _STRIDE = 64
 _DENSE_STRIDE = 1 << 10
-# a path or trace walk moves in strides of at most K = _STRIDE steps, fewer
-# on a window whose tables would pass _WALK_TABLE entries, and fewer on a
-# walk too short to pay for a K-step table (see _walk_plan)
+# a path or trace walk moves in strides of at most K = _STRIDE steps: the K
+# whose tables fit in _WALK_TABLE entries and whose walk costs least (see
+# _walk_stride), by the measured costs, in ns, of one band update of every
+# site's laws, of each table entry it writes and of one stride end drawn in
+# sequence (Python 3.11, numpy 2.4, one core of a 2-core x86-64 VM)
 _WALK_TABLE = 1 << 22
+_LAW_NS, _ENTRY_NS, _END_NS = 45_000, 25, 260
 _FIRST_STRIDE = 16
 _FIRST_CHUNK = 1 << 10
 _LAST_CHUNK = 1 << 16
@@ -484,32 +487,36 @@ def _stride_move(lookup, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
 # -- single trajectories -----------------------------------------------------
 
 
-def _walk_stride(sites: int) -> int:
-    """The longest stride K of a walk over ``sites`` sites.
+def _walk_stride(sites: int, steps: int) -> int:
+    """The longest stride K of a walk of ``steps`` steps over ``sites`` sites.
 
-    ``_STRIDE`` while the walk's tables fit in ``_WALK_TABLE`` entries, and
-    halved for wider windows, down to 1.  The tables are the K shares and at
-    most 6 laws of :func:`_strided_walk`, each a band of
-    2 min(K, sites - 1) + 1 columns per site.
+    The power of two up to ``_STRIDE`` that minimises the walk's modelled
+    time, K band updates of w = 2 min(K, sites - 1) + 1 entries a site
+    (``_LAW_NS`` each, and ``_ENTRY_NS`` an entry) and steps / K stride ends
+    (``_END_NS`` each), among the K whose tables, the K shares and at most
+    6 laws of :func:`_strided_walk`, fit in ``_WALK_TABLE`` entries; 1 when
+    none does.  The steps inside the strides cost the same for every K.
     """
-    k = _STRIDE
-    while k > 1 and (k + 6) * sites * (2 * min(k, sites - 1) + 1) > _WALK_TABLE:
-        k //= 2
-    return k
+
+    def width(k):
+        return 2 * min(k, sites - 1) + 1
+
+    def cost(k):
+        return k * (_LAW_NS + _ENTRY_NS * sites * width(k)) + _END_NS * steps / k
+
+    strides = [1 << j for j in range(_STRIDE.bit_length())]
+    return min((k for k in strides if k == 1 or (k + 6) * sites * width(k) <= _WALK_TABLE),
+               key=cost)
 
 
 def _walk_plan(steps: int, k: int) -> list:
     """(strides, steps per stride) of each chunk of a walk of ``steps`` steps.
 
     Chunk c walks min(``_FIRST_CHUNK`` * 2**c, ``_LAST_CHUNK``) steps in
-    strides of min(K, ``_FIRST_STRIDE`` * 2**(c // 3)) steps, K the largest
-    power of two up to ``k`` with 64 K**2 <= ``steps``: a stride of K steps
-    saves a walk more time than its table costs only over some 64 K**2
-    steps, and a walk absorbed early builds short tables only.  A walk
-    whose steps left are fewer than a stride ends in one stride of them.
+    strides of min(k, ``_FIRST_STRIDE`` * 2**(c // 3)) steps, so that a walk
+    absorbed early builds short tables only.  A walk whose steps left are
+    fewer than a stride ends in one stride of them.
     """
-    while k > 1 and 64 * k * k > steps:
-        k //= 2
     plan = []
     c = 0
     while steps:
@@ -593,11 +600,11 @@ def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
 
     The walk takes ``steps`` steps, or fewer when it stops on its first
     absorbing site.  It moves in strides of k steps, k growing with the
-    chunks up to K = ``_walk_stride(m)`` on an m-site window (``_walk_plan``).
-    Each stride's end is drawn from the exact k-step law of the chain
-    stopped at its absorbing sites: a walker at site i lands on the first
-    site whose cumulated law from i exceeds its uniform, or on the last site
-    of positive law when none does.  The ends form a chain, so they are
+    chunks up to K = ``_walk_stride(m, steps)`` on an m-site window
+    (``_walk_plan``).  Each stride's end is drawn from the exact k-step law
+    of the chain stopped at its absorbing sites: a walker at site i lands on
+    the first site whose cumulated law from i exceeds its uniform, or on the
+    last site of positive law when none does.  The ends form a chain, so they are
     found in sequence.  Then the steps inside every stride of a chunk are
     drawn at once by :func:`_bridges`.  The laws are built one step at a
     time, as far as the chunks walked so far need them.
@@ -613,7 +620,7 @@ def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
     if steps == 0 or stopped[i0]:
         return
     m = len(stopped)
-    plan = _walk_plan(steps, _walk_stride(m))
+    plan = _walk_plan(steps, _walk_stride(m, steps))
     k = max(kc for _, kc in plan)
     width = 2 * min(k, m - 1) + 1
     # two arrays carry the laws from step to step; the law of each stride

@@ -374,8 +374,8 @@ def test_strided_path_moves_like_the_chain(config, data):
     except ValueError:
         assume(False)
     i0 = data.draw(st.integers(0, m - 1))
-    # long budgets walk 64-step strides: a stride of k steps needs 64 k**2
-    budget = data.draw(st.integers(0, 5_000) | st.integers(64 * _STRIDE**2, 300_000))
+    # a walk of 400,000 steps or more on at most 9 sites strides 64 steps
+    budget = data.draw(st.integers(0, 5_000) | st.integers(400_000, 420_000))
     # a small table budget forces short strides
     table = data.draw(st.sampled_from([sim._WALK_TABLE, 300]))
     with pytest.MonkeyPatch.context() as mp:
@@ -402,11 +402,13 @@ def _visit_frequencies(walk, chain, i0, steps, seeds):
     ])
 
 
-@pytest.mark.parametrize("sites, steps", [(9, 40_000), (33, 40_000), (33, 300_000)])
-def test_strided_visits_match_single_steps(sites, steps):
-    # eight seeds of each walk, strides of up to 16 and of up to 64 steps:
-    # every site's mean visit frequency agrees within 4.5 standard errors
-    # of the difference
+@pytest.mark.parametrize("sites, steps, stride", [(9, 40_000, 16), (33, 300_000, 32),
+                                                  (9, 400_000, _STRIDE)])
+def test_strided_visits_match_single_steps(sites, steps, stride):
+    # eight seeds of each walk, strides of up to 16, 32 and 64 steps: every
+    # site's mean visit frequency agrees within 4.5 standard errors of the
+    # difference
+    assert sim._walk_stride(sites, steps) == stride
     ex218 = preset("ex218", depth=4)
     n = ex218.locate(0.5)
     iv = ex218.interval(n)
@@ -447,9 +449,30 @@ def test_walk_plan_covers_the_budget_in_growing_strides(steps):
     assert sum(n * k for n, k in plan) == steps
     full = [k for n, k in plan[:-1]]
     assert full == sorted(full)
-    # no stride longer than the walk can pay for: 64 k**2 steps
-    cap = max(k for k in (1, 2, 4, 8, 16, 32, _STRIDE) if k == 1 or 64 * k * k <= steps)
-    assert all(k <= cap for _, k in plan)
+    assert all(k <= _STRIDE for k in full)
+
+
+@pytest.mark.parametrize("sites", [2, 9, 49, 1_001, 20_001, 200_001, 4_194_305])
+@pytest.mark.parametrize("steps", [1, 3_000, 100_000, 1_000_000, 4_194_304])
+def test_walk_stride_fits_its_tables_and_grows_with_the_walk(sites, steps):
+    k = sim._walk_stride(sites, steps)
+    assert k in (1, 2, 4, 8, 16, 32, _STRIDE)
+    width = 2 * min(k, sites - 1) + 1
+    assert k == 1 or (k + 6) * sites * width <= sim._WALK_TABLE
+    # a longer walk never strides shorter, a wider window never longer
+    assert sim._walk_stride(sites, 2 * steps) >= k
+    assert sim._walk_stride(2 * sites, steps) <= k
+
+
+def test_walk_stride_by_window_and_walk():
+    # long walks on narrow windows stride 64 steps; short walks and wide
+    # windows, whose tables cost more than they save, stride less
+    assert sim._walk_stride(9, 1_000_000) == _STRIDE
+    assert sim._walk_stride(49, 100_000) == 16
+    assert sim._walk_stride(49, 3_000) == 4
+    assert sim._walk_stride(1_001, 100_000) == 8
+    assert sim._walk_stride(20_001, 100_000) == 2
+    assert sim._walk_stride(200_001, 1_000_000) == 1
 
 
 def test_path_from_trap_has_length_one():
@@ -955,7 +978,7 @@ def test_trace_visits_pinned_values():
     mu = build_trace_measure(config)
     grid = _dust_grid(config)
     ext = simulate_trace_chain(config, mu, grid, 1 / 3, 5_000, seed=7, mode="extension")
-    assert ext.visits.tolist() == [0] * 15 + [128, 144] + [0] * 15
+    assert ext.visits.tolist() == [0] * 15 + [260, 75] + [0] * 15
     bm = simulate_trace_chain(config, mu, grid, 0.0, 3_000, seed=8, mode="brownian")
     assert bm.visits.tolist() == [
         43, 83, 85, 60, 52, 72, 75, 45, 51, 81, 57, 28, 34, 60, 51, 20,
