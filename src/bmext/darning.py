@@ -28,6 +28,7 @@ from .forms import PiecewiseFn
 __all__ = [
     "DegenerateDarning",
     "DarnedSpec",
+    "common_denominator",
     "darning_map",
     "darn",
     "darned_energy",
@@ -87,6 +88,17 @@ def darning_map(config: ExtensionConfig, n: int, x) -> float:
     return float(iv.scale.signed_mass(fx))
 
 
+def common_denominator(denominators) -> tuple[int, dict[int, int]]:
+    """The least common multiple of the denominators, and each one's cofactor.
+
+    A spec's masses share a few denominators, so sums of their numerators
+    times these cofactors are exact sums of the masses over one denominator,
+    without one ``Fraction`` add (and its gcd) per mass.
+    """
+    den = math.lcm(*denominators)
+    return den, {d: den // d for d in denominators}
+
+
 @dataclass(frozen=True)
 class DarnedSpec:
     """Image interval, boundary behavior, and the atomic image measure.
@@ -109,12 +121,11 @@ class DarnedSpec:
     residue: tuple[tuple[float, Fraction], ...]
 
     def total_mass(self) -> Fraction:
-        # lengths share a few denominators: add plain integer numerators per
-        # denominator, then combine the few sums as Fractions
         sums: defaultdict[int, int] = defaultdict(int)
         for _, m in self.atoms + self.residue:
             sums[m.denominator] += m.numerator
-        return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+        den, cofactor = common_denominator(sums)
+        return Fraction(sum(n * cofactor[d] for d, n in sums.items()), den)
 
     def atom_mass(self, y: float) -> Fraction:
         return sum((m for loc, m in self.atoms if loc == y), Fraction(0))

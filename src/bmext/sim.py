@@ -12,17 +12,17 @@ adding residence time of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cantor import check_work, level_count
 from .config import ExtensionConfig, TraceMeasure
-from .darning import DarnedSpec
+from .darning import DarnedSpec, common_denominator
 from .scale import ScaleFunction
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _BATCH = 1 << 16
+# a darned walk draws and folds this many steps at a time: a whole number of
+# raw 64-bit words and of 8-step bytes
 _CHUNK = 1 << 15
 # steps a hitting walker takes on one uniform: on the band law of a window of
 # more than 2 * _STRIDE + 1 sites, and on the dense law of a smaller one
@@ -885,6 +887,35 @@ def simulate_trace_chain(
 # -- darned chains -----------------------------------------------------------
 
 
+def _symbol_width(sites: int, steps: int) -> int:
+    """Steps g per symbol of a darned walk on ``sites`` sites.
+
+    The walk counts (start residue, g-step symbol) pairs in a table of
+    2 * sites * 2**g entries, whose product with the symbol landings costs
+    O(sites * 2**g * g) once per walk.  g is the widest of 8, 4 and 2 whose
+    table is no larger than the walk's steps // g symbols, else 1.
+    """
+    for g in (8, 4, 2):
+        if 2 * sites << g <= steps // g:
+            return g
+    return 1
+
+
+@functools.cache
+def _symbol_landings(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Net move of each g-step symbol, and where its steps land.
+
+    Bit k of a symbol is step k + 1, up when set.  Row s of the landings
+    counts the steps of symbol s that end at each offset -g..g from where
+    the symbol starts.
+    """
+    sym = np.arange(1 << g)
+    walk = np.cumsum(2 * (sym[:, None] >> np.arange(g) & 1) - 1, axis=1)
+    landings = np.zeros((1 << g, 2 * g + 1), dtype=np.int64)
+    np.add.at(landings, (sym.repeat(g), walk.ravel() + g), 1)
+    return walk[:, -1].copy(), landings
+
+
 def simulate_darned(
     spec: DarnedSpec,
     grid,
@@ -898,9 +929,17 @@ def simulate_darned(
     lazy reflection half a cell beyond each window end, so its visit law is
     uniform across sites and holding-weighted occupation converges to the
     normalised image masses.  Atoms and the unresolved residue aggregates
-    are assigned to their nearest sites, ties to the left.  The
-    free walk is drawn and folded in ``_CHUNK``-step pieces, each starting
-    where the last one ended, so memory stays flat in ``n_steps``.
+    are assigned to their nearest sites, ties to the left.
+
+    Draws: step t goes up when the top bit of the t-th 32-bit half of the
+    generator's raw 64-bit words is set, low half first; these are the bits
+    ``rng.integers(0, 2, n_steps, dtype=np.int64)`` reads.  The free walk
+    (the walk before folding) is drawn in ``_CHUNK``-step pieces, each
+    starting where the last one ended, so memory stays flat in ``n_steps``.
+    Each piece packs its steps into bytes, splits them into g-step symbols
+    (``_symbol_width``) and counts (start residue, symbol) pairs; steps past
+    the last whole byte are folded one by one.  Once per walk the pair
+    counts are spread onto the residues the symbols' steps land on.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
@@ -912,17 +951,17 @@ def simulate_darned(
         raise ValueError("x0 must be a grid site")
     i0 = int(i0)
 
-    masses = [Fraction(0)] * sites.size
-    inside = [
-        (loc, mass) for loc, mass in spec.atoms + spec.residue if sites[0] <= loc <= sites[-1]
-    ]
+    lo, hi = float(sites[0]), float(sites[-1])
+    inside = [(loc, mass) for loc, mass in spec.atoms + spec.residue if lo <= loc <= hi]
     at, _ = nearest_site(sites, [float(loc) for loc, _ in inside])
+    den, cofactor = common_denominator({mass.denominator for _, mass in inside})
+    sums = [0] * sites.size
     for a, (_, mass) in zip(at.tolist(), inside):
-        masses[a] += mass
-    total = sum(masses, Fraction(0))
-    if total == 0:
+        sums[a] += mass.numerator * cofactor[mass.denominator]
+    if not any(sums):
         raise ValueError("zero image mass in the window")
-    site_mass = np.array([float(v) for v in masses])
+    # int / int is correctly rounded, as float() of the exact site sum is
+    site_mass = np.array([v / den for v in sums])
 
     if sites.size == 1:
         return OccupationStats(
@@ -930,16 +969,49 @@ def simulate_darned(
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     m = sites.size
-    visits = np.zeros(m, dtype=np.int64)
+    period = 2 * m
+    g = _symbol_width(m, n_steps)
+    move, landings = _symbol_landings(g)
+    pairs = np.zeros(period << g, dtype=np.int64)
+    h = np.zeros(period, dtype=np.int64)
     free = i0
+    up = np.empty((_CHUNK // 2, 2), dtype=bool)
+    lanes = np.arange(0, 8, g, dtype=np.uint8)  # first bit of each symbol in a byte
     for start in range(0, n_steps, _CHUNK):
-        steps = rng.integers(0, 2, size=min(_CHUNK, n_steps - start), dtype=np.int64) * 2 - 1
-        walk = free + np.cumsum(steps)
-        free = int(walk[-1])
-        # folding a free walk at half-integer walls gives the lazy reflected
-        # chain: residue j >= m of the period 2m is site 2m - 1 - j
-        h = np.bincount(np.mod(walk, 2 * m), minlength=2 * m)
-        visits += h[:m] + h[:m - 1:-1]
+        c = min(_CHUNK, n_steps - start)
+        words = rng.bit_generator.random_raw((c + 1) // 2)
+        # bits 31 and 63 read arithmetically, the same on any byte order
+        np.greater_equal(words.astype(np.uint32), 1 << 31, out=up[:words.size, 0])
+        np.greater_equal(words, 1 << 63, out=up[:words.size, 1])
+        steps = up.ravel()[:c]
+        whole = c - c % 8
+        if whole:
+            sym = np.packbits(steps[:whole], bitorder="little")
+            if g < 8:
+                sym = ((sym[:, None] >> lanes) & ((1 << g) - 1)).ravel()
+            moves = move[sym]
+            cell = np.cumsum(moves)
+            cell += free
+            free = int(cell[-1]) % period
+            # in place, from where each symbol ends to its table cell:
+            # start residue << g | symbol
+            cell -= moves
+            cell %= period
+            cell <<= g
+            cell |= sym
+            np.add.at(pairs, cell, 1)
+        if whole < c:
+            walk = free + np.cumsum(steps[whole:].astype(np.int64) * 2 - 1)
+            np.add.at(h, walk % period, 1)
+            free = int(walk[-1]) % period
+    # entry r of pairs @ landings[:, o + g] counts the steps that land on
+    # residue r + o from symbols that start on residue r
+    pairs = pairs.reshape(period, 1 << g)
+    for offset in range(-g, g + 1):
+        h += np.roll(pairs @ landings[:, offset + g], offset)
+    # folding a free walk at half-integer walls gives the lazy reflected
+    # chain: residue j >= m of the period 2m is site 2m - 1 - j
+    visits = h[:m] + h[:m - 1:-1]
     visits[i0] += 1
     weighted = visits * site_mass
     total_w = weighted.sum()

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1081,10 +1082,11 @@ def test_darned_window_validation():
 
 
 def test_darned_visits_pinned_values():
-    # recorded values: the walk crosses chunk edges without ending on one
+    # recorded values: 98,309 steps end on a part byte, on an odd step, and
+    # past the edges of 32,768-step chunks
     spec = darn(EX215, 0, depth=6)
     grid = np.linspace(0.0, 1.0, 65)
-    stats = simulate_darned(spec, grid, 0.5, 3 * _CHUNK + 5, seed=21)
+    stats = simulate_darned(spec, grid, 0.5, 98_309, seed=21)
     assert stats.visits.tolist() == [
         1684, 1635, 1569, 1633, 1702, 1760, 1726, 1522, 1378, 1356, 1395, 1417, 1388,
         1449, 1556, 1564, 1486, 1428, 1468, 1517, 1478, 1425, 1387, 1359, 1361, 1380,
@@ -1094,6 +1096,104 @@ def test_darned_visits_pinned_values():
     ]
     short = simulate_darned(spec, grid, 0.5, 2, seed=21)
     assert short.visits.tolist() == [0] * 31 + [1, 2] + [0] * 32
+
+
+def _reference_darned_visits(sites, i0, steps, seed):
+    """Visits per site of the darned walk on ``sites`` sites, folded step by step.
+
+    One ``rng.integers(0, 2)`` draw per step, in chunks of an even number of
+    steps (so that no chunk leaves half of a raw word unread).  The free
+    walk's residue j mod 2m is site j, or site 2m - 1 - j when j >= m.
+    ``simulate_darned`` must count exactly these visits.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    visits = np.zeros(sites, dtype=np.int64)
+    free = i0
+    for start in range(0, steps, 1 << 15):
+        moves = rng.integers(0, 2, size=min(1 << 15, steps - start), dtype=np.int64) * 2 - 1
+        walk = free + np.cumsum(moves)
+        free = int(walk[-1])
+        h = np.bincount(np.mod(walk, 2 * sites), minlength=2 * sites)
+        visits += h[:sites] + h[:sites - 1:-1]
+    visits[i0] += 1
+    return visits
+
+
+@functools.cache
+def _ex215_spec():
+    return darn(EX215, 0, depth=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.integers(2, 8), st.integers(2, 400)),
+    st.one_of(
+        st.integers(0, 300_000),
+        st.integers(0, 40),
+        # walks that end just before, on or just past a chunk edge
+        st.builds(lambda k, d: k * _CHUNK + d, st.integers(1, 9), st.integers(-9, 9)),
+    ),
+    st.integers(0, 2**63),
+    st.data(),
+)
+def test_darned_visits_equal_the_per_step_fold(sites, steps, seed, data):
+    # every symbol width: 8-step symbols need 4,096 steps a site, 4-step ones
+    # 128 and 2-step ones 16; fewer than 8 sites wrap the period of 2m more
+    # than once in one byte
+    i0 = data.draw(st.integers(0, sites - 1))
+    grid = np.linspace(0.0, 1.0, sites)
+    stats = simulate_darned(_ex215_spec(), grid, grid[i0], steps, seed=seed)
+    assert stats.visits.tolist() == _reference_darned_visits(sites, i0, steps, seed).tolist()
+
+
+@pytest.mark.parametrize("name, index, depth, sites", [
+    ("ex215", 0, 6, 63), ("darning-sojourn", 1, 6, 64), ("ex216", 1, 5, 155),
+])
+def test_benchmark_darned_windows_fold_bytes(name, index, depth, sites):
+    # the windows `simulate darned` walks for 3,000,000 steps in the benchmark
+    spec = darn(preset(name), index, depth=depth)
+    assert len({float(loc) for loc, _ in spec.atoms}) == sites
+    assert sim._symbol_width(sites, 3_000_000) == 8
+
+
+def test_symbol_width_is_the_widest_whose_table_fits_the_walk():
+    # ex215 at depth 14: 16,383 sites, wider than a 100,000-step walk
+    assert sim._symbol_width(16_383, 100_000) == 1
+    assert sim._symbol_width(1_023, 100_000) == 2
+    assert sim._symbol_width(16_383, 3_000_000) == 4
+    for sites in (2, 7, 63, 400, 1_023, 16_383, 1 << 20):
+        for steps in (0, 1, 100, 10_000, 100_001, 3_000_000, 1 << 22):
+            g = sim._symbol_width(sites, steps)
+            fits = [w for w in (2, 4, 8) if 2 * sites << w <= steps // w]
+            assert g == max(fits, default=1)
+
+
+def test_darned_site_masses_are_the_rounded_exact_sums():
+    for config, index, depth in ((EX215, 0, 6), (EX216, 1, 5), (SOJOURN, 1, 6), (EX215, 0, 10)):
+        spec = darn(config, index, depth=depth)
+        sites = sorted({float(loc) for loc, _ in spec.atoms})[: 2 ** depth // 3 + 2]
+        exact = [Fraction(0)] * len(sites)
+        inside = [(loc, m) for loc, m in spec.atoms + spec.residue if sites[0] <= loc <= sites[-1]]
+        at, _ = nearest_site(sites, [float(loc) for loc, _ in inside])
+        for a, (_, m) in zip(at.tolist(), inside):
+            exact[a] += m
+        stats = simulate_darned(spec, sites, sites[0], 10, seed=1)
+        assert stats.site_mass.tolist() == [float(v) for v in exact]
+
+
+def test_darned_memory_does_not_grow_with_steps():
+    spec = darn(EX215, 0, depth=6)
+    sites = sorted({float(loc) for loc, _ in spec.atoms})
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            simulate_darned(spec, sites, sites[31], steps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4_000_003) <= 1.1 * peak(400_000)
 
 
 def test_darned_refuses_a_negative_step_count():
