@@ -180,14 +180,16 @@ def _integer(v, path: str) -> int:
 
 
 def _weight(v, path: str) -> Fraction:
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ScenarioError(f"{path}: expected a number or a fraction string")
-    if isinstance(v, (int, float, str)):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    raise ScenarioError(f"{path}: expected a number or a fraction string")
+    try:
+        w = Fraction(v)
+        float(w)  # the scale reads a block's weight as a float too
+    except OverflowError:
+        raise ScenarioError(f"{path}: {v!r} is not a finite number in the float range") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    return w
 
 
 def _parse_interval(d, path: str) -> IntervalSpec:
@@ -305,7 +307,11 @@ def _parse_function(config, spec, path: str) -> PiecewiseFn:
                     _finite(cell[3], cpath),
                 )
             )
-        parts.append(IntervalPart(_finite(part.get("anchor", 0.0), ppath), tuple(pieces)))
+        anchor = _finite(part.get("anchor", 0.0), ppath)
+        try:
+            parts.append(IntervalPart(anchor, tuple(pieces)))
+        except ValueError as exc:
+            raise CommandError(f"{ppath}: {exc}") from None
     try:
         return PiecewiseFn(config, tuple(parts))
     except ValueError as exc:
@@ -365,7 +371,7 @@ class Scenario:
 
 def parse_scenario(doc, default_name: str = "scenario") -> Scenario:
     _reject_unknown(doc, ("schema", "name", "config", "functions", "experiments"), "$")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if isinstance(doc.get("schema"), bool) or doc.get("schema") != SCHEMA_VERSION:
         raise ScenarioError(f"$.schema: expected {SCHEMA_VERSION}")
     name = doc.get("name", default_name)
     if not isinstance(name, str):

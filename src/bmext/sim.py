@@ -49,16 +49,15 @@ _CHUNK = 1 << 15
 # more than 2 * _STRIDE + 1 sites, and on the dense law of a smaller one
 _STRIDE = 64
 _DENSE_STRIDE = 1 << 10
-# a path or trace walk moves in strides of at most K = _STRIDE steps: the K
-# whose tables fit in _WALK_TABLE entries and whose walk costs least (see
-# _walk_stride), by the measured costs, in ns, of one band update of every
-# site's laws, of each table entry it writes and of one stride end drawn in
-# sequence (Python 3.11, numpy 2.4, one core of a 2-core x86-64 VM)
+# a path or trace walk strides K = _walk_stride(m, steps) steps from its first
+# stride to its last, K at most _STRIDE: the K whose tables fit in _WALK_TABLE
+# entries and whose walk costs least, by the measured costs, in ns, of one
+# band update of every site's laws, of each table entry it writes and of one
+# stride end drawn in sequence (Python 3.11, numpy 2.4, one core of a 2-core
+# x86-64 VM).  It draws its strides in chunks of _WALK_CHUNK steps.
 _WALK_TABLE = 1 << 22
 _LAW_NS, _ENTRY_NS, _END_NS = 45_000, 25, 260
-_FIRST_STRIDE = 16
-_FIRST_CHUNK = 1 << 10
-_LAST_CHUNK = 1 << 16
+_WALK_CHUNK = 1 << 16
 
 
 def _site_array(sites) -> np.ndarray:
@@ -72,6 +71,14 @@ def _site_array(sites) -> np.ndarray:
     return arr
 
 
+def _nearest_index(sites: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # index of each point's nearest site, ties to the left
+    j = np.searchsorted(sites, x)
+    left = np.maximum(j - 1, 0)
+    right = np.minimum(j, sites.size - 1)
+    return np.where(sites[right] - x < x - sites[left], right, left)
+
+
 def nearest_site(sites, x) -> tuple[np.ndarray, np.ndarray]:
     """Index of each point's nearest site, ties to the left, and whether it is the point.
 
@@ -82,10 +89,7 @@ def nearest_site(sites, x) -> tuple[np.ndarray, np.ndarray]:
     """
     sites = np.asarray(sites, dtype=float)
     x = np.asarray(x, dtype=float)
-    j = np.searchsorted(sites, x)
-    left = np.maximum(j - 1, 0)
-    right = np.minimum(j, sites.size - 1)
-    i = np.where(sites[right] - x < x - sites[left], right, left)
+    i = _nearest_index(sites, x)
     on = [
         math.isclose(s, y, rel_tol=1e-12, abs_tol=1e-12)
         for s, y in zip(sites[i].ravel().tolist(), x.ravel().tolist())
@@ -215,7 +219,7 @@ def snap_grid(
     base = np.linspace(lo, hi, cells + 1)[1:-1]
     if targets:
         ordered = np.array(sorted(targets))
-        near = ordered[nearest_site(ordered, base)[0]]
+        near = ordered[_nearest_index(ordered, base)]
         base = np.where(np.abs(near - base) <= (hi - lo) / (2 * cells), near, base)
     out = [lo]
     for best in base.tolist():
@@ -343,34 +347,28 @@ def stride_table_entries(sites: int) -> int:
     return sites * (2 * sites - 1 if _dense(sites) else 2 * _STRIDE + 1)
 
 
-def _band_laws(p: np.ndarray, stop: np.ndarray, laws, low=None, held=None):
-    """Write the laws of 1, 2, ... steps of the chain stopped on ``stop`` into ``laws``.
+def _band_laws(p: np.ndarray, stop: np.ndarray, k: int, h: int, low=None, held=None):
+    """The k-step law, k >= 1, of the chain stopped on ``stop``, as a band of half-width h.
 
-    A generator: it yields t once it has written the t-step law to
-    ``laws[t % n]``, n = ``len(laws)``, and goes on while asked.  ``laws``
-    holds arrays of shape (m, 2h + 1) and the 0-step law, the identity, at
-    ``laws[0]``.  One array may stand at several places of ``laws``, but
-    never next to itself: two arrays keep the last law only.  Column j of
-    row i is the probability of standing at site i - h + j after t steps
-    from site i.  A walker moves at most h sites, so while t <= h or
-    h >= m - 1 these columns hold the whole law.  Each law is one update of
-    the band from the last: the law times the holding weight, plus the flow
-    up from the column below, plus the flow down from the column above,
-    added in that order.  The update skips the columns a walker cannot have
-    reached, where every term is 0, so ``laws`` must be 0 there.  The band's
-    move weights are windows onto per-site vectors padded by h stopped sites
-    at each end.
+    Column j of row i is the probability of standing at site i - h + j after
+    k steps from site i.  A walker moves one site a step, so while k <= h or
+    h >= m - 1 these columns hold the whole law.  Two arrays take the
+    1-, 2-, ... k-step laws in turn, each one update of the band from the
+    last: the law times the holding weight, plus the flow up from the
+    column below, plus the flow down from the column above, added in that
+    order.  The update skips the columns a walker cannot have reached,
+    where every term is 0.  The band's move weights are windows onto
+    per-site vectors padded by h stopped sites at each end.
 
     ``low``, zeros of shape (k, m, 2h + 1) if given, receives at ``[t - 1]``
     the share of the t-step law's first two terms in it, left 0 where the
     law is 0.  ``held``, zeros of shape (k, m, s) if given, receives at
     ``[t - 1, i, j]`` the share of the first term in P^t(i, z), z the j-th of
     the s stopped sites, left 0 where that law is 0 or z lies off row i's
-    band.  With either, ask for at most k steps.
+    band.
     """
-    n = len(laws)
-    m, width = laws[0].shape
-    h = width // 2
+    m = p.size
+    width = 2 * h + 1
     stopped = np.concatenate((np.ones(h, dtype=bool), stop, np.ones(h, dtype=bool)))
     q = np.concatenate((np.zeros(h), p, np.zeros(h)))
     up = sliding_window_view(np.where(stopped, 0.0, q), width)
@@ -383,11 +381,10 @@ def _band_laws(p: np.ndarray, stop: np.ndarray, laws, low=None, held=None):
         cols = np.flatnonzero(stop) - rows + h
         on_band = (cols >= 0) & (cols < width)
         cols = np.where(on_band, rows * width + cols, 0)
-    laws[0][:, h] = 1.0
+    law, nxt = np.zeros((m, width)), np.zeros((m, width))
+    law[:, h] = 1.0
     flow = np.empty((m, width - 1))
-    t = 0
-    while True:
-        law, nxt = laws[t % n], laws[(t + 1) % n]
+    for t in range(k):
         # after t + 1 steps a walker stands in the columns a to e - 1
         a, e = max(h - t - 1, 0), min(h + t + 2, width)
         total = nxt[:, a:e]
@@ -405,13 +402,13 @@ def _band_laws(p: np.ndarray, stop: np.ndarray, laws, low=None, held=None):
             first = law.reshape(-1)[cols] * on_band
             after = nxt.reshape(-1)[cols] * on_band
             np.divide(first, after + (after == 0), out=held[t])
-        t += 1
-        yield t
+        law, nxt = nxt, law
+    return law
 
 
-def _capped_cdf(law: np.ndarray, out=None) -> np.ndarray:
+def _capped_cdf(law: np.ndarray) -> np.ndarray:
     # cumulated sums along each row, capped at 1
-    cdf = np.cumsum(law, axis=1, out=out)
+    cdf = np.cumsum(law, axis=1)
     return np.minimum(cdf, 1.0, out=cdf)
 
 
@@ -422,10 +419,7 @@ def _stride_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
     i - k + j after k >= 1 steps from site i: the cumulated sums of
     :func:`_band_laws`' k-step law, capped at 1.
     """
-    laws = [np.zeros((p.size, 2 * k + 1)) for _ in range(2)]
-    for t in _band_laws(p, stop, laws):
-        if t == k:
-            return _capped_cdf(laws[k % 2], out=laws[(k + 1) % 2])
+    return _capped_cdf(_band_laws(p, stop, k, k))
 
 
 def _dense_cdf(p: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
@@ -511,27 +505,6 @@ def _walk_stride(sites: int, steps: int) -> int:
                key=cost)
 
 
-def _walk_plan(steps: int, k: int) -> list:
-    """(strides, steps per stride) of each chunk of a walk of ``steps`` steps.
-
-    Chunk c walks min(``_FIRST_CHUNK`` * 2**c, ``_LAST_CHUNK``) steps in
-    strides of min(k, ``_FIRST_STRIDE`` * 2**(c // 3)) steps, so that a walk
-    absorbed early builds short tables only.  A walk whose steps left are
-    fewer than a stride ends in one stride of them.
-    """
-    plan = []
-    c = 0
-    while steps:
-        kc = min(k, _FIRST_STRIDE << c // 3)
-        n = min(min(_FIRST_CHUNK << c, _LAST_CHUNK) // kc, steps // kc)
-        if n == 0:
-            n, kc = 1, steps
-        plan.append((n, kc))
-        steps -= n * kc
-        c += 1
-    return plan
-
-
 def _bridges(low: np.ndarray, x: np.ndarray, b: np.ndarray, u: np.ndarray,
              held=None, stop_index=None) -> np.ndarray:
     """Sites of strides of k = ``len(u)`` steps from ``x`` to ``b``, drawn from the end back.
@@ -601,52 +574,40 @@ def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
     """Yield the sites a walk from i0 visits after it starts, in order, chunk by chunk.
 
     The walk takes ``steps`` steps, or fewer when it stops on its first
-    absorbing site.  It moves in strides of k steps, k growing with the
-    chunks up to K = ``_walk_stride(m, steps)`` on an m-site window
-    (``_walk_plan``).  Each stride's end is drawn from the exact k-step law
-    of the chain stopped at its absorbing sites: a walker at site i lands on
-    the first site whose cumulated law from i exceeds its uniform, or on the
-    last site of positive law when none does.  The ends form a chain, so they are
-    found in sequence.  Then the steps inside every stride of a chunk are
-    drawn at once by :func:`_bridges`.  The laws are built one step at a
-    time, as far as the chunks walked so far need them.
+    absorbing site.  It moves in strides of K = ``_walk_stride(m, steps)``
+    steps on an m-site window.  Each stride's end is drawn from the exact
+    K-step law of the chain stopped at its absorbing sites: a walker at
+    site i lands on the first site whose cumulated law from i exceeds its
+    uniform, or on the last site of positive law when none does.  The ends
+    form a chain, so they are found in sequence.  Then the steps inside
+    every stride of a chunk are drawn at once by :func:`_bridges`.
 
-    Draw contract (the seeded walks depend on it): chunk c plans n strides
-    of k steps (``_walk_plan``).  It draws one ``rng.random(n)`` for their
-    ends, in order, and stops at the first end that absorbs.  Then it draws
-    ``rng.random((k, s))`` for the bridges of the s strides it walked, row
-    t - 1 picking each stride's site after t - 1 steps.  An absorbed walk
-    draws nothing after the chunk it is absorbed in.
+    Draw contract (the seeded walks depend on it): the walk takes
+    ceil(steps / K) strides, in chunks of n = min(``_WALK_CHUNK`` // K,
+    strides left).  Each chunk draws one ``rng.random(n)`` for their ends,
+    in order, and stops at the first end that absorbs.  Then it draws
+    ``rng.random((K, s))`` for the bridges of the s strides it walked, row
+    t - 1 picking each stride's site after t - 1 steps.  The sites past
+    ``steps`` are dropped: a prefix of a path of the chain is a path of its
+    length, so a walk absorbed only after ``steps`` steps ends unabsorbed.
+    An absorbed walk draws nothing after the chunk it is absorbed in.
     """
     stopped = chain.absorbing.tolist()
     if steps == 0 or stopped[i0]:
         return
     m = len(stopped)
-    plan = _walk_plan(steps, _walk_stride(m, steps))
-    k = max(kc for _, kc in plan)
-    width = 2 * min(k, m - 1) + 1
-    # two arrays carry the laws from step to step; the law of each stride
-    # length the plan walks keeps its own
-    kept = {kc: np.zeros((m, width)) for _, kc in plan}
-    carry = [np.zeros((m, width)) for _ in range(2)]
-    laws = [kept[t] if t in kept else carry[t % 2] for t in range(k + 1)]
-    low = np.zeros((k, m, width))
+    k = _walk_stride(m, steps)
+    h = min(k, m - 1)
+    low = np.zeros((k, m, 2 * h + 1))
     stop_sites = np.flatnonzero(chain.absorbing)
     held = np.zeros((k, m, stop_sites.size)) if stop_sites.size else None
     stop_index = np.full(m, -1)
     stop_index[stop_sites] = np.arange(stop_sites.size)
-    build = _band_laws(chain.p_right, chain.absorbing, laws, low, held)
-    built = 0
-    landings = {}
+    rows, row = _landings(_band_laws(chain.p_right, chain.absorbing, k, h, low, held))
     pos = i0
-    for n, kc in plan:
-        while built < kc:
-            built = next(build)
-        if kc not in landings:
-            landings[kc] = _landings(kept[kc])
-        rows, row = landings[kc]
+    while steps > 0:
         ends = [pos]
-        for u in rng.random(n).tolist():
+        for u in rng.random(min(_WALK_CHUNK // k, -(-steps // k))).tolist():
             cdf, sites = rows[pos] or row(pos)
             pos = sites[bisect_right(cdf, u)]
             ends.append(pos)
@@ -654,13 +615,14 @@ def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
                 break
         # only a stride that ends on a stopped site may hold its walker
         z = _bridges(low, np.array(ends[:-1]), np.array(ends[1:]),
-                     rng.random((kc, len(ends) - 1)), held if stopped[pos] else None, stop_index)
+                     rng.random((k, len(ends) - 1)), held if stopped[pos] else None, stop_index)
         sites = z[1:].T.reshape(-1)
         if stopped[pos]:
             # the walk ends where it first meets the absorbing site
-            yield sites[: sites.size - kc + int(np.argmax(z[1:, -1] == pos)) + 1]
+            yield sites[: min(steps, sites.size - k + int(np.argmax(z[1:, -1] == pos)) + 1)]
             return
-        yield sites
+        yield sites[:steps]
+        steps -= sites.size
 
 
 def simulate_path(
@@ -953,7 +915,7 @@ def simulate_darned(
 
     lo, hi = float(sites[0]), float(sites[-1])
     inside = [(loc, mass) for loc, mass in spec.atoms + spec.residue if lo <= loc <= hi]
-    at, _ = nearest_site(sites, [float(loc) for loc, _ in inside])
+    at = _nearest_index(sites, np.array([float(loc) for loc, _ in inside]))
     den, cofactor = common_denominator({mass.denominator for _, mass in inside})
     sums = [0] * sites.size
     for a, (_, mass) in zip(at.tolist(), inside):

@@ -204,6 +204,21 @@ def test_deep_scenario_dust_is_accounted_without_its_pieces(tmp_path, capsys, mo
     ]
 
 
+# a block weight beyond the float range: a fraction string that parses
+# exactly, and JSON numbers that json reads as inf
+@pytest.mark.parametrize("weight", ['"1e400"', '"-1e400"', "1e400", "Infinity"])
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("energy", "--function", "mixed"), ("decompose", "--function", "mixed"),
+    ("darn",), ("trace", "--function", "mixed"), ("simulate", "hitting", "--experiment", "0"),
+], ids=lambda argv: argv[1] if argv[0] == "simulate" else argv[0])
+def test_a_weight_beyond_the_float_range_is_refused(tmp_path, capsys, weight, argv):
+    text = json.dumps(MIXED).replace('"weight": 1', f'"weight": {weight}')
+    err = refused(capsys, 2, *argv, "--scenario", write(tmp_path, text))
+    assert err["type"] == "ScenarioError"
+    assert err["message"].startswith("$.config.intervals[0].scale.blocks[0].weight: ")
+    assert "is not a finite number in the float range" in err["message"]
+
+
 def test_missing_source_exits_2(capsys):
     code, out = run(capsys, "energy", "--function", "tent")
     assert code == 2

@@ -46,6 +46,7 @@ from strategies import random_configs, random_scales
 
 EX215 = preset("ex215")
 EX216 = preset("ex216")
+EX218_4 = preset("ex218", depth=4)
 SOJOURN = preset("darning-sojourn")
 BROWNIAN = ExtensionConfig((IntervalSpec(make_scale(-math.inf, math.inf)),), name="brownian")
 
@@ -330,16 +331,13 @@ def test_stride_end_times_bridge_is_every_path_probability(name, k):
     m = chain.sites.size
     width = 2 * min(k, m - 1) + 1
     h = width // 2
-    laws = [np.zeros((m, width)) for _ in range(k + 1)]
     low = np.zeros((k, m, width))
     stop_sites = np.flatnonzero(chain.absorbing)
     held = np.zeros((k, m, stop_sites.size))
-    for t in sim._band_laws(chain.p_right, chain.absorbing, laws, low, held):
-        if t == k:
-            break
+    law = sim._band_laws(chain.p_right, chain.absorbing, k, h, low, held)
     stop_index = np.full(m, -1)
     stop_index[stop_sites] = np.arange(stop_sites.size)
-    rows, row = sim._landings(laws[k])
+    rows, row = sim._landings(law)
     checked = 0
     for x in np.flatnonzero(~chain.absorbing).tolist():
         cdf, ends = rows[x] or row(x)
@@ -444,13 +442,38 @@ def test_strided_absorption_time_matches_single_steps():
     assert abs(strided.mean() - single.mean()) < 4.5 * se
 
 
-@pytest.mark.parametrize("steps", [0, 1, 15, 16, 17, 1_024, 3_071, 3_072, 100_000])
-def test_walk_plan_covers_the_budget_in_growing_strides(steps):
-    plan = sim._walk_plan(steps, _STRIDE)
-    assert sum(n * k for n, k in plan) == steps
-    full = [k for n, k in plan[:-1]]
-    assert full == sorted(full)
-    assert all(k <= _STRIDE for k in full)
+# a gap of ex218 whose ends reflect, and a Brownian window whose ends absorb,
+# walked from the middle: some of its walks are absorbed within the budget
+# and some are not
+WALK_EDGE_CHAINS = {
+    "reflect": lambda: build_chain(EX218_4, EX218_4.locate(0.5), np.linspace(1 / 3, 2 / 3, 9)),
+    "absorb": lambda: build_chain(BROWNIAN, 0, np.linspace(0.0, 1.0, 257)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_EDGE_CHAINS))
+@pytest.mark.parametrize("whole", [10_000, sim._WALK_CHUNK])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_walk_takes_its_whole_budget_or_stops_on_absorption(name, whole, offset):
+    # budgets one short of, on and one past a whole number of strides, and of
+    # chunks: the last stride is trimmed to the budget
+    chain = WALK_EDGE_CHAINS[name]()
+    m = chain.sites.size
+    budget = whole + offset
+    k = sim._walk_stride(m, budget)
+    assert whole % k == 0 and sim._walk_stride(m, whole - 1) == k == sim._walk_stride(m, whole)
+    for seed in range(4):
+        path = simulate_path(chain, chain.sites[m // 2], budget, seed=seed)
+        idx = np.searchsorted(chain.sites, path.sites)
+        assert np.all(np.abs(np.diff(idx)) == 1)
+        stuck = chain.absorbing[idx]
+        assert not stuck[:-1].any()
+        assert path.exhausted == (not stuck[-1])
+        assert path.steps == budget if path.exhausted else 0 < path.steps <= budget
+        if budget % k == 0:
+            # one step short takes the same strides on the same draws
+            short = simulate_path(chain, chain.sites[m // 2], budget - 1, seed=seed)
+            assert np.array_equal(short.sites, path.sites[:budget])
 
 
 @pytest.mark.parametrize("sites", [2, 9, 49, 1_001, 20_001, 200_001, 4_194_305])
@@ -537,7 +560,7 @@ def test_path_pinned_values():
     chain = build_chain(ex218, n, np.linspace(iv.lo, iv.hi, 9))
     long = simulate_path(chain, 0.5, budget=10_000, seed=5)
     assert long.exhausted and long.steps == 10_000
-    assert long.sites[-1] == 0.41666666666666663
+    assert long.sites[-1] == 0.5
     assert long.times[-1] == 17.36111111110817
 
 
@@ -979,11 +1002,11 @@ def test_trace_visits_pinned_values():
     mu = build_trace_measure(config)
     grid = _dust_grid(config)
     ext = simulate_trace_chain(config, mu, grid, 1 / 3, 5_000, seed=7, mode="extension")
-    assert ext.visits.tolist() == [0] * 15 + [260, 75] + [0] * 15
+    assert ext.visits.tolist() == [0] * 15 + [160, 124] + [0] * 15
     bm = simulate_trace_chain(config, mu, grid, 0.0, 3_000, seed=8, mode="brownian")
     assert bm.visits.tolist() == [
-        43, 83, 85, 60, 52, 72, 75, 45, 51, 81, 57, 28, 34, 60, 51, 20,
-        47, 99, 108, 75, 92, 153, 166, 92, 98, 215, 220, 127, 130, 201, 192, 89,
+        31, 61, 51, 28, 34, 54, 57, 33, 37, 61, 48, 28, 49, 84, 82, 40,
+        113, 225, 241, 164, 133, 188, 178, 96, 94, 172, 179, 122, 88, 112, 86, 32,
     ]
 
 
