@@ -42,7 +42,9 @@ The parser refuses, with exit code 2, a flag the command or kind does not
 take, a --seed or --depth below 0 (below 1 for trace and simulate trace), a
 --budget below 1, a --samples, --steps or --cells outside [1, WORK_BUDGET],
 and a NaN or infinite --x0, --left, --right or --tol; a scenario is refused
-alike when one of its experiments carries such a value.  An --index or
+alike when one of its experiments carries such a value.  simulate trace
+exits 2 as well on --cells under --mode brownian, set by the command line or
+by the experiment it runs, since that walk has no grid.  An --index or
 --experiment out of range, or a walk's --x0 outside its window, exits 1 when
 the command runs, since that range depends on the configuration.  Schema
 violations exit 2 too, semantic failures (overlapping intervals, impossible
@@ -98,8 +100,6 @@ from .forms import (
 from .scale import make_scale
 from .trace import (
     jump_contributions,
-    trace_energy_bm,
-    trace_energy_ext,
     trace_membership,
     trace_restriction,
     trace_structure,
@@ -701,8 +701,8 @@ def cmd_trace(args) -> int:
     result = {
         "function": args.function,
         "cell_count": len(st.cells),
-        "energy_bm": _jnum(trace_energy_bm(ctx.config, tf)),
-        "energy_ext": _jnum(trace_energy_ext(ctx.config, tf)),
+        "energy_bm": _jnum(report.bm_energy),
+        "energy_ext": _jnum(report.ext_energy),
         "membership": {
             "kind": report.kind.value,
             "deficit": _jnum(report.deficit),
@@ -818,10 +818,15 @@ def _sim_path(args) -> int:
 def _sim_trace(args) -> int:
     from .sim import simulate_trace_chain
 
-    ctx = _valid_context(args)
+    ctx = _load_context(args)
+    mode = args.mode or "extension"
+    if mode == "brownian" and args.cells is not None:
+        # the brownian chain walks the trace sites themselves, on no grid
+        raise UsageError("simulate trace: --mode brownian takes no --cells;"
+                         " only the extension chain walks a grid")
+    _require_valid(ctx)
     sites = trace_structure(ctx.config, args.depth).sites()
     mu = build_trace_measure(ctx.config)
-    mode = args.mode or "extension"
     x0 = _need(args, "x0")
     steps = args.steps or 100_000
     table = simulate_trace_chain(

@@ -11,8 +11,9 @@ so energies and decompositions are computed without quadrature.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cantor import CantorBlock
 from .config import ExtensionConfig
@@ -95,21 +96,19 @@ class PiecewiseFn:
     __call__ = eval
 
     def _zip_pieces(self, other: "PiecewiseFn"):
-        """Common refinement of both tilings, per interval."""
+        """Common refinement of both tilings, per interval, as (lo, hi, ua, wa, ub, wb) cells.
+
+        The cuts refine each part's tiling, so a cell lies in the last piece
+        starting at or below its low end, found by bisection; an empty part
+        reads rates 0 everywhere.
+        """
         for pa, pb in zip(self.parts, other.parts):
-            cells = []
             cuts = sorted({x for lo, hi, _, _ in pa.pieces + pb.pieces for x in (lo, hi)})
-            for lo, hi in zip(cuts, cuts[1:]):
-                ua = wa = ub = wb = 0.0
-                for plo, phi, u, w in pa.pieces:
-                    if plo <= lo and hi <= phi:
-                        ua, wa = u, w
-                        break
-                for plo, phi, u, w in pb.pieces:
-                    if plo <= lo and hi <= phi:
-                        ub, wb = u, w
-                        break
-                cells.append((lo, hi, ua, wa, ub, wb))
+            cells = list(zip(cuts, cuts[1:]))
+            for part in (pa, pb):
+                lows = [lo for lo, _, _, _ in part.pieces]
+                cells = [cell + (part.pieces[bisect_right(lows, cell[0]) - 1][2:] if lows
+                                 else (0.0, 0.0)) for cell in cells]
             yield pa, pb, cells
 
     def _combine(self, other: "PiecewiseFn", cu: float, cv: float) -> "PiecewiseFn":
@@ -307,12 +306,18 @@ def orthogonal_decompose(
         if c:
             flat.append((iv.lo, iv.hi, c))
 
+    # the lows, and the running maximum of the highs: both non-decreasing
+    lows = [lo for lo, _, _ in flat]
+    reach = list(accumulate((hi for _, hi, _ in flat), max))
+
     def global_ramp(x: float) -> float:
-        # primitive of the piecewise-constant mean-rate profile, from 0
+        # primitive of the piecewise-constant mean-rate profile, from 0; the
+        # intervals before the first whose reach passes lo_q, and those from
+        # the first starting at or past hi_q on, cannot meet [lo_q, hi_q]
         lo_q, hi_q = (0.0, x) if x >= 0.0 else (x, 0.0)
         s = math.fsum(
             c * (min(hi, hi_q) - max(lo, lo_q))
-            for lo, hi, c in flat
+            for lo, hi, c in flat[bisect_right(reach, lo_q):bisect_left(lows, hi_q)]
             if min(hi, hi_q) > max(lo, lo_q)
         )
         return s if x >= 0.0 else -s
@@ -322,12 +327,7 @@ def orthogonal_decompose(
         scale = iv.scale
         # local primitive of (u - c) from the natural base point: a finite
         # endpoint when one exists, the anchor on the whole line
-        if math.isfinite(iv.lo):
-            base = iv.lo
-        elif math.isfinite(iv.hi):
-            base = iv.hi
-        else:
-            base = scale.e
+        base = next((end for end in (iv.lo, iv.hi) if math.isfinite(end)), scale.e)
         lo_q, hi_q = (base, scale.e) if scale.e >= base else (scale.e, base)
         local = math.fsum(
             (u - c) * (min(hi, hi_q) - max(lo, lo_q))

@@ -103,17 +103,19 @@ class GridChain:
 
     ``p_right`` is the probability of stepping to the next site up; it is
     forced to 1 (resp. 0) at reflecting ends and left meaningless at
-    absorbing sites.  ``boundary`` records what the two window ends do.
+    absorbing sites.  Only the two window ends may absorb: an end that does
+    not absorb reflects.
     """
 
     sites: np.ndarray
     p_right: np.ndarray
     mean_holding: np.ndarray
-    boundary: tuple[str, str]
     absorbing: np.ndarray
-    interval_index: int | None = None
 
     def __post_init__(self):
+        inner = np.flatnonzero(self.absorbing[1:-1])
+        if inner.size:
+            raise ValueError(f"absorbing site {int(inner[0]) + 1} is not a window end")
         for arr in (self.sites, self.p_right, self.mean_holding, self.absorbing):
             arr.setflags(write=False)
 
@@ -267,8 +269,7 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     scale = iv.scale
     arr = _site_array(sites)
     m = arr.size
-    absorbing = np.zeros(m, dtype=bool)
-    for i, s in enumerate(arr):
+    for s in arr.tolist():
         if iv.contains(s):
             continue
         other = config.locate(s)
@@ -276,35 +277,22 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
             raise ValueError(
                 f"grid straddles intervals {n} and {other}: site {s} belongs to both windows"
             )
-        if s in (iv.lo, iv.hi):
-            absorbing[i] = True
-            continue
-        raise ValueError(f"site {s} lies outside interval {iv.describe()}")
+        if s not in (iv.lo, iv.hi):
+            raise ValueError(f"site {s} lies outside interval {iv.describe()}")
+    # the sites increase, so only the window ends can sit on an interval end;
+    # an end reflects on an included endpoint and absorbs otherwise
+    reflect_lo = arr[0] == iv.lo and iv.include_lo
+    reflect_hi = arr[-1] == iv.hi and iv.include_hi
+    absorbing = np.zeros(m, dtype=bool)
+    absorbing[[0, -1]] = not reflect_lo, not reflect_hi
 
     if m == 1:
         # a one-site window cannot move; only useful for trap sites
-        return GridChain(
-            arr, np.zeros(1), np.zeros(1), ("absorb", "absorb"), np.ones(1, dtype=bool), n
-        )
+        return GridChain(arr, np.zeros(1), np.zeros(1), np.ones(1, dtype=bool))
 
     tvals = np.array([scale.eval(s) for s in arr])
     if not np.all(np.diff(tvals) > 0):
         raise ValueError("grid is too fine: scale values collide in float resolution")
-
-    def end_behaviour(i: int) -> str:
-        if absorbing[i]:
-            return "absorb"
-        s = arr[i]
-        if (s == iv.lo and iv.include_lo) or (s == iv.hi and iv.include_hi):
-            return "reflect"
-        return "absorb"
-
-    b_lo = end_behaviour(0)
-    b_hi = end_behaviour(m - 1)
-    if b_lo == "absorb":
-        absorbing[0] = True
-    if b_hi == "absorb":
-        absorbing[-1] = True
 
     # Python floats: a holding time beyond the float range is inf or nan,
     # refused below, without a numpy overflow warning
@@ -314,10 +302,10 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     for i in range(1, m - 1):
         p[i] = _p_right(ts[i] - ts[i - 1], ts[i + 1] - ts[i])
         hold[i] = _mean_exit(scale, xs[i - 1], xs[i], xs[i + 1], ts[i - 1], ts[i], ts[i + 1])
-    if b_lo == "reflect":
+    if reflect_lo:
         p[0] = 1.0
         hold[0] = 2.0 * ((xs[1] - xs[0]) * ts[1] - scale.integral_t(xs[0], xs[1]))
-    if b_hi == "reflect":
+    if reflect_hi:
         p[-1] = 0.0
         hold[-1] = 2.0 * (scale.integral_t(xs[-2], xs[-1]) - (xs[-1] - xs[-2]) * ts[-2])
     for i in np.flatnonzero(~absorbing).tolist():
@@ -325,7 +313,7 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
             raise ValueError(f"holding time at site {xs[i]!r} is not finite")
         if not hold[i] > 0.0:
             raise ValueError(f"holding time at site {xs[i]!r} is not positive")
-    return GridChain(arr, p, hold, (b_lo, b_hi), absorbing, interval_index=n)
+    return GridChain(arr, p, hold, absorbing)
 
 
 # -- exact strides -----------------------------------------------------------
@@ -667,13 +655,13 @@ def hitting_probability(
 
     The embedded chain is exactly scale-harmonic, so the estimate converges
     to (t(r) - t(x0)) / (t(r) - t(l)).  Walks still unresolved after
-    ``budget`` steps, or frozen on an interior absorbing site, are excluded
-    from the estimate and reported in ``excluded``.
+    ``budget`` steps are excluded from the estimate and reported in
+    ``excluded``.
 
     Walkers move up to K steps at a time on the exact law of the chain
-    stopped at l, r and every absorbing site, so where a walk ends has the
-    law of single steps, up to the rounding of that law (about 1e-14).  A
-    window of m <= 2 * ``_STRIDE`` + 1 sites from l to r takes
+    stopped at l and r, so where a walk ends has the law of single steps, up
+    to the rounding of that law (about 1e-14).  A window of
+    m <= 2 * ``_STRIDE`` + 1 sites from l to r takes
     K = ``_DENSE_STRIDE`` steps on its dense m x m law, built by repeated
     squaring; a wider one takes K = ``_STRIDE`` steps on the band of the
     2 * ``_STRIDE`` + 1 sites a stride can reach.
@@ -709,15 +697,17 @@ def hitting_probability(
         f"the {stride}-step table of {m} sites", stride_table_entries(m), "table entries"
     )
     p = chain.p_right[il : ir + 1]
-    # outcome of arriving at each site: 0 walks on, 1 hit l, 2 hit r, 3 stuck
-    code = np.where(chain.absorbing[il : ir + 1], 3, 0).astype(np.int8)
+    # outcome of arriving at each site: 0 walks on, 1 hit l, 2 hit r; only
+    # the chain's window ends absorb, so no other site stops a walker
+    code = np.zeros(m, dtype=np.int8)
     code[0] = 1
     code[-1] = 2
     # the k-step lookup for each k walked: the stride, and the budget's tail
     tables = {}
     ss = np.random.SeedSequence(seed)
     n_batches = -(-n_samples // _BATCH)
-    tally = np.zeros(4, dtype=np.int64)
+    tally = np.zeros(3, dtype=np.int64)
+    excl = 0
     remaining = n_samples
     for child in ss.spawn(n_batches):
         rng = np.random.default_rng(child)
@@ -734,10 +724,10 @@ def hitting_probability(
             c = code[pos]
             if np.count_nonzero(c):
                 keep = c == 0
-                tally += np.bincount(c[~keep], minlength=4)
+                tally += np.bincount(c[~keep], minlength=3)
                 pos = pos[keep]
-        tally[3] += pos.size
-    _, succ, fail, excl = tally.tolist()
+        excl += pos.size
+    _, succ, fail = tally.tolist()
     settled = succ + fail
     if settled == 0:
         return McEstimate(math.nan, math.nan, 0, seed, excluded=excl)
@@ -765,7 +755,7 @@ def _brownian_chain(sites: np.ndarray) -> GridChain:
     if m > 1:
         hold[0] = (sites[1] - sites[0]) ** 2
         hold[-1] = (sites[-1] - sites[-2]) ** 2
-    return GridChain(sites, p, hold, ("reflect", "reflect"), np.zeros(m, dtype=bool))
+    return GridChain(sites, p, hold, np.zeros(m, dtype=bool))
 
 
 def _site_weights(mu: TraceMeasure | None, sites: np.ndarray) -> np.ndarray:

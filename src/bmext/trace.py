@@ -198,16 +198,10 @@ def trace_energy_ext(config: ExtensionConfig, tf: TraceFn) -> float:
     return 0.5 * math.fsum(w_terms) + math.fsum(_jump_terms(tf, "extension"))
 
 
-def jump_contributions(config, tf: TraceFn, form: str = "brownian"):
-    """Per-gap summands of the jump energy, as (gap lo, gap hi, contribution).
-
-    With form="extension" the gaps outside every interval are dropped; the
-    contributions then sum to the jump part of the extension trace energy.
-    """
-    if form not in ("brownian", "extension"):
-        raise ValueError(f"unknown form {form!r}")
-    gaps = [g for g in tf.structure.gaps if form == "brownian" or g[2] is not None]
-    return [(glo, ghi, c) for (glo, ghi, _), c in zip(gaps, _jump_terms(tf, form))]
+def jump_contributions(config, tf: TraceFn):
+    """Per-gap summands of the Brownian jump energy, as (gap lo, gap hi, contribution)."""
+    gaps = tf.structure.gaps
+    return [(glo, ghi, c) for (glo, ghi, _), c in zip(gaps, _jump_terms(tf, "brownian"))]
 
 
 def _cell_mass(config, clo: float, chi: float) -> float:

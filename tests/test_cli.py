@@ -639,6 +639,30 @@ def test_simulate_trace_refuses_an_infinite_weight(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+BROWNIAN_CELLS = ("simulate trace: --mode brownian takes no --cells;"
+                  " only the extension chain walks a grid")
+
+
+def test_simulate_trace_brownian_refuses_cells(capsys):
+    # the brownian chain walks the trace sites themselves: --cells was ignored
+    message = usage_error(capsys, "simulate", "trace", *TINY_WALKS["trace"],
+                          "--mode", "brownian", "--cells", "8")
+    assert message == BROWNIAN_CELLS
+
+
+@pytest.mark.parametrize("carried, argv", [
+    ({"mode": "brownian", "cells": 8}, ()),
+    ({"cells": 8}, ("--mode", "brownian")),
+    ({"mode": "brownian"}, ("--cells", "8")),
+], ids=["experiment", "experiment-cells", "experiment-mode"])
+def test_simulate_trace_brownian_experiment_refuses_cells(tmp_path, capsys, carried, argv):
+    doc = dict(MIXED, experiments=[
+        {"command": "simulate", "kind": "trace", "x0": 0.0, "steps": 50, **carried}])
+    message = usage_error(capsys, "simulate", "trace", "--scenario", write(tmp_path, doc),
+                          "--depth", "3", "--experiment", "0", *argv)
+    assert message == BROWNIAN_CELLS
+
+
 def test_simulate_darned_occupation(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code, out = run(

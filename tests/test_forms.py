@@ -4,13 +4,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmext.cantor import CantorBlock, cantor_fraction
-from bmext.config import preset
+from bmext.config import ExtensionConfig, IntervalSpec, preset
 from bmext.forms import (
     BUILTIN_NAMES,
     IntervalPart,
@@ -24,6 +25,7 @@ from bmext.forms import (
     orthogonal_decompose,
 )
 from bmext.scale import make_scale
+from strategies import random_configs
 
 EX215 = preset("ex215")
 EX216 = preset("ex216")
@@ -121,6 +123,70 @@ def test_pieces_must_tile():
         IntervalPart(0.0, ((1.0, 1.0, 0.0, 0.0),))
 
 
+def _scanned_zip(f, g):
+    """The common refinement, each cell's pieces found by a scan of both tilings
+    from the start: the reference for ``PiecewiseFn._zip_pieces``."""
+    for pa, pb in zip(f.parts, g.parts):
+        cells = []
+        cuts = sorted({x for lo, hi, _, _ in pa.pieces + pb.pieces for x in (lo, hi)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            ua = wa = ub = wb = 0.0
+            for plo, phi, u, w in pa.pieces:
+                if plo <= lo and hi <= phi:
+                    ua, wa = u, w
+                    break
+            for plo, phi, u, w in pb.pieces:
+                if plo <= lo and hi <= phi:
+                    ub, wb = u, w
+                    break
+            cells.append((lo, hi, ua, wa, ub, wb))
+        yield pa, pb, cells
+
+
+# two rays and a staircase block between them, each interval with the points
+# its random tilings may cut at
+TILED = ExtensionConfig((
+    IntervalSpec(make_scale(-math.inf, -1.0, include_hi=True)),
+    IntervalSpec(make_scale(0.0, 1.0, True, True, [(0.0, 1.0, 1)])),
+    IntervalSpec(make_scale(2.0, math.inf, include_lo=True)),
+))
+TILE_CUTS = ((-4.0, -3.0, -2.5, -2.0, -1.5), tuple(k / 12 for k in range(1, 12)),
+             (2.5, 3.0, 4.0, 6.0))
+RATES = st.sampled_from([0.0, 0.0, 1.0, -0.5, 0.1, 3.0, -7.25])
+
+
+@st.composite
+def tiled_functions(draw):
+    """Functions on TILED: random tilings with infinite ends, some parts empty."""
+    parts = []
+    for iv, points in zip(TILED.intervals, TILE_CUTS):
+        if draw(st.booleans()) and draw(st.booleans()):
+            parts.append(IntervalPart(0.0, ()))
+            continue
+        ends = [iv.lo, *sorted(draw(st.sets(st.sampled_from(points)))), iv.hi]
+        parts.append(IntervalPart(draw(RATES), tuple(
+            (lo, hi, draw(RATES), draw(RATES)) for lo, hi in zip(ends, ends[1:]))))
+    return PiecewiseFn(TILED, tuple(parts))
+
+
+def _combined(f, g):
+    # opposite infinite Lebesgue terms make the form's fsum raise
+    try:
+        form = bilinear(TILED, f, g)
+    except ValueError as exc:
+        form = str(exc)
+    return form, (f + g).parts, (f - g).parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=tiled_functions(), g=tiled_functions())
+def test_bisected_refinement_matches_the_scan(f, g):
+    assert list(f._zip_pieces(g)) == list(_scanned_zip(f, g))
+    got = _combined(f, g)
+    with mock.patch.object(PiecewiseFn, "_zip_pieces", _scanned_zip):
+        assert got == _combined(f, g)
+
+
 # -- decomposition -------------------------------------------------------------
 
 
@@ -215,6 +281,45 @@ def test_decompose_properties_random_densities(u, w, anchor):
     assert energy(EX215, f1) + energy(EX215, f2) == pytest.approx(total, rel=1e-12, abs=1e-12)
     for x in (-0.5, 0.3, 0.7):
         assert f1(x) + f2(x) == pytest.approx(f(x), rel=1e-9, abs=1e-9)
+
+
+def _scanned_anchors(config, f):
+    """f1's anchors, the mean-rate ramp scanning every interval for each
+    anchor: the reference for ``orthogonal_decompose``."""
+    flat, c1 = [], []
+    for part, iv in zip(f.parts, config.intervals):
+        c = math.fsum(u * (hi - lo) for lo, hi, u, _ in part.pieces) / iv.length \
+            if iv.bounded else 0.0
+        c1.append(c)
+        if c:
+            flat.append((iv.lo, iv.hi, c))
+
+    def global_ramp(x):
+        lo_q, hi_q = (0.0, x) if x >= 0.0 else (x, 0.0)
+        s = math.fsum(c * (min(hi, hi_q) - max(lo, lo_q))
+                      for lo, hi, c in flat if min(hi, hi_q) > max(lo, lo_q))
+        return s if x >= 0.0 else -s
+
+    anchors = []
+    for part, iv, c in zip(f.parts, config.intervals, c1):
+        e = iv.scale.e
+        base = iv.lo if math.isfinite(iv.lo) else iv.hi if math.isfinite(iv.hi) else e
+        lo_q, hi_q = sorted((base, e))
+        local = math.fsum((u - c) * (min(hi, hi_q) - max(lo, lo_q))
+                          for lo, hi, u, _ in part.pieces if min(hi, hi_q) > max(lo, lo_q))
+        anchors.append((-local if e < base else local) + global_ramp(e))
+    return [a - anchors[0] for a in anchors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=random_configs(), name=st.sampled_from(BUILTIN_NAMES))
+def test_decompose_anchors_match_the_full_scan(config, name):
+    # overlapping and nested intervals included: the bisection over the lows
+    # and the running maximum of the highs keeps every term, in order
+    assume(config.intervals)
+    f = named_function(config, name)
+    f1, _ = orthogonal_decompose(config, f)
+    assert [p.anchor_value for p in f1.parts] == _scanned_anchors(config, f)
 
 
 # -- interpolant ---------------------------------------------------------------

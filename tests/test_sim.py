@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from bmext import sim
 from bmext.cantor import CantorBlock
 from bmext.config import (
+    PRESET_NAMES,
     ComplementSpec,
     ExtensionConfig,
     IntervalSpec,
@@ -27,6 +28,7 @@ from bmext.sim import (
     _CHUNK,
     _DENSE_STRIDE,
     _STRIDE,
+    GridChain,
     McEstimate,
     _dense_cdf,
     _stride_cdf,
@@ -59,7 +61,6 @@ def test_brownian_chain_is_symmetric_walk():
     assert chain.p_right[1:-1] == pytest.approx(0.5, rel=1e-12)
     # mean exit time of a Brownian cell of half-width h is h**2
     assert chain.mean_holding[1:-1] == pytest.approx((1 / 12) ** 2, rel=1e-12)
-    assert chain.boundary == ("absorb", "absorb")
     assert chain.absorbing[0] and chain.absorbing[-1]
     assert not chain.absorbing[1:-1].any()
 
@@ -90,7 +91,7 @@ def test_trap_site_is_absorbing_behind_an_exact_wall():
     assert chain.p_right[2] == 0.0
     assert math.isfinite(chain.mean_holding[2]) and chain.mean_holding[2] > 0.0
     single = build_chain(EX216, 1, [0.0])
-    assert single.absorbing[0] and single.boundary == ("absorb", "absorb")
+    assert single.absorbing.tolist() == [True]
 
 
 def test_trap_end_bordering_a_complement_segment_absorbs():
@@ -106,9 +107,37 @@ def test_trap_end_bordering_a_complement_segment_absorbs():
     chain = build_chain(config, 1, [0.0, 0.5, 1.0])
     # recorded values
     assert chain.absorbing.tolist() == [True, False, True]
-    assert chain.boundary == ("absorb", "absorb")
     assert chain.p_right.tolist() == [0.0, 1.0, 0.0]
     assert chain.mean_holding.tolist() == [0.0, 0.75, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chains_of_every_preset_absorb_only_at_their_window_ends(data):
+    config = preset(data.draw(st.sampled_from(PRESET_NAMES), label="preset"), depth=4)
+    n = data.draw(st.integers(0, len(config.intervals) - 1), label="interval")
+    iv = config.interval(n)
+    e = iv.scale.e
+    # window ends on a grid of the interval's closure, its own ends included
+    lo = iv.lo if math.isfinite(iv.lo) else e - 4.0
+    hi = iv.hi if math.isfinite(iv.hi) else e + 4.0
+    points = np.linspace(lo, hi, 9).tolist()
+    a, b = sorted(data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2)))
+    sites = np.linspace(a, b, data.draw(st.integers(1, 40), label="cells") + 1) if a < b else [a]
+    try:
+        chain = build_chain(config, n, sites)
+    except ValueError as exc:
+        # a grid too fine for the scale's float values, or an end another
+        # interval holds, is refused before any chain exists
+        assert "window end" not in str(exc)
+        reject()
+    assert not chain.absorbing[1:-1].any()
+
+
+def test_grid_chain_refuses_an_interior_absorbing_site():
+    absorbing = np.array([True, False, True, False, False])
+    with pytest.raises(ValueError, match="absorbing site 2 is not a window end"):
+        GridChain(np.linspace(0.0, 1.0, 5), np.full(5, 0.5), np.ones(5), absorbing)
 
 
 def test_holding_times_pinned():
@@ -140,7 +169,7 @@ def test_holding_times_pinned():
 
 def test_included_endpoint_reflects():
     chain = build_chain(SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5])
-    assert chain.boundary == ("reflect", "absorb")
+    assert chain.absorbing.tolist() == [False, False, False, True]
     assert chain.p_right[0] == 1.0
     # one-sided exit time from a reflecting cell of width h is h**2
     assert chain.mean_holding[0] == pytest.approx(0.25, rel=1e-12)

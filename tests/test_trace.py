@@ -208,9 +208,6 @@ def test_jump_contributions_rows():
     assert math.fsum(c for _, _, c in rows) == pytest.approx(
         trace_energy_bm(EX215, tf), rel=1e-12
     )
-    assert rows == jump_contributions(EX215, tf, form="extension")
-    with pytest.raises(ValueError):
-        jump_contributions(EX215, tf, form="dirichlet")
 
 
 def test_membership_identity_restriction_is_brownian():
