@@ -259,7 +259,15 @@ def bilinear(config: ExtensionConfig, f: PiecewiseFn, g: PiecewiseFn) -> float:
                 terms.append(ua * ub * (hi - lo))
             if wa and wb:
                 terms.append(wa * wb * iv.scale.singular_between(lo, hi))
-    return 0.5 * math.fsum(terms)
+    try:
+        return 0.5 * math.fsum(terms)
+    except ValueError:
+        # fsum meets both +inf and -inf: cells of infinite measure where
+        # both functions carry a rate, so both energies are infinite
+        raise ValueError(
+            "bilinear: the form is undefined here: both energies are infinite,"
+            " and the pair's terms reach both +inf and -inf"
+        ) from None
 
 
 def in_extended_space(config: ExtensionConfig, f: PiecewiseFn) -> bool:

@@ -106,7 +106,12 @@ class _Stack:
         This is the stack's contribution to the mass between x and the
         anchor; it is infinite exactly when x sits at the stacked endpoint.
         """
-        xn, xd = x.as_integer_ratio()
+        ratio = self.mass_ratio(*x.as_integer_ratio())
+        return math.inf if ratio is None else Fraction(*ratio)
+
+    def mass_ratio(self, xn: int, xd: int) -> tuple[int, int] | None:
+        """:meth:`mass_to_edge` of xn/xd (xd > 0) as a numerator and a
+        denominator in lowest terms, or None where it is infinite."""
         an, ad = self.at.as_integer_ratio()
         dn, dd = self.delta.as_integer_ratio()
         # r = rn / rd = (distance from the endpoint) / delta
@@ -114,16 +119,18 @@ class _Stack:
         if self.side == "hi":
             rn = -rn
         if rn <= 0:
-            return math.inf
+            return None
         rd = xd * ad * dn
         if rn >= rd:
-            return Fraction(0)
+            return 0, 1
         # shell k spans 1/2**(k+1) < r <= 1/2**k; its block sees x at
         # 2**(k+1) r - 1 on a left stack and 2 - 2**(k+1) r on a right one
         k = _shell_index(rn, rd)
         if self.side == "lo":
-            return k + 1 - cantor_fraction(Fraction((rn << (k + 1)) - rd, rd))
-        return k + cantor_fraction(Fraction(2 * rd - (rn << (k + 1)), rd))
+            c = cantor_fraction(Fraction((rn << (k + 1)) - rd, rd))
+            return (k + 1) * c.denominator - c.numerator, c.denominator
+        c = cantor_fraction(Fraction(2 * rd - (rn << (k + 1)), rd))
+        return k * c.denominator + c.numerator, c.denominator
 
     def integral_mass(self, u: float, v: float) -> float:
         """∫_u^v (stack mass between y and the interior edge) dy.
@@ -308,18 +315,53 @@ class ScaleFunction:
         """Exact W-mass from the anchor to x, signed: the darning image of x."""
         return self._mass_at(x) - self._anchor_mass
 
+    @cached_property
+    def _eval_terms(self) -> tuple:
+        """Integer ratios :meth:`eval` sums: e plus its mass, then each block's
+        low end, high end, width and weight."""
+        offset = (Fraction(self.e) + self._anchor_mass).as_integer_ratio()
+        blocks = tuple(
+            (*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(),
+             *b.width.as_integer_ratio(), *b.weight.as_integer_ratio())
+            for b in self.blocks
+        )
+        return offset, blocks
+
     def eval(self, x) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.
 
-        Accepts floats or Fractions; all arithmetic is exact until the final
-        rounding, so rational breakpoints evaluate to correctly rounded values.
+        Accepts floats or Fractions.  The exact value x - e + signed_mass(x)
+        is kept as one integer numerator over one integer denominator: x
+        less e and e's mass, plus each block's weight * C((x - lo)/width),
+        plus a right stack's mass to its edge, less a left stack's.  Each
+        block's C reads its argument in lowest terms, as Fraction arithmetic
+        gives it.  One integer division rounds the sum, correctly, as float()
+        of the same Fraction does, so rational breakpoints evaluate to
+        correctly rounded values.
         """
         if x == self.lo and not self.include_lo:
             return -math.inf
         if x == self.hi and not self.include_hi:
             return math.inf
         self._check_in_closure(float(x))
-        return float(Fraction(x) - Fraction(self.e) + self.signed_mass(x))
+        (cn, cd), blocks = self._eval_terms
+        xn, xd = x.as_integer_ratio()
+        num, den = xn * cd - cn * xd, xd * cd
+        # the blocks are sorted and disjoint: those past the first one that
+        # starts at or right of x add nothing
+        for ln, ld, hn, hd, sn, sd, wn, wd in blocks:
+            if xn * ld <= ln * xd:
+                break
+            if xn * hd >= hn * xd:
+                num, den = num * wd + wn * den, den * wd
+                continue
+            c = cantor_fraction(Fraction((xn * ld - ln * xd) * sd, xd * ld * sn))
+            wn, wd = wn * c.numerator, wd * c.denominator
+            num, den = num * wd + wn * den, den * wd
+        for s in self.stacks:
+            mn, md = s.mass_ratio(xn, xd)
+            num, den = num * md + (mn if s.side == "hi" else -mn) * den, den * md
+        return num / den
 
     __call__ = eval
 

@@ -7,7 +7,9 @@ limits how much of the state space a walk can see.  Mean holding times
 integrate the two-sided exit kernel against the speed measure (Lebesgue on
 every interval), normalised so a Brownian cell of half-width h is left in
 mean time h**2.  Singular scale mass therefore slows crossings without ever
-adding residence time of its own.
+adding residence time of its own.  A chain's step laws need scale values
+only; its holding times are built on their first read, and only paths read
+them, so hitting and trace walks never build them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,20 +107,28 @@ class GridChain:
     ``p_right`` is the probability of stepping to the next site up; it is
     forced to 1 (resp. 0) at reflecting ends and left meaningless at
     absorbing sites.  Only the two window ends may absorb: an end that does
-    not absorb reflects.
+    not absorb reflects.  ``holding`` gives the mean holding time at each
+    site, or a function of no arguments that builds them; ``mean_holding``
+    reads them, building them on its first read.
     """
 
     sites: np.ndarray
     p_right: np.ndarray
-    mean_holding: np.ndarray
+    holding: np.ndarray | Callable[[], np.ndarray]
     absorbing: np.ndarray
 
     def __post_init__(self):
         inner = np.flatnonzero(self.absorbing[1:-1])
         if inner.size:
             raise ValueError(f"absorbing site {int(inner[0]) + 1} is not a window end")
-        for arr in (self.sites, self.p_right, self.mean_holding, self.absorbing):
+        for arr in (self.sites, self.p_right, self.absorbing):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def mean_holding(self) -> np.ndarray:
+        hold = self.holding() if callable(self.holding) else self.holding
+        hold.setflags(write=False)
+        return hold
 
     def site_index(self, x: float) -> int:
         i, on = nearest_site(self.sites, x)
@@ -241,20 +252,57 @@ def _p_right(dl: float, dr: float) -> float:
     return dl / (dl + dr)
 
 
-def _mean_exit(scale: ScaleFunction, l, x, r, tl, tx, tr) -> float:
-    # 2 * integral of the two-sided exit kernel against Lebesgue speed mass;
-    # an infinite neighbour scale acts as an unreachable wall
-    if math.isinf(tl) and math.isinf(tr):
-        raise ValueError("site is walled in by infinite scale on both sides")
+def _mean_exit(l, x, r, tl, tx, tr, left, right) -> float:
+    # 2 * integral of the two-sided exit kernel against Lebesgue speed mass,
+    # from the integrals of t over the cells left and right of x; an infinite
+    # neighbour scale acts as an unreachable wall
     if math.isinf(tr):
-        a = scale.integral_t(l, x) - tl * (x - l)
+        a = left - tl * (x - l)
         return 2.0 * (a + (tx - tl) * (r - x))
     if math.isinf(tl):
-        b = tr * (r - x) - scale.integral_t(x, r)
+        b = tr * (r - x) - right
         return 2.0 * ((tr - tx) * (x - l) + b)
-    a = scale.integral_t(l, x) - tl * (x - l)
-    b = tr * (r - x) - scale.integral_t(x, r)
+    a = left - tl * (x - l)
+    b = tr * (r - x) - right
     return 2.0 * ((tr - tx) * a + (tx - tl) * b) / (tr - tl)
+
+
+def _holding_times(
+    scale: ScaleFunction, sites: np.ndarray, tvals: np.ndarray, absorbing: np.ndarray
+) -> np.ndarray:
+    """Mean holding time at each site of a chain with scale values ``tvals``.
+
+    Absorbing sites hold 0.  The integral of t over a cell is taken once and
+    shared by the cell's two end sites.  A time that is not finite or not
+    positive is refused.
+    """
+    # Python floats: a holding time beyond the float range is inf or nan,
+    # refused below, without a numpy overflow warning
+    xs, ts = sites.tolist(), tvals.tolist()
+    walks = (~absorbing).tolist()
+    m = len(xs)
+    # a site that walks reads each of its cells but one that reaches a
+    # stacked end, an infinite wall
+    cells = [
+        scale.integral_t(xs[c], xs[c + 1])
+        if (walks[c] or walks[c + 1]) and math.isfinite(ts[c]) and math.isfinite(ts[c + 1])
+        else math.nan
+        for c in range(m - 1)
+    ]
+    hold = np.zeros(m)
+    for i in range(1, m - 1):
+        hold[i] = _mean_exit(xs[i - 1], xs[i], xs[i + 1], ts[i - 1], ts[i], ts[i + 1],
+                             cells[i - 1], cells[i])
+    if walks[0]:
+        hold[0] = 2.0 * ((xs[1] - xs[0]) * ts[1] - cells[0])
+    if walks[-1]:
+        hold[-1] = 2.0 * (cells[-1] - (xs[-1] - xs[-2]) * ts[-2])
+    for i in np.flatnonzero(~absorbing).tolist():
+        if not math.isfinite(hold[i]):
+            raise ValueError(f"holding time at site {xs[i]!r} is not finite")
+        if not hold[i] > 0.0:
+            raise ValueError(f"holding time at site {xs[i]!r} is not positive")
+    return hold
 
 
 def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
@@ -264,6 +312,8 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     when they sit on an included endpoint and absorb otherwise.  A site on
     an excluded endpoint that no interval contains is a trap: legal and
     absorbing, and the infinite scale walls it off from the rest of the grid.
+    The step laws need scale values only; the holding times are built, and
+    checked, when ``mean_holding`` is first read.
     """
     iv = config.interval(n)
     scale = iv.scale
@@ -294,26 +344,18 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     if not np.all(np.diff(tvals) > 0):
         raise ValueError("grid is too fine: scale values collide in float resolution")
 
-    # Python floats: a holding time beyond the float range is inf or nan,
-    # refused below, without a numpy overflow warning
-    xs, ts = arr.tolist(), tvals.tolist()
+    ts = tvals.tolist()
     p = np.zeros(m)
-    hold = np.zeros(m)
     for i in range(1, m - 1):
         p[i] = _p_right(ts[i] - ts[i - 1], ts[i + 1] - ts[i])
-        hold[i] = _mean_exit(scale, xs[i - 1], xs[i], xs[i + 1], ts[i - 1], ts[i], ts[i + 1])
     if reflect_lo:
         p[0] = 1.0
-        hold[0] = 2.0 * ((xs[1] - xs[0]) * ts[1] - scale.integral_t(xs[0], xs[1]))
-    if reflect_hi:
-        p[-1] = 0.0
-        hold[-1] = 2.0 * (scale.integral_t(xs[-2], xs[-1]) - (xs[-1] - xs[-2]) * ts[-2])
-    for i in np.flatnonzero(~absorbing).tolist():
-        if not math.isfinite(hold[i]):
-            raise ValueError(f"holding time at site {xs[i]!r} is not finite")
-        if not hold[i] > 0.0:
-            raise ValueError(f"holding time at site {xs[i]!r} is not positive")
-    return GridChain(arr, p, hold, absorbing)
+    # a reflecting end steps into its one cell; when that cell's far end is
+    # a stacked end, the walk would enter a trap the diffusion never reaches
+    if reflect_lo and math.isinf(ts[1]) or reflect_hi and math.isinf(ts[-2]):
+        raise ValueError("stack integral: cell touches the stacked endpoint")
+    holding = functools.partial(_holding_times, scale, arr, tvals, absorbing)
+    return GridChain(arr, p, holding, absorbing)
 
 
 # -- exact strides -----------------------------------------------------------
@@ -632,9 +674,11 @@ def simulate_path(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     i = chain.site_index(x0)
+    # built and checked before the walk, which they may refuse
+    hold = chain.mean_holding
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = np.concatenate([[i], *_strided_walk(chain, i, budget, rng)])
-    times = np.concatenate(([0.0], np.cumsum(chain.mean_holding[idx[:-1]])))
+    times = np.concatenate(([0.0], np.cumsum(hold[idx[:-1]])))
     exhausted = not chain.absorbing[idx[-1]]
     return PathSample(chain.sites[idx], times, exhausted, seed)
 

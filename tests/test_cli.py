@@ -578,6 +578,41 @@ def test_holding_time_beyond_the_float_range_is_refused_in_one_line(capsys):
     assert message == "holding time at site 2.0833333333333333e+306 is not finite"
 
 
+def test_hitting_on_a_window_whose_holding_times_overflow_answers(capsys):
+    # the path on this window is refused above; hitting reads no holding time
+    code, out = run(capsys, "simulate", "hitting", "--preset", "ex216", "--x0", "1e300",
+                    "--left", "0.5", "--right", "1e308", "--samples", "1000", "--deterministic")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["x0_used"] == 0.5 and result["grid_sites"] == 49
+    assert (result["estimate"], result["std_error"], result["target"]) == (1.0, 0.0, 1.0)
+    assert (result["samples"], result["excluded"]) == (1000, 0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a holding time was built")
+
+
+def test_hitting_and_extension_trace_walks_build_no_holding_time(capsys, monkeypatch):
+    from bmext import sim
+    from bmext.scale import ScaleFunction
+
+    monkeypatch.setattr(sim, "_mean_exit", _refuse)
+    monkeypatch.setattr(ScaleFunction, "integral_t", _refuse)
+    code, _ = run(capsys, "simulate", "hitting", "--preset", "ex215", "--x0", "0.5",
+                  "--left", "-0.5", "--right", "1.5", "--samples", "100", "--deterministic")
+    assert code == 0
+    # both ends of the gap reflect, so the grid's ends would hold a walker too
+    code, _ = run(capsys, "simulate", "trace", "--preset", "ex218", "--depth", "4",
+                  "--mode", "extension", "--x0", "0.3333333333333333", "--steps", "1000",
+                  "--deterministic")
+    assert code == 0
+    # a path reads them, so the patched build is reached
+    with pytest.raises(AssertionError, match="a holding time was built"):
+        cli.main(["simulate", "path", "--preset", "ex215", "--x0", "0.5", "--left", "-0.5",
+                  "--right", "1.5", "--steps", "10", "--deterministic"])
+
+
 def test_window_wider_than_the_float_range_is_refused_in_one_line(capsys):
     message = _one_line_refusal(capsys, "simulate", "hitting", "--preset", "ex215", "--x0", "0.5",
                                 "--left", "-1e308", "--right", "1e308", "--samples", "5")

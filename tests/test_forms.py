@@ -116,6 +116,23 @@ def test_bilinear_polarization():
     )
 
 
+def _rays(right: float) -> PiecewiseFn:
+    # rate 1 on the left ray and ``right`` on the right one, across ex215's block
+    return PiecewiseFn(EX215, (IntervalPart(0.0, (
+        (-math.inf, 0.0, 1.0, 0.0), (0.0, math.inf, right, 0.0))),))
+
+
+def test_bilinear_of_opposite_infinite_terms_is_refused():
+    f, g = _rays(1.0), _rays(-1.0)
+    assert energy(EX215, f) == energy(EX215, g) == math.inf
+    with pytest.raises(ValueError, match="undefined here: both energies are infinite"):
+        bilinear(EX215, f, g)
+    # one sign on both rays, or one ray alone, keeps its infinite value
+    assert bilinear(EX215, f, f) == bilinear(EX215, g, g) == math.inf
+    assert bilinear(EX215, f, _rays(0.0)) == math.inf
+    assert bilinear(EX215, g, _rays(0.0)) == math.inf
+
+
 def test_pieces_must_tile():
     with pytest.raises(ValueError):
         IntervalPart(0.0, ((0.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1.0, 0.0)))
@@ -170,7 +187,7 @@ def tiled_functions(draw):
 
 
 def _combined(f, g):
-    # opposite infinite Lebesgue terms make the form's fsum raise
+    # opposite infinite Lebesgue terms leave the form undefined
     try:
         form = bilinear(TILED, f, g)
     except ValueError as exc:

@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bmext.cantor import CantorBlock
 from bmext.scale import _Stack, anchor_point, make_scale
-from strategies import random_scales
+from strategies import random_configs, random_scales
 
 
 def ex215_scale():
@@ -410,3 +410,52 @@ def test_singular_between_refuses_nan_and_points_outside_the_closure(case, step)
             scale.singular_between(bad, x)
         with pytest.raises(ValueError, match="outside the interval"):
             scale.singular_between(x, bad)
+
+
+def _eval_by_fraction(scale, x):
+    # the former ScaleFunction.eval: Fraction arithmetic, then one rounding
+    return float(Fraction(x) - Fraction(scale.e) + scale.signed_mass(x))
+
+
+@st.composite
+def _eval_points(draw):
+    """A scale from random_scales or random_configs and a finite point of its
+    closure.  The point is a mark: an end or the anchor, a block end, a
+    remnant end exact or snapped to a float, or a stack shell end up to 40
+    shells deep; taken as it is, as a float or as the next float either way.
+    Or it is a float or a Fraction anywhere."""
+    if draw(st.booleans()):
+        scale = draw(random_scales())
+    else:
+        config = draw(random_configs())
+        assume(config.intervals)
+        scale = draw(st.sampled_from(config.intervals)).scale
+    groups = [[scale.e] + [x for x in (scale.lo, scale.hi) if math.isfinite(x)]]
+    for b in scale.blocks:
+        depth = draw(st.integers(1, 6))
+        groups.append([b.lo, b.hi])
+        groups.append([x for lo, hi, _ in b.remnants(depth) for x in (lo, hi)]
+                      + [x for pair in b.float_remnants(depth) for x in pair])
+    for s in scale.stacks:
+        groups.append([x for k in range(40) for x in (s.shell(k).lo, s.shell(k).hi)])
+    lo = scale.lo if math.isfinite(scale.lo) else scale.e - 4.0
+    hi = scale.hi if math.isfinite(scale.hi) else scale.e + 4.0
+    kind = draw(st.sampled_from(["mark", "float", "next", "float anywhere", "fraction anywhere"]))
+    if kind == "float anywhere":
+        return scale, draw(st.floats(lo, hi))
+    if kind == "fraction anywhere":
+        return scale, draw(st.fractions(Fraction(lo), Fraction(hi), max_denominator=3**12))
+    x = draw(st.sampled_from(draw(st.sampled_from(groups))))
+    if kind == "float":
+        x = float(x)
+    elif kind == "next":
+        x = math.nextafter(float(x), draw(st.sampled_from([-math.inf, math.inf])))
+        assume(scale.lo <= x <= scale.hi)
+    return scale, x
+
+
+@settings(max_examples=500, deadline=None)
+@given(_eval_points())
+def test_eval_matches_the_fraction_formula(case):
+    scale, x = case
+    assert scale.eval(x) == _eval_by_fraction(scale, x)

@@ -94,6 +94,15 @@ def test_trap_site_is_absorbing_behind_an_exact_wall():
     assert single.absorbing.tolist() == [True]
 
 
+def test_reflecting_end_next_to_a_stacked_end_is_refused():
+    # the reflecting end -1 would step straight into the trap at -2, which
+    # the diffusion never reaches
+    config = ExtensionConfig((IntervalSpec(make_scale(-2.0, -1.0, include_hi=True)),))
+    with pytest.raises(ValueError, match="stack integral: cell touches the stacked endpoint"):
+        build_chain(config, 0, [-2.0, -1.0])
+    assert build_chain(config, 0, [-2.0, -1.5, -1.0]).p_right.tolist() == [0.0, 1.0, 0.0]
+
+
 def test_trap_end_bordering_a_complement_segment_absorbs():
     # the excluded stacked end 0 borders the leftover segment (-1, 0), not a point trap
     config = ExtensionConfig(
@@ -165,6 +174,20 @@ def test_holding_times_pinned():
         0.0, 0.21846743295019158, 0.17009502923976608, 0.10531695156695156,
         0.07137596899224811, 0.13770833333333332, 0.0,
     ]
+
+
+@pytest.mark.parametrize("cells", [16, 32, 64, 128])
+def test_holding_times_solve_for_the_exact_mean_exit_time(cells):
+    # E_i = h_i + p_i E_{i+1} + (1 - p_i) E_{i-1}, with E = 0 at the absorbing
+    # ends, gives the window's exact mean exit time on any grid: from 0.5 on
+    # (-0.5, 1.5) that is 2 * (the integral of the exit kernel) = 4/3
+    chain = build_chain(EX215, 0, snap_grid(EX215, 0, -0.5, 1.5, cells))
+    p, m = chain.p_right, chain.sites.size
+    a = np.eye(m)
+    for i in range(1, m - 1):
+        a[i, i - 1], a[i, i + 1] = p[i] - 1.0, -p[i]
+    exit_time = np.linalg.solve(a, chain.mean_holding)
+    assert exit_time[chain.site_index(0.5)] == pytest.approx(4 / 3, abs=1e-12)
 
 
 def test_included_endpoint_reflects():
