@@ -239,15 +239,6 @@ class CantorBlock:
     def value(self, x) -> float:
         return float(self.value_exact(x))
 
-    def mass_exact(self, u, v) -> Fraction:
-        """Singular mass of (u, v] under this block (order-normalized)."""
-        if u > v:
-            u, v = v, u
-        return self.value_exact(v) - self.value_exact(u)
-
-    def mass(self, u, v) -> float:
-        return float(self.mass_exact(u, v))
-
     def integral(self, u: float, v: float) -> float:
         """∫_u^v weight * C((y-lo)/width) dy, clipped to the block."""
         lo = float(self.lo)

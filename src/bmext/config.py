@@ -317,12 +317,12 @@ class _WPart:
     def mass(self, scale: ScaleFunction, u: float, v: float) -> float:
         """Measure of [u, v], u <= v."""
         total = 0.0
-        # nested windows mostly clip to the same ends: one W per point
-        cumulative = cache(scale.cumulative_mass)
+        # nested windows mostly clip to the same ends: one W-mass per pair
+        between = cache(scale.singular_between)
         for coef, wlo, whi in self.windows:
             a, b = max(u, wlo), min(v, whi)
             if b > a:
-                total += coef * float(cumulative(b) - cumulative(a))
+                total += coef * between(a, b)
         return total
 
 

@@ -242,9 +242,13 @@ def darned_energy(spec: DarnedSpec, nodes) -> float:
         raise ValueError(
             f"boundary limit {hi_v} at absorbing endpoint {spec.image_hi} must be 0"
         )
-    return 0.5 * math.fsum(
-        (v2 - v1) ** 2 / (x2 - x1) for (x1, v1), (x2, v2) in zip(nodes, nodes[1:])
-    )
+    return _polyline_energy(nodes)
+
+
+def _polyline_energy(nodes) -> float:
+    # the broken line through sorted (position, value) nodes; 0.0 below two nodes
+    steps = zip(nodes, nodes[1:])
+    return 0.5 * math.fsum((v2 - v1) ** 2 / (x2 - x1) for (x1, v1), (x2, v2) in steps)
 
 
 def energy_equivalence_check(
@@ -310,9 +314,7 @@ def energy_equivalence_check(
         if dedup and x <= dedup[-1][0]:
             continue
         dedup.append((x, val))
-    image_energy = 0.5 * math.fsum(
-        (v2 - v1) ** 2 / (x2 - x1) for (x1, v1), (x2, v2) in zip(dedup, dedup[1:])
-    ) if len(dedup) >= 2 else 0.0
+    image_energy = _polyline_energy(dedup)
 
     if source == 0.0 and image_energy == 0.0:
         return 0.0, 0.0, 0.0

@@ -100,18 +100,10 @@ class _Stack:
             return [WSupport(self.at, self.at + tail, None)] + shells[::-1]
         return shells + [WSupport(self.at - tail, self.at, None)]
 
-    def mass_to_edge(self, x) -> Fraction | float:
-        """Stack mass between ``x`` and the interior edge of the stack zone.
-
-        This is the stack's contribution to the mass between x and the
-        anchor; it is infinite exactly when x sits at the stacked endpoint.
-        """
-        ratio = self.mass_ratio(*x.as_integer_ratio())
-        return math.inf if ratio is None else Fraction(*ratio)
-
     def mass_ratio(self, xn: int, xd: int) -> tuple[int, int] | None:
-        """:meth:`mass_to_edge` of xn/xd (xd > 0) as a numerator and a
-        denominator in lowest terms, or None where it is infinite."""
+        """Stack mass between xn/xd and the interior edge of the stack zone, in
+        lowest terms; None, for infinite, at the stacked endpoint.  With xd = 0,
+        ±1/0 is a point beyond the zone's far side."""
         an, ad = self.at.as_integer_ratio()
         dn, dd = self.delta.as_integer_ratio()
         # r = rn / rd = (distance from the endpoint) / delta
@@ -271,96 +263,102 @@ class ScaleFunction:
 
     # -- singular mass and evaluation ------------------------------------
 
-    def cumulative_mass(self, x) -> Fraction | int | float:
-        """Exact W-mass accumulated up to x, up to a constant: every W-mass is
-        a difference of two of these.
+    @cached_property
+    def _block_ratios(self) -> tuple:
+        """Integer ratios of each block's low end, high end, width and weight."""
+        return tuple(
+            (*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(),
+             *b.width.as_integer_ratio(), *b.weight.as_integer_ratio())
+            for b in self.blocks
+        )
 
-        Each block adds its mass left of x; a left stack subtracts, and a
-        right stack adds, its mass between x and the zone's interior edge.
-        So the value is -inf / +inf at a stacked end, and 0 or the total
-        block weight at an infinite end.
+    def _w_ratio(self, x, num: int = 0, den: int = 1) -> tuple[int, int] | float:
+        """num/den plus the cumulative W-mass at x, as one integer numerator over
+        one positive denominator; -inf / +inf at a stacked end.
+
+        The one sum over the blocks' and stacks' masses: each block left of x
+        adds its weight, the block holding x weight * C((x - lo)/width) with C
+        read in lowest terms, a right stack its mass between x and the zone's
+        inner edge, and a left stack that mass negated.  ±inf reads as ±1/0.
         """
-        if x == -math.inf:
-            return 0
-        if x == math.inf:
-            return sum(b.weight for b in self.blocks)
-        total = sum(b.value_exact(x) for b in self.blocks)
+        try:
+            xn, xd = x.as_integer_ratio()
+        except OverflowError:  # x is -inf or +inf
+            xn, xd = (1 if x > 0 else -1), 0
+        # the blocks are sorted and disjoint: those past the first one that
+        # starts at or right of x add nothing
+        for ln, ld, hn, hd, sn, sd, wn, wd in self._block_ratios:
+            if xn * ld <= ln * xd:
+                break
+            if xn * hd < hn * xd:
+                c = cantor_fraction(Fraction((xn * ld - ln * xd) * sd, xd * ld * sn))
+                wn, wd = wn * c.numerator, wd * c.denominator
+            num, den = num * wd + wn * den, den * wd
         for s in self.stacks:
-            m = s.mass_to_edge(x)
-            total = total - m if s.side == "lo" else total + m
-        return total
+            ratio = s.mass_ratio(xn, xd)
+            if ratio is None:
+                return -math.inf if s.side == "lo" else math.inf
+            mn, md = ratio
+            num, den = num * md + (mn if s.side == "hi" else -mn) * den, den * md
+        return num, den
 
     @cached_property
-    def _anchor_mass(self) -> Fraction | int:
-        """``cumulative_mass`` at the anchor e, where every value of t and
+    def _anchor_ratio(self) -> tuple[int, int]:
+        """The cumulative W-mass at the anchor e, where every value of t and
         every function on this interval is measured from."""
-        return self.cumulative_mass(self.e)
+        return self._w_ratio(self.e)
 
-    def _mass_at(self, x) -> Fraction | int | float:
-        return self._anchor_mass if x == self.e else self.cumulative_mass(x)
+    @cached_property
+    def _eval_offset(self) -> tuple[int, int]:
+        """e plus its cumulative W-mass, the ratio :meth:`eval` subtracts from x."""
+        return (Fraction(self.e) + Fraction(*self._anchor_ratio)).as_integer_ratio()
+
+    def cumulative_mass(self, x) -> Fraction | float:
+        """Exact W-mass accumulated up to x, up to a constant: every W-mass is
+        a difference of two of these.  It is the :meth:`_w_ratio` sum as a
+        Fraction: -inf / +inf at a stacked end, and 0 or the total block
+        weight at an infinite end."""
+        w = self._w_ratio(x)
+        return w if isinstance(w, float) else Fraction(*w)
 
     def singular_between(self, u, v) -> float:
         """Total W-mass (blocks plus stacks) strictly between u and v.
 
-        u and v may be any points of the closure, infinite ends included.
+        u and v may be any points of the closure, infinite ends included.  The
+        two cumulative masses are cross-multiplied and rounded once.
         """
         for x in (u, v):
             if not self.lo <= float(x) <= self.hi:  # NaN included
                 raise ValueError(f"x={x} outside the interval <{self.lo}, {self.hi}>")
         if u == v or not (self.blocks or self.stacks):
             return 0.0
-        return float(abs(self._mass_at(v) - self._mass_at(u)))
+        a, b = (self._anchor_ratio if x == self.e else self._w_ratio(x) for x in (u, v))
+        if isinstance(a, float) or isinstance(b, float):
+            return math.inf
+        return abs(b[0] * a[1] - a[0] * b[1]) / (a[1] * b[1])
 
     def signed_mass(self, x) -> Fraction | float:
         """Exact W-mass from the anchor to x, signed: the darning image of x."""
-        return self._mass_at(x) - self._anchor_mass
-
-    @cached_property
-    def _eval_terms(self) -> tuple:
-        """Integer ratios :meth:`eval` sums: e plus its mass, then each block's
-        low end, high end, width and weight."""
-        offset = (Fraction(self.e) + self._anchor_mass).as_integer_ratio()
-        blocks = tuple(
-            (*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(),
-             *b.width.as_integer_ratio(), *b.weight.as_integer_ratio())
-            for b in self.blocks
-        )
-        return offset, blocks
+        return self.cumulative_mass(x) - Fraction(*self._anchor_ratio)
 
     def eval(self, x) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.
 
         Accepts floats or Fractions.  The exact value x - e + signed_mass(x)
-        is kept as one integer numerator over one integer denominator: x
-        less e and e's mass, plus each block's weight * C((x - lo)/width),
-        plus a right stack's mass to its edge, less a left stack's.  Each
-        block's C reads its argument in lowest terms, as Fraction arithmetic
-        gives it.  One integer division rounds the sum, correctly, as float()
-        of the same Fraction does, so rational breakpoints evaluate to
-        correctly rounded values.
+        is kept as one integer numerator over one integer denominator: the
+        :meth:`_w_ratio` sum started from x less e and less the anchor's
+        cumulative mass.  One integer division rounds it, correctly, as
+        float() of the same Fraction does, so rational breakpoints evaluate
+        to correctly rounded values.
         """
         if x == self.lo and not self.include_lo:
             return -math.inf
         if x == self.hi and not self.include_hi:
             return math.inf
         self._check_in_closure(float(x))
-        (cn, cd), blocks = self._eval_terms
+        cn, cd = self._eval_offset
         xn, xd = x.as_integer_ratio()
-        num, den = xn * cd - cn * xd, xd * cd
-        # the blocks are sorted and disjoint: those past the first one that
-        # starts at or right of x add nothing
-        for ln, ld, hn, hd, sn, sd, wn, wd in blocks:
-            if xn * ld <= ln * xd:
-                break
-            if xn * hd >= hn * xd:
-                num, den = num * wd + wn * den, den * wd
-                continue
-            c = cantor_fraction(Fraction((xn * ld - ln * xd) * sd, xd * ld * sn))
-            wn, wd = wn * c.numerator, wd * c.denominator
-            num, den = num * wd + wn * den, den * wd
-        for s in self.stacks:
-            mn, md = s.mass_ratio(xn, xd)
-            num, den = num * md + (mn if s.side == "hi" else -mn) * den, den * md
+        num, den = self._w_ratio(x, xn * cd - cn * xd, xd * cd)
         return num / den
 
     __call__ = eval

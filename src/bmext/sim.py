@@ -352,8 +352,10 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
         p[0] = 1.0
     # a reflecting end steps into its one cell; when that cell's far end is
     # a stacked end, the walk would enter a trap the diffusion never reaches
-    if reflect_lo and math.isinf(ts[1]) or reflect_hi and math.isinf(ts[-2]):
-        raise ValueError("stack integral: cell touches the stacked endpoint")
+    for reflects, i, j in ((reflect_lo, 0, 1), (reflect_hi, m - 1, m - 2)):
+        if reflects and math.isinf(ts[j]):
+            raise ValueError(f"reflecting end {arr[i].item()!r} would step into the stacked"
+                             f" end {arr[j].item()!r}, a trap the diffusion never reaches")
     holding = functools.partial(_holding_times, scale, arr, tvals, absorbing)
     return GridChain(arr, p, holding, absorbing)
 

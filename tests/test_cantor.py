@@ -12,6 +12,7 @@ from bmext.cantor import (
     cantor_fraction,
     cantor_integral,
 )
+from bmext.scale import make_scale
 
 
 def oracle_cantor(x: Fraction, depth: int = 60) -> Fraction:
@@ -187,15 +188,16 @@ def test_cantor_integral():
 
 
 def test_block_mass_and_bounds():
-    blk = CantorBlock(0, 1, 1)
-    assert blk.mass(0, 1) == 1.0
-    assert blk.mass(0, Fraction(1, 3)) == 0.5
-    assert blk.mass(Fraction(1, 3), Fraction(2, 3)) == 0.0
-    assert blk.mass(-5, 0.25) == 1.0 / 3.0
+    # a block's mass, read as the W-mass of a whole-line scale holding only it
+    blk = make_scale(-math.inf, math.inf, blocks=[CantorBlock(0, 1, 1)])
+    assert blk.singular_between(0, 1) == 1.0
+    assert blk.singular_between(0, Fraction(1, 3)) == 0.5
+    assert blk.singular_between(Fraction(1, 3), Fraction(2, 3)) == 0.0
+    assert blk.singular_between(-5, 0.25) == 1.0 / 3.0
     # scaled block
-    blk2 = CantorBlock(2, 5, weight=Fraction(7, 2))
-    assert blk2.mass(2, 5) == 3.5
-    assert blk2.mass(1, 3) == 1.75  # first third of the block
+    blk2 = make_scale(-math.inf, math.inf, blocks=[CantorBlock(2, 5, weight=Fraction(7, 2))])
+    assert blk2.singular_between(2, 5) == 3.5
+    assert blk2.singular_between(1, 3) == 1.75  # first third of the block
 
 
 def test_block_integral_matches_quadrature():

@@ -27,7 +27,7 @@ from bmext.config import (
 from bmext.scale import make_scale
 from bmext.sim import _site_weights
 from bmext.trace import trace_structure
-from strategies import CONFIG_ENDS, random_configs
+from strategies import CONFIG_ENDS, random_configs, random_scales
 
 
 # a bounded interval stacked at both ends between two closed rays
@@ -486,6 +486,48 @@ def test_trace_measure_masses_pinned(name, masses):
     cfg = STACKED_WINDOW if name == "stacked-window" else preset(name)
     mu = build_trace_measure(cfg)
     assert [mu.mass(a, b) for a, b in _MASS_WINDOWS] == masses
+
+
+def _window_sum(mu, u, v):
+    # the trace measure of [u, v] with each window's W-mass taken as the
+    # difference of two cumulative masses, rounded once
+    u, v = sorted((u, v))
+    total = sum((m for loc, m, _ in mu.atoms if u <= loc <= v), 0.0)
+    for part in mu.w_parts:
+        scale = mu.config.interval(part.interval_index).scale
+        if scale.lo < v and u < scale.hi:
+            part_total = 0.0
+            for coef, wlo, whi in part.windows:
+                a, b = max(u, wlo), min(v, whi)
+                if b > a:
+                    part_total += coef * float(scale.cumulative_mass(b) - scale.cumulative_mass(a))
+            total += part_total
+    return total
+
+
+@st.composite
+def _measure_points(draw):
+    """The trace measure of a one-interval configuration, with stacked or
+    included ends and blocks, and two points: window ends, block ends, stack
+    shell ends, interval ends, or floats anywhere around the interval."""
+    scale = draw(random_scales())
+    mu = build_trace_measure(ExtensionConfig((IntervalSpec(scale),)))
+    marks = [scale.lo, scale.hi]
+    marks += [x for part in mu.w_parts for _, wlo, whi in part.windows for x in (wlo, whi)]
+    marks += [float(x) for b in scale.blocks for x in (b.lo, b.hi)]
+    marks += [float(x) for s in scale.stacks for k in range(8)
+              for x in (s.shell(k).lo, s.shell(k).hi)]
+    lo = scale.lo if math.isfinite(scale.lo) else scale.e - 4.0
+    hi = scale.hi if math.isfinite(scale.hi) else scale.e + 4.0
+    point = st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0))
+    return mu, draw(point), draw(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_measure_points())
+def test_trace_measure_mass_matches_the_window_sum(case):
+    mu, u, v = case
+    assert mu.mass(u, v) == _window_sum(mu, u, v)
 
 
 def test_trace_measure_evaluates_only_the_parts_a_cell_meets(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bmext.cantor import CantorBlock
+from bmext.cantor import CantorBlock, cantor_fraction
 from bmext.scale import _Stack, anchor_point, make_scale
 from strategies import random_configs, random_scales
 
@@ -271,8 +271,14 @@ def test_anchor_zero_property(frac):
             assert (t(x) > 0.0) == (x > t.e)
 
 
+def _block_value(block, x):
+    # the mass of [block.lo, x] under a block: weight * C((x - lo)/width), clipped
+    return block.weight * cantor_fraction(min(max((Fraction(x) - block.lo) / block.width, 0), 1))
+
+
 def _mass_to_edge_by_fraction(stack, x):
-    # the former _Stack.mass_to_edge: Fraction distance, a shell block, its value
+    # a stack's mass between x and its zone's interior edge: Fraction
+    # distance, a shell block, its value
     fx = Fraction(x)
     if stack.side == "lo":
         if fx <= stack.at:
@@ -288,7 +294,7 @@ def _mass_to_edge_by_fraction(stack, x):
     while r <= Fraction(1, 2 ** (k + 1)):
         k += 1
     blk = stack.shell(k)
-    partial = blk.weight - blk.value_exact(fx) if stack.side == "lo" else blk.value_exact(fx)
+    partial = blk.weight - _block_value(blk, fx) if stack.side == "lo" else _block_value(blk, fx)
     return k + partial
 
 
@@ -319,18 +325,19 @@ def _stack_points(draw):
 @given(_stack_points())
 def test_stack_mass_to_edge_matches_the_fraction_formula(case):
     stack, x = case
-    got = stack.mass_to_edge(x)
+    ratio = stack.mass_ratio(*x.as_integer_ratio())
+    got = math.inf if ratio is None else Fraction(*ratio)
     want = _mass_to_edge_by_fraction(stack, x)
     assert type(got) is type(want) and got == want
 
 
 def _singular_by_pairs(scale, u, v):
-    # the former pairwise route: each block's mass between u and v, and each
+    # the pairwise route: each block's mass between u and v, and each
     # stack's from its two masses to the edge; infinite as soon as one is
     u, v = sorted((Fraction(u), Fraction(v)))
-    total = sum((b.mass_exact(u, v) for b in scale.blocks), Fraction(0))
+    total = sum((_block_value(b, v) - _block_value(b, u) for b in scale.blocks), Fraction(0))
     for s in scale.stacks:
-        near, far = s.mass_to_edge(u), s.mass_to_edge(v)
+        near, far = _mass_to_edge_by_fraction(s, u), _mass_to_edge_by_fraction(s, v)
         if s.side == "hi":
             near, far = far, near
         if near == math.inf:

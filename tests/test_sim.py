@@ -98,7 +98,9 @@ def test_reflecting_end_next_to_a_stacked_end_is_refused():
     # the reflecting end -1 would step straight into the trap at -2, which
     # the diffusion never reaches
     config = ExtensionConfig((IntervalSpec(make_scale(-2.0, -1.0, include_hi=True)),))
-    with pytest.raises(ValueError, match="stack integral: cell touches the stacked endpoint"):
+    with pytest.raises(
+        ValueError, match=r"reflecting end -1\.0 would step into the stacked end -2\.0"
+    ):
         build_chain(config, 0, [-2.0, -1.0])
     assert build_chain(config, 0, [-2.0, -1.5, -1.0]).p_right.tolist() == [0.0, 1.0, 0.0]
 

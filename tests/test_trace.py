@@ -317,11 +317,11 @@ def test_restriction_reads_w_at_each_anchor_once(monkeypatch):
     # evaluated once per scale, not once per site
     cfg = preset("ex217", 5)
     at_anchor = []
-    counted = ScaleFunction.cumulative_mass
+    counted = ScaleFunction._w_ratio
     monkeypatch.setattr(
         ScaleFunction,
-        "cumulative_mass",
-        lambda self, x: at_anchor.append(x == self.e) or counted(self, x),
+        "_w_ratio",
+        lambda self, x, *a: at_anchor.append(x == self.e) or counted(self, x, *a),
     )
     trace_restriction(cfg, named_function(cfg, "cantor"), 5)
     assert len(at_anchor) > 1000
@@ -341,9 +341,9 @@ def test_harmonic_extensions_of_one_structure_share_cell_masses(monkeypatch):
     rng = random.Random(7)
     fns = [_random_trace_fn(st, rng) for _ in range(20)]
     calls = []
-    counted = ScaleFunction.cumulative_mass
+    counted = ScaleFunction._w_ratio
     monkeypatch.setattr(
-        ScaleFunction, "cumulative_mass", lambda self, x: calls.append(x) or counted(self, x)
+        ScaleFunction, "_w_ratio", lambda self, x, *a: calls.append(x) or counted(self, x, *a)
     )
     _cell_masses.cache_clear()
     for tf in fns:
