@@ -49,10 +49,6 @@ _DIGIT_CAP = 1400
 # Denominators up to this bound get full cycle detection, hence exact values.
 _CYCLE_DENOM_LIMIT = 10**6
 
-# Levels of self-similar recursion in the Cantor integral; the truncation
-# error 6**-48 / 4 lies far below float resolution.
-_INTEGRAL_LEVELS = 48
-
 
 def cantor_fraction(x) -> Fraction:
     """Standard Cantor function C(x) on [0, 1] as an exact Fraction.
@@ -71,27 +67,40 @@ def cantor_fraction(x) -> Fraction:
         raise ValueError(f"cantor_fraction: x={x} outside [0, 1]")
     if fx == 1:
         return Fraction(1)
+    cn, cd, _, _ = _cantor_ratios(fx.numerator, fx.denominator)
+    return Fraction(cn, cd)
 
-    # the remainder after k digits is num/den; the binary digits emitted so
-    # far are the k low bits of ``bits``, most significant first
-    num, den = fx.numerator, fx.denominator
+
+def _cantor_ratios(num: int, den: int) -> tuple[int, int, int, int]:
+    """C(x) and S(x) = ∫_0^x C of x = num/den in [0, 1), den > 0, as integer
+    ratios cn/cd and sn/sd, read off one pass over the ternary digits.
+
+    The remainder after k digits is num/den.  Digits 0 and 2 emit the binary
+    digits of C, the k low bits of ``bits``.  As S(y) = S(3y)/6 on the left
+    third and y/2 - 1/12 + S(3y - 2)/6 beyond it (less the last term on the
+    middle third), each digit 1 or 2 read at remainder y adds
+    6**-k * (6y - 1)/12, summed in ``s`` over 2 * den * 6**k.  A digit 1 or a
+    zero remainder ends both sums exactly, a cycle closes both as geometric
+    series, and past the budget both are cut.  The budget depends on den:
+    pass x in lowest terms.
+    """
     limit = den + 2 if den <= _CYCLE_DENOM_LIMIT else _DIGIT_CAP
-
-    bits = 0
-    seen: dict[int, int] = {}
-    k = 0
+    bits = s = k = 0
+    seen: dict[int, tuple[int, int]] = {}
     while num and k < limit:
-        j = seen.setdefault(num, k)
+        j, head = seen.setdefault(num, (k, s))
         if j < k:
-            # the bits after the first j repeat forever with period p
+            # the digits after the first j repeat forever with period p
             p = k - j
-            return Fraction(bits - (bits >> p), ((1 << p) - 1) << j)
-        digit, num = divmod(3 * num, den)
+            return bits - (bits >> p), ((1 << p) - 1) << j, s - head, 2 * den * 6**j * (6**p - 1)
+        digit, rem = divmod(3 * num, den)
         bits = 2 * bits + (digit > 0)
+        s = 6 * s + (6 * num - den if digit else 0)
+        num = rem
         k += 1
         if digit == 1:
             break
-    return Fraction(bits, 1 << k)
+    return bits, 1 << k, s, 2 * den * 6**k
 
 
 def cantor_eval(x) -> float:
@@ -100,33 +109,14 @@ def cantor_eval(x) -> float:
 
 
 def cantor_integral(x: float) -> float:
-    """Integral of the Cantor function, ∫_0^x C(y) dy, for x in [0, 1].
-
-    Uses the self-similar splitting S(x) = S(3x)/6 on the left third,
-    the exact plateau formula on the middle, and S(x) = 1/4 + (x-2/3)/2
-    + S(3x-2)/6 on the right.  Recurses ``_INTEGRAL_LEVELS`` levels.
-    """
+    """Integral of the Cantor function, ∫_0^x C(y) dy, for x in [0, 1]: the
+    exact ratio that :func:`_cantor_ratios` reads, rounded once."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 0.5
-    acc = 0.0
-    mult = 1.0
-    for _ in range(_INTEGRAL_LEVELS):
-        if x <= 1.0 / 3.0:
-            mult /= 6.0
-            x *= 3.0
-        elif x < 2.0 / 3.0:
-            return acc + mult * (1.0 / 12.0 + (x - 1.0 / 3.0) / 2.0)
-        else:
-            acc += mult * (0.25 + (x - 2.0 / 3.0) / 2.0)
-            mult /= 6.0
-            x = 3.0 * x - 2.0
-        if x <= 0.0:
-            return acc
-        if x >= 1.0:
-            return acc + mult * 0.5
-    return acc + mult * 0.25
+    _, _, sn, sd = _cantor_ratios(*Fraction(x).as_integer_ratio())
+    return sn / sd
 
 
 def _lefts(depth: int) -> list[int]:
@@ -238,24 +228,6 @@ class CantorBlock:
 
     def value(self, x) -> float:
         return float(self.value_exact(x))
-
-    def integral(self, u: float, v: float) -> float:
-        """∫_u^v weight * C((y-lo)/width) dy, clipped to the block."""
-        lo = float(self.lo)
-        hi = float(self.hi)
-        w = float(self.weight)
-        width = float(self.width)
-        if v < u:
-            raise ValueError("CantorBlock.integral: need u <= v")
-        above = max(0.0, v - max(u, hi))  # portion right of the block: C = 1 there
-        a = min(max(u, lo), hi)
-        b = min(max(v, lo), hi)
-        inner = 0.0
-        if b > a:
-            sa = cantor_integral((a - lo) / width)
-            sb = cantor_integral((b - lo) / width)
-            inner = width * (sb - sa)
-        return w * (inner + above)
 
     def _frame(self) -> tuple[int, int, int]:
         # integers with lo + (k / 3**L) * width == (off * 3**L + k * step) / (den * 3**L)

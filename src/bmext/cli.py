@@ -628,11 +628,14 @@ def cmd_decompose(args) -> int:
     }
 
     def rows():
+        # each sample point evaluates f, f1 and f2 piece by piece
+        count = args.samples or 101
+        pieces = sum(len(part.pieces) for g in (f, f1, f2) for part in g.parts)
+        check_work("decompose --samples", count * pieces, "piece evaluations")
         # sample over the hull of the function's finite breakpoints
         pts = [x for part in f.parts for piece in part.pieces for x in piece[:2]
                if math.isfinite(x)]
         w_lo, w_hi = (min(pts), max(pts)) if pts else (0.0, 1.0)
-        count = args.samples or 101
         xs = (w_lo + (w_hi - w_lo) * i / max(count - 1, 1) for i in range(count))
         return [(_fmt(x), _fmt(f(x)), _fmt(f1(x)), _fmt(f2(x)))
                 for x in xs if ctx.config.locate(x) is not None]

@@ -287,14 +287,12 @@ def classify_point(config: ExtensionConfig, x: float) -> PointClass:
     """Classify x as regular, shunt, or trap for this configuration."""
     if not math.isfinite(x):
         raise ValueError("classify_point: x must be finite")
-    for iv in config.intervals:
-        if x == iv.lo and iv.include_lo:
-            return PointClass.RIGHT_SHUNT
-        if x == iv.hi and iv.include_hi:
-            return PointClass.LEFT_SHUNT
-        if iv.lo < x < iv.hi:
-            return PointClass.REGULAR
-    return PointClass.TRAP
+    idx = config.locate(x)
+    if idx is None:
+        return PointClass.TRAP
+    # the first interval holding x: a shunt at either end it includes
+    iv = config.intervals[idx]
+    return {iv.lo: PointClass.RIGHT_SHUNT, iv.hi: PointClass.LEFT_SHUNT}.get(x, PointClass.REGULAR)
 
 
 # -- trace measure ---------------------------------------------------------

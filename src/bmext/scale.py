@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .cantor import CantorBlock, cantor_fraction
+from .cantor import CantorBlock, _cantor_ratios
 
 __all__ = ["ScaleFunction", "WSupport", "make_scale", "anchor_point"]
 
@@ -101,9 +101,9 @@ class _Stack:
         return shells + [WSupport(self.at - tail, self.at, None)]
 
     def mass_ratio(self, xn: int, xd: int) -> tuple[int, int] | None:
-        """Stack mass between xn/xd and the interior edge of the stack zone, in
-        lowest terms; None, for infinite, at the stacked endpoint.  With xd = 0,
-        ±1/0 is a point beyond the zone's far side."""
+        """Stack mass between xn/xd and the interior edge of the stack zone, as
+        an integer ratio; None, for infinite, at the stacked endpoint.  With
+        xd = 0, ±1/0 is a point beyond the zone's far side."""
         an, ad = self.at.as_integer_ratio()
         dn, dd = self.delta.as_integer_ratio()
         # r = rn / rd = (distance from the endpoint) / delta
@@ -118,51 +118,10 @@ class _Stack:
         # shell k spans 1/2**(k+1) < r <= 1/2**k; its block sees x at
         # 2**(k+1) r - 1 on a left stack and 2 - 2**(k+1) r on a right one
         k = _shell_index(rn, rd)
-        if self.side == "lo":
-            c = cantor_fraction(Fraction((rn << (k + 1)) - rd, rd))
-            return (k + 1) * c.denominator - c.numerator, c.denominator
-        c = cantor_fraction(Fraction(2 * rd - (rn << (k + 1)), rd))
-        return k * c.denominator + c.numerator, c.denominator
-
-    def integral_mass(self, u: float, v: float) -> float:
-        """∫_u^v (stack mass between y and the interior edge) dy.
-
-        The cell [u, v] must stay strictly away from the stacked endpoint.
-        """
-        at = float(self.at)
-        delta = float(self.delta)
-        if self.side == "lo":
-            if u <= at:
-                raise ValueError("stack integral: cell touches the stacked endpoint")
-            lo_z, hi_z = at, at + delta
-            nearest = max(u, lo_z)
-            r = (Fraction(nearest) - self.at) / self.delta
-        else:
-            if v >= at:
-                raise ValueError("stack integral: cell touches the stacked endpoint")
-            lo_z, hi_z = at - delta, at
-            nearest = min(v, hi_z)
-            r = (self.at - Fraction(nearest)) / self.delta
-        a = max(u, lo_z)
-        b = min(v, hi_z)
-        if b <= a:
-            return 0.0
-        r = min(r, Fraction(1))
-        deepest = _shell_index(r.numerator, r.denominator)
-        total = 0.0
-        for k in range(deepest + 1):
-            blk = self.shell(k)
-            c = max(a, float(blk.lo))
-            d = min(b, float(blk.hi))
-            if d <= c:
-                continue
-            if self.side == "lo":
-                # mass(y) = k + 1 - C_k(y) on shell k
-                total += (k + 1) * (d - c) - blk.integral(c, d)
-            else:
-                # mass(y) = k + C_k(y) on shell k
-                total += k * (d - c) + blk.integral(c, d)
-        return total
+        un = (rn << (k + 1)) - rd if self.side == "lo" else 2 * rd - (rn << (k + 1))
+        g = math.gcd(un, rd)
+        cn, cd, _, _ = _cantor_ratios(un // g, rd // g) if un < rd else (1, 1, 0, 0)
+        return ((k + 1) * cd - cn, cd) if self.side == "lo" else (k * cd + cn, cd)
 
 
 @dataclass(frozen=True)
@@ -291,8 +250,10 @@ class ScaleFunction:
             if xn * ld <= ln * xd:
                 break
             if xn * hd < hn * xd:
-                c = cantor_fraction(Fraction((xn * ld - ln * xd) * sd, xd * ld * sn))
-                wn, wd = wn * c.numerator, wd * c.denominator
+                un, ud = (xn * ld - ln * xd) * sd, xd * ld * sn
+                g = math.gcd(un, ud)
+                cn, cd, _, _ = _cantor_ratios(un // g, ud // g)
+                wn, wd = wn * cn, wd * cd
             num, den = num * wd + wn * den, den * wd
         for s in self.stacks:
             ratio = s.mass_ratio(xn, xd)
@@ -395,24 +356,94 @@ class ScaleFunction:
                 return x
         raise ValueError(f"inverse: no float x has t(x) within {target_tol} of y={y}")
 
-    # -- integrals for holding times --------------------------------------
+    # -- cell integrals for holding times ----------------------------------
+
+    def cell_ratios(self, sites: list[float]) -> Iterator[tuple[int, ...] | None]:
+        """E(u, v) = ∫_u^v (t - t(u)), t(v) - t(u) and v - u on each cell [u, v]
+        between neighbouring sites, yielded in order as integer ratios
+        (en, ed, tn, td, ln, ld); None on a cell that ends on a stacked end.
+        ``sites`` increase in the closure.
+
+        All are cell-local, so nothing of the size of t cancels.  Lebesgue measure
+        gives (v - u)**2 / 2 and v - u.  A block or stack shell (a unit-weight
+        block) of weight w and width D that meets the cell, from unit coordinate
+        a to b, adds w * D * (S(b) - S(a) - C(a) * (b - a)) and w * (C(b) - C(a)),
+        with S the integral of C, b - 1/2 past the block.  Each site's C and S
+        are read once."""
+        m = len(sites)
+        first = 1 if self.stack_lo and sites[0] == self.lo else 0
+        last = m - 2 if self.stack_hi and sites[-1] == self.hi else m - 1
+        yield from [None] * min(first, m - 1)
+        if last <= first:
+            yield from [None] * (m - 1 - first)
+            return
+        u, v = Fraction(sites[first]), Fraction(sites[last])
+        # each stack's shells down to the one that holds its nearest site
+        depth = max((_shell_index(*r.as_integer_ratio()) + 1 for s in self.stacks
+                     if (r := abs((u if s.side == "lo" else v) - s.at) / s.delta) < 1), default=0)
+        sups = [(*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(), *b.width.as_integer_ratio(),
+                 *b.weight.as_integer_ratio(), *(b.weight * b.width).as_integer_ratio())
+                for w in self.w_supports(depth) if (b := w.block) and b.lo < v and b.hi > u]
+        n = len(sups)
+        vn = vd = rb = None
+        at = j = 0
+        for c in range(first, last + 1):
+            un, ud, ra = vn, vd, rb
+            vn, vd = sites[c].as_integer_ratio()
+            # the site's unit coordinate, C and S in the support holding it
+            while at < n and sups[at][2] * vd <= vn * sups[at][3]:
+                at += 1
+            rb = None
+            if at < n and sups[at][0] * vd < vn * sups[at][1]:
+                lon, lod, _, _, dn, dd = sups[at][:6]
+                bn, bd = (vn * lod - lon * vd) * dd, vd * lod * dn
+                g = math.gcd(bn, bd)
+                rb = (at, bn // g, bd // g, *_cantor_ratios(bn // g, bd // g))
+            if c == first:
+                continue
+            ld = math.lcm(ud, vd)
+            ln = vn * (ld // vd) - un * (ld // ud)
+            en, ed, tn, td = ln * ln, 2 * ld * ld, ln, ld
+            while j < n and sups[j][2] * ud <= un * sups[j][3]:
+                j += 1
+            k = j
+            while k < n and sups[k][0] * vd < vn * sups[k][1]:
+                lon, lod, hn, hd, dn, dd, wn, wd, on, od = sups[k]
+                _, an, ad, can, cad, san, sad = ra if ra and ra[0] == k else (k, 0, 1, 0, 1, 0, 1)
+                if rb and rb[0] == k:
+                    _, bn, bd, cbn, cbd, sbn, sbd = rb
+                else:
+                    bn, bd = (vn * lod - lon * vd) * dd, vd * lod * dn
+                    cbn, cbd, sbn, sbd = 1, 1, 2 * bn - bd, 2 * bd
+                # w * D * (S(b) - S(a) - C(a) (b - a)), and w * (C(b) - C(a))
+                pn = (sbn * sad - san * sbd) * cad * ad * bd - can * (bn * ad - an * bd) * sbd * sad
+                pd = sbd * sad * cad * ad * bd
+                en, ed = en * pd * od + pn * on * ed, ed * pd * od
+                tn, td = tn * wd * cbd * cad + wn * (cbn * cad - can * cbd) * td, td * wd * cbd * cad
+                k += 1
+            if k > j:
+                # the terms multiply the denominators; one gcd each shrinks them
+                g, h = math.gcd(en, ed), math.gcd(tn, td)
+                en, ed, tn, td = en // g, ed // g, tn // h, td // h
+            yield en, ed, tn, td, ln, ld
+        yield from [None] * (m - 1 - last)
 
     def integral_t(self, u: float, v: float) -> float:
-        """∫_u^v t(y) dy on a cell with u <= v strictly inside the interval."""
+        """∫_u^v t(y) dy on a cell with u <= v strictly inside the interval:
+        E(u, v) of :meth:`cell_ratios` plus (v - u) * t(u), rounded once."""
         if u > v:
             raise ValueError("integral_t: need u <= v")
         self._check_in_closure(u)
         self._check_in_closure(v)
-        e = self.e
-        total = 0.5 * (v * v - u * u) - e * (v - u)
-        for blk in self.blocks:
-            # signed mass from e is blockvalue(y) - blockvalue(e)
-            total += blk.integral(u, v) - blk.value(e) * (v - u)
-        for s in self.stacks:
-            # the stack mass counts negatively left of the anchor
-            m = s.integral_mass(u, v)
-            total += -m if s.side == "lo" else m
-        return total
+        if u == v:
+            return 0.0
+        cell = next(self.cell_ratios([u, v]))
+        if cell is None:
+            raise ValueError("integral_t: the cell touches a stacked end")
+        cn, cd = self._eval_offset
+        un, ud = u.as_integer_ratio()
+        t_u = Fraction(*self._w_ratio(u, un * cd - cn * ud, ud * cd))
+        return float(Fraction(*cell[:2]) + Fraction(*cell[4:]) * t_u)
 
     # -- W-support enumeration --------------------------------------------
 

@@ -15,9 +15,11 @@ them, so hitting and trace walks never build them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -252,56 +254,48 @@ def _p_right(dl: float, dr: float) -> float:
     return dl / (dl + dr)
 
 
-def _mean_exit(l, x, r, tl, tx, tr, left, right) -> float:
-    # 2 * integral of the two-sided exit kernel against Lebesgue speed mass,
-    # from the integrals of t over the cells left and right of x; an infinite
-    # neighbour scale acts as an unreachable wall
-    if math.isinf(tr):
-        a = left - tl * (x - l)
-        return 2.0 * (a + (tx - tl) * (r - x))
-    if math.isinf(tl):
-        b = tr * (r - x) - right
-        return 2.0 * ((tr - tx) * (x - l) + b)
-    a = left - tl * (x - l)
-    b = tr * (r - x) - right
-    return 2.0 * ((tr - tx) * a + (tx - tl) * b) / (tr - tl)
-
-
-def _holding_times(
-    scale: ScaleFunction, sites: np.ndarray, tvals: np.ndarray, absorbing: np.ndarray
-) -> np.ndarray:
-    """Mean holding time at each site of a chain with scale values ``tvals``.
-
-    Absorbing sites hold 0.  The integral of t over a cell is taken once and
-    shared by the cell's two end sites.  A time that is not finite or not
-    positive is refused.
-    """
-    # Python floats: a holding time beyond the float range is inf or nan,
-    # refused below, without a numpy overflow warning
-    xs, ts = sites.tolist(), tvals.tolist()
+def _holding_times(scale: ScaleFunction, sites: np.ndarray, absorbing: np.ndarray) -> np.ndarray:
+    """Mean holding time at each site, twice the exit kernel's integral against
+    Lebesgue speed mass, as its exact ratio rounded once; 0 at absorbing sites.
+    With E and dt from :meth:`ScaleFunction.cell_ratios`, a = E(l, x) and
+    b = dt_r (r - x) - E(x, r), x holds 2 (a dt_r + b dt_l) / (dt_l + dt_r);
+    next to a stacked end, a wall, 2 (a + dt_l (r - x)) or 2 (b + dt_r (x - l));
+    at a reflecting end 2a or 2b.  A time not finite or not positive is refused."""
+    xs = sites.tolist()
     walks = (~absorbing).tolist()
     m = len(xs)
-    # a site that walks reads each of its cells but one that reaches a
-    # stacked end, an infinite wall
-    cells = [
-        scale.integral_t(xs[c], xs[c + 1])
-        if (walks[c] or walks[c + 1]) and math.isfinite(ts[c]) and math.isfinite(ts[c + 1])
-        else math.nan
-        for c in range(m - 1)
-    ]
     hold = np.zeros(m)
-    for i in range(1, m - 1):
-        hold[i] = _mean_exit(xs[i - 1], xs[i], xs[i + 1], ts[i - 1], ts[i], ts[i + 1],
-                             cells[i - 1], cells[i])
-    if walks[0]:
-        hold[0] = 2.0 * ((xs[1] - xs[0]) * ts[1] - cells[0])
-    if walks[-1]:
-        hold[-1] = 2.0 * (cells[-1] - (xs[-1] - xs[-2]) * ts[-2])
-    for i in np.flatnonzero(~absorbing).tolist():
-        if not math.isfinite(hold[i]):
+    # the cells stream by, each read as the cell above one site and below the next
+    cells = itertools.chain(scale.cell_ratios(xs), [None])
+    above = None
+    for i in range(m):
+        below, above = above, next(cells)
+        if not walks[i]:
+            continue
+        if above is not None:
+            en, ed, pn, pd, grn, grd = above
+            bn, bd = pn * grn * ed - en * pd * grd, pd * grd * ed
+        if below is None:
+            # a wall below x, or no cell below the window's low end
+            gln, gld = (Fraction(xs[i]) - Fraction(xs[i - 1]) if i else Fraction(0)).as_integer_ratio()
+            num, den = 2 * (bn * pd * gld + pn * gln * bd), pd * gld * bd
+        else:
+            an, ad, qn, qd, _, _ = below
+            if above is None:
+                grn, grd = (Fraction(xs[i + 1]) - Fraction(xs[i]) if i < m - 1
+                            else Fraction(0)).as_integer_ratio()
+                num, den = 2 * (an * qd * grd + qn * grn * ad), ad * qd * grd
+            else:
+                num, den = 2 * (an * pn * bd * qd + bn * qn * ad * pd), ad * bd * (qn * pd + pn * qd)
+        try:
+            h = num / den
+        except OverflowError:
+            h = math.inf
+        if not math.isfinite(h):
             raise ValueError(f"holding time at site {xs[i]!r} is not finite")
-        if not hold[i] > 0.0:
+        if not h > 0.0:
             raise ValueError(f"holding time at site {xs[i]!r} is not positive")
+        hold[i] = h
     return hold
 
 
@@ -356,7 +350,7 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
         if reflects and math.isinf(ts[j]):
             raise ValueError(f"reflecting end {arr[i].item()!r} would step into the stacked"
                              f" end {arr[j].item()!r}, a trap the diffusion never reaches")
-    holding = functools.partial(_holding_times, scale, arr, tvals, absorbing)
+    holding = functools.partial(_holding_times, scale, arr, absorbing)
     return GridChain(arr, p, holding, absorbing)
 
 

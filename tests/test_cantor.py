@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bmext.cantor import (
     _CYCLE_DENOM_LIMIT,
     CantorBlock,
+    _cantor_ratios,
     cantor_eval,
     cantor_fraction,
     cantor_integral,
@@ -187,6 +188,36 @@ def test_cantor_integral():
     assert abs(cantor_integral(1.0) - riemann) < 1e-4
 
 
+def oracle_integral(x: Fraction, depth: int = 80) -> Fraction:
+    """∫_0^x C by the self-similar splitting S(x) = S(3x)/6 on [0, 1/3],
+    1/12 + (x - 1/3)/2 on the middle third and 1/4 + (x - 2/3)/2 + S(3x - 2)/6
+    on [2/3, 1]; off by at most 6**-depth after ``depth`` levels."""
+    acc, scale = Fraction(0), Fraction(1)
+    for _ in range(depth):
+        if x == 0 or x == 1:
+            return acc + scale * x / 2
+        if x <= Fraction(1, 3):
+            x *= 3
+        elif x < Fraction(2, 3):
+            return acc + scale * (Fraction(1, 12) + (x - Fraction(1, 3)) / 2)
+        else:
+            acc += scale * (Fraction(1, 4) + (x - Fraction(2, 3)) / 2)
+            x = 3 * x - 2
+        scale /= 6
+    return acc
+
+
+def test_integral_ratio_matches_the_oracle_on_rationals():
+    # every p/q below 60, terminating, hitting a 1 or cycling (1/4, 1/10, ...),
+    # and dyadic floats with long expansions
+    xs = [Fraction(p, q) for q in range(2, 60) for p in range(q)]
+    xs += [Fraction(x) for pair in UNIT.float_remnants(5) for x in pair if x < 1]
+    for x in xs:
+        cn, cd, sn, sd = _cantor_ratios(x.numerator, x.denominator)
+        assert Fraction(cn, cd) == cantor_fraction(x), x
+        assert abs(Fraction(sn, sd) - oracle_integral(x)) <= Fraction(1, 6**70), x
+
+
 def test_block_mass_and_bounds():
     # a block's mass, read as the W-mass of a whole-line scale holding only it
     blk = make_scale(-math.inf, math.inf, blocks=[CantorBlock(0, 1, 1)])
@@ -201,11 +232,16 @@ def test_block_mass_and_bounds():
 
 
 def test_block_integral_matches_quadrature():
+    # a block's part of the cell integral E(u, v) = ∫_u^v (t - t(u)), read as
+    # the cell formula on a whole-line scale holding only it, less (v - u)**2 / 2
     blk = CantorBlock(1, 3, weight=2)
     n = 4000
     u, v = 1.2, 2.9
-    riemann = sum(blk.value(u + (v - u) * (i + 0.5) / n) for i in range(n)) * (v - u) / n
-    assert abs(blk.integral(u, v) - riemann) < 5e-4
+    riemann = sum(blk.value(u + (v - u) * (i + 0.5) / n) - blk.value(u)
+                  for i in range(n)) * (v - u) / n
+    en, ed, *_ = next(make_scale(-math.inf, math.inf, blocks=[blk]).cell_ratios([u, v]))
+    block_part = Fraction(en, ed) - (Fraction(v) - Fraction(u)) ** 2 / 2
+    assert abs(block_part - riemann) < 5e-4
 
 
 def _fractions(lo=-(10**6), hi=10**6):

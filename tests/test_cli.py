@@ -594,11 +594,10 @@ def _refuse(*args, **kwargs):
 
 
 def test_hitting_and_extension_trace_walks_build_no_holding_time(capsys, monkeypatch):
-    from bmext import sim
     from bmext.scale import ScaleFunction
 
-    monkeypatch.setattr(sim, "_mean_exit", _refuse)
-    monkeypatch.setattr(ScaleFunction, "integral_t", _refuse)
+    # every holding time is formed from the cells' integrals, read here
+    monkeypatch.setattr(ScaleFunction, "cell_ratios", _refuse)
     code, _ = run(capsys, "simulate", "hitting", "--preset", "ex215", "--x0", "0.5",
                   "--left", "-0.5", "--right", "1.5", "--samples", "100", "--deterministic")
     assert code == 0
@@ -915,6 +914,22 @@ def test_decompose_samples_over_the_work_budget_exits_2(capsys):
                           "--samples", str(value))
     assert message == (
         f"bmext decompose: argument --samples: must be at most {WORK_BUDGET}, got {value}")
+
+
+def test_decompose_rows_over_the_work_budget_exit_1(tmp_path, capsys, monkeypatch):
+    # each sample point evaluates f, f1 and f2 piece by piece: 6,000 points
+    # on ex218's 3 x 258 tent pieces at depth 8 are 4,644,000 evaluations,
+    # refused before a row or the --out directory is made
+    monkeypatch.chdir(tmp_path)
+    err = refused(capsys, 1, "decompose", "--preset", "ex218", "--depth", "8",
+                  "--function", "tent", "--samples", "6000", "--out", "out")
+    assert err == {"type": "ValueError",
+                   "message": "decompose --samples would build 4644000 piece evaluations,"
+                              f" over the work budget of {WORK_BUDGET}"}
+    assert not (tmp_path / "out").exists()
+    code, _ = run(capsys, "decompose", "--preset", "ex218", "--depth", "8",
+                  "--function", "tent", "--samples", "5000", "--out", "out")
+    assert code == 0
 
 
 def test_simulate_hitting_budget_of_one_step_excludes_every_walk(capsys):

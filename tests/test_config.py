@@ -592,6 +592,27 @@ def _first_match(config, x):
     return None
 
 
+def _classify_by_scan(config, x):
+    # the former classify_point: ask every interval, from the left
+    for iv in config.intervals:
+        if x == iv.lo and iv.include_lo:
+            return PointClass.RIGHT_SHUNT
+        if x == iv.hi and iv.include_hi:
+            return PointClass.LEFT_SHUNT
+        if iv.lo < x < iv.hi:
+            return PointClass.REGULAR
+    return PointClass.TRAP
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_configs(), st.lists(st.floats(-3.0, 3.0), max_size=10))
+def test_classify_point_matches_the_scan(config, xs):
+    # overlapping, nested and end-sharing intervals included
+    mids = [a + (b - a) / 2 for a, b in zip(CONFIG_ENDS[1:-2], CONFIG_ENDS[2:-1])]
+    for x in [*CONFIG_ENDS[1:-1], *mids, *xs]:
+        assert classify_point(config, x) is _classify_by_scan(config, x), x
+
+
 @settings(max_examples=400, deadline=None)
 @given(random_configs(), st.lists(st.floats(-3.0, 3.0), max_size=10))
 def test_locate_matches_the_first_match_scan(config, xs):

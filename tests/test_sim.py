@@ -153,7 +153,7 @@ def test_grid_chain_refuses_an_interior_absorbing_site():
 
 def test_holding_times_pinned():
     # recorded values: a block window and a stack window, where every holding
-    # time integrates the staircase through the Cantor integral recursion
+    # time is its exact ratio rounded once, as reference_holding gives it
     chain = build_chain(EX215, 0, snap_grid(EX215, 0, -0.5, 1.5, 16, depth=6))
     assert chain.sites.tolist() == [
         -0.5, -0.375, -0.25, -0.125, 0.0, 0.1111111111111111, 0.2496570644718793,
@@ -161,20 +161,20 @@ def test_holding_times_pinned():
         0.8888888888888888, 1.0, 1.125, 1.25, 1.375, 1.5,
     ]
     assert chain.mean_holding.tolist() == [
-        0.0, 0.015625, 0.015625, 0.015625, 0.021924603174043093, 0.03887176536729261,
-        0.022773715293808346, 0.02430613076900354, 0.027777777782003105,
-        0.024306130769531625, 0.022773715293781076, 0.038871765367248824,
-        0.021924603174603135, 0.015625, 0.015625, 0.015625, 0.0,
+        0.0, 0.015625, 0.015625, 0.015625, 0.021924603174043097, 0.03887176536729261,
+        0.02277371529380836, 0.024306130769003533, 0.027777777782003136,
+        0.024306130769531614, 0.022773715293781135, 0.03887176536724867,
+        0.021924603174603177, 0.015625, 0.015625, 0.015625, 0.0,
     ]
     chain = build_chain(EX216, 1, [0.0, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0])
     assert chain.mean_holding.tolist() == [
-        0.0, 0.19921875, 0.10245535714285714, 0.0870535714285714, 0.09895833333333336,
+        0.0, 0.19921875, 0.10245535714285714, 0.08705357142857142, 0.09895833333333333,
         0.06101190476190476, 0.0625, 0.0,
     ]
     chain = build_chain(EX216, 0, [-1.0, -0.6, -0.3, -0.2, -0.1, -0.05, 0.0])
     assert chain.mean_holding.tolist() == [
         0.0, 0.21846743295019158, 0.17009502923976608, 0.10531695156695156,
-        0.07137596899224811, 0.13770833333333332, 0.0,
+        0.07137596899224806, 0.13770833333333332, 0.0,
     ]
 
 
@@ -190,6 +190,198 @@ def test_holding_times_solve_for_the_exact_mean_exit_time(cells):
         a[i, i - 1], a[i, i + 1] = p[i] - 1.0, -p[i]
     exit_time = np.linalg.solve(a, chain.mean_holding)
     assert exit_time[chain.site_index(0.5)] == pytest.approx(4 / 3, abs=1e-12)
+
+
+# -- holding times against an exact reference --------------------------------
+
+
+def _reference_c_and_s(y: Fraction, levels: int = 120) -> tuple[Fraction, Fraction]:
+    """C(y) and S(y), the integral of C from 0 to y, for y in [0, 1], by the
+    self-similar recursion: C(y) = C(3y)/2 and S(y) = S(3y)/6 on the left
+    third, C(y) = 1/2 + C(3y - 2)/2 and S(y) = y/2 - 1/12 + S(3y - 2)/6 on the
+    right one, C(y) = 1/2 and S(y) = y/2 - 1/12 between.  Cut after
+    ``levels`` levels: C is then off by at most 2**-levels."""
+    c = s = Fraction(0)
+    wc = ws = Fraction(1)
+    for _ in range(levels):
+        if y <= 0:
+            break
+        if y >= 1:
+            return c + wc, s + ws / 2
+        if y < Fraction(1, 3):
+            y *= 3
+        else:
+            c += wc / 2
+            s += ws * (y / 2 - Fraction(1, 12))
+            if y <= Fraction(2, 3):
+                break
+            y = 3 * y - 2
+        wc /= 2
+        ws /= 6
+    return c, s
+
+
+def reference_holding(scale, sites, absorbing) -> list[Fraction]:
+    """Every site's holding time as an exact Fraction, up to the cut of C.
+
+    Up to a constant, t(y) = y plus w * C((y - lo) / D) over every block and
+    every stack shell (a unit-weight block) that some site sees, and its
+    antiderivative is y**2 / 2 plus w * (D * S(...) + max(0, y - hi)); so
+    E(l, x) is T(x) - T(l) - (x - l) t(l), exactly, however the antiderivative
+    cancels.  The holding times are twice the exit kernel's integral, with a
+    stacked neighbour as a wall and a reflecting end's one-cell forms.
+    """
+    xs = [Fraction(x) for x in sites]
+    blocks = [(b.lo, b.hi, b.weight) for b in scale.blocks]
+    for stack in scale.stacks:
+        # shells nearer the endpoint than every site are constant on the window
+        near = min((abs(x - stack.at) for x in xs if x != stack.at), default=None)
+        k = 0
+        while near is not None and stack.delta / 2**k >= near / 2:
+            shell = stack.shell(k)
+            blocks.append((shell.lo, shell.hi, shell.weight))
+            k += 1
+
+    def t_and_antiderivative(y):
+        t, big_t = y, y * y / 2
+        for lo, hi, w in blocks:
+            c, s = _reference_c_and_s(min(max((y - lo) / (hi - lo), Fraction(0)), Fraction(1)))
+            t += w * c
+            big_t += w * ((hi - lo) * s + max(Fraction(0), y - hi))
+        return t, big_t
+
+    stacked = {scale.lo if scale.stack_lo else None, scale.hi if scale.stack_hi else None}
+    vals = [None if x in stacked else t_and_antiderivative(x) for x in xs]
+    cells = [
+        None if u is None or v is None else (v[1] - u[1] - (xs[c + 1] - xs[c]) * u[0], v[0] - u[0])
+        for c, (u, v) in enumerate(zip(vals, vals[1:]))
+    ]
+    out = []
+    for i, absorbs in enumerate(absorbing):
+        left = cells[i - 1] if i > 0 else None
+        right = cells[i] if i < len(xs) - 1 else None
+        if absorbs:
+            out.append(Fraction(0))
+            continue
+        if right is not None:
+            b = right[1] * (xs[i + 1] - xs[i]) - right[0]
+        if left is None:
+            out.append(2 * b if i == 0 else 2 * (right[1] * (xs[i] - xs[i - 1]) + b))
+        elif right is None:
+            a = left[0]
+            out.append(2 * a if i == len(xs) - 1 else 2 * (a + left[1] * (xs[i + 1] - xs[i])))
+        else:
+            out.append(2 * (left[0] * right[1] + b * left[1]) / (left[1] + right[1]))
+    return out
+
+
+def test_reference_holding_gives_the_pinned_times():
+    # the pinned windows and the path pins' chains hold their reference times to the bit
+    ex218 = preset("ex218", depth=4)
+    n = ex218.locate(0.5)
+    iv = ex218.interval(n)
+    for config, n, sites in [
+        (EX215, 0, snap_grid(EX215, 0, -0.5, 1.5, 16, depth=6)),
+        (EX216, 1, [0.0, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0]),
+        (EX216, 0, [-1.0, -0.6, -0.3, -0.2, -0.1, -0.05, 0.0]),
+        (SOJOURN, 1, [-1.0, -0.5, 0.0, 0.5]),
+        (ex218, n, np.linspace(iv.lo, iv.hi, 9)),
+    ]:
+        chain = build_chain(config, n, sites)
+        ref = reference_holding(config.interval(n).scale, chain.sites.tolist(),
+                                chain.absorbing.tolist())
+        assert chain.mean_holding.tolist() == [float(r) for r in ref]
+
+
+def _interval_scales():
+    # random_scales carry blocks and stacks; random_configs' intervals are plain
+    plain = random_configs().filter(lambda c: c.intervals).map(lambda c: c.intervals[0].scale)
+    return st.one_of(random_scales(), random_scales().filter(lambda s: s.blocks), plain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=_interval_scales(), cells=st.integers(1, 2**21), data=st.data())
+def test_holding_times_match_the_fraction_reference(scale, cells, data):
+    # a run of neighbouring sites of a uniform grid of up to 2**21 cells over
+    # the interval's span, a block or a stack zone, from its ends (stacked or
+    # reflecting) inwards too
+    spans = [(scale.lo if math.isfinite(scale.lo) else scale.e - 3.0,
+              scale.hi if math.isfinite(scale.hi) else scale.e + 3.0)]
+    spans += [(float(b.lo), float(b.hi)) for b in scale.blocks]
+    spans += [tuple(sorted(map(float, (s.at, s.at + (s.delta if s.side == "lo" else -s.delta)))))
+              for s in scale.stacks]
+    lo, hi = data.draw(st.sampled_from(spans), label="span")
+    k = data.draw(st.integers(2, min(6, cells + 1)), label="sites")
+    start = data.draw(st.integers(0, cells + 1 - k), label="start")
+    sites = [lo + (hi - lo) * (start + i) / cells for i in range(k)]
+    assume(all(a < b for a, b in zip(sites, sites[1:])) and sites[-1] <= hi)
+    config = ExtensionConfig((IntervalSpec(scale),))
+    try:
+        chain = build_chain(config, 0, sites)
+    except ValueError:
+        # scale values that collide in floats, or a reflecting end into a stacked one
+        reject()
+    ref = reference_holding(scale, chain.sites.tolist(), chain.absorbing.tolist())
+    for x, h, r in zip(sites, chain.mean_holding.tolist(), ref):
+        assert abs(h - float(r)) <= 4 * math.ulp(float(r)), (x, h, float(r))
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.5, -0.4995), (0.0, 0.001), (0.3, 0.3005), (0.9995, 1.0),
+                                    (1.4995, 1.5)])
+def test_holding_times_are_exact_on_the_two_million_cell_grid(lo, hi):
+    # runs of the uniform 2,000,000-cell ex215 grid over (-0.5, 1.5): the
+    # Brownian ends, the block's ends and its inside; a site's holding time
+    # reads only its two cells
+    grid = np.linspace(-0.5, 1.5, 2_000_001)
+    sites = grid[(grid >= lo) & (grid <= hi)]
+    chain = build_chain(EX215, 0, sites)
+    ref = reference_holding(EX215.interval(0).scale, sites.tolist(), chain.absorbing.tolist())
+    worst = max(abs(h - float(r)) / float(r)
+                for h, r in zip(chain.mean_holding[1:-1].tolist(), ref[1:-1]))
+    assert worst < 1e-13
+
+
+def test_brownian_holding_times_are_the_rounded_products():
+    # a site whose two cells meet no singular mass holds (x - l)(r - x), rounded once
+    sites = snap_grid(EX215, 0, -0.5, 1.5, 2000, depth=8)
+    chain = build_chain(EX215, 0, sites)
+    xs = sites.tolist()
+    brownian = [i for i in range(1, len(xs) - 1) if xs[i + 1] <= 0.0 or xs[i - 1] >= 1.0]
+    assert len(brownian) > 900
+    for i in brownian:
+        l, x, r = (Fraction(v) for v in xs[i - 1 : i + 2])
+        assert chain.mean_holding[i] == float((x - l) * (r - x)), xs[i]
+
+
+def _solved_exit_times(chain) -> np.ndarray:
+    # E_i = h_i + p_i E_{i+1} + (1 - p_i) E_{i-1}, with E = 0 at the absorbing ends
+    p, m = chain.p_right, chain.sites.size
+    a = np.eye(m)
+    for i in range(1, m - 1):
+        a[i, i - 1], a[i, i + 1] = p[i] - 1.0, -p[i]
+    return np.linalg.solve(a, chain.mean_holding)
+
+
+def test_gap_window_solves_for_the_brownian_exit_time():
+    # inside an ex218 gap the diffusion is Brownian: from x, (l, r) is left
+    # in mean time (x - l)(r - x)
+    n = EX218_4.locate(0.5)
+    sites = np.linspace(0.4, 0.6, 41)
+    exit_time = _solved_exit_times(build_chain(EX218_4, n, sites))
+    expected = (sites - 0.4) * (0.6 - sites)
+    assert exit_time == pytest.approx(expected, abs=1e-12)
+
+
+def test_stacked_window_exit_time_agrees_on_a_refined_grid():
+    # on (0, 1] of ex216's right half-line the stacked end 0 is never reached;
+    # the solve is exact on any grid, so a grid and its refinement agree on
+    # their common sites
+    coarse = np.linspace(0.0, 1.0, 17)
+    fine = np.linspace(0.0, 1.0, 33)
+    e_coarse = _solved_exit_times(build_chain(EX216, 1, coarse))
+    e_fine = _solved_exit_times(build_chain(EX216, 1, fine))
+    assert e_coarse == pytest.approx(e_fine[::2], abs=1e-12)
+    assert e_coarse[8] > 0.25
 
 
 def test_included_endpoint_reflects():
@@ -615,7 +807,7 @@ def test_path_pinned_values():
     long = simulate_path(chain, 0.5, budget=10_000, seed=5)
     assert long.exhausted and long.steps == 10_000
     assert long.sites[-1] == 0.5
-    assert long.times[-1] == 17.36111111110817
+    assert long.times[-1] == 17.361111111108173
 
 
 # -- hitting probabilities ---------------------------------------------------
