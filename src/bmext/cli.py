@@ -869,6 +869,8 @@ def _sim_darned(args) -> int:
     x0 = sites[int(nearest_site(sites, x0)[0])]
     steps = args.steps or 100_000
     occ = simulate_darned(spec, sites, x0, steps, seed=args.seed)
+    # the walk's exact target: its occupation converges to the normalised site masses
+    gap = occ.occupation - occ.site_mass / occ.site_mass.sum()
     result = {
         "kind": "darned",
         "interval_index": index,
@@ -877,6 +879,7 @@ def _sim_darned(args) -> int:
         "x0_used": x0,
         "steps": steps,
         "occupation_total": _jnum(float(occ.occupation.sum())),
+        "occupation_tv": _jnum(0.5 * math.fsum(abs(gap).tolist())),
     }
     _emit(args, ctx, "simulate", {"steps": steps}, result, (
         "occupation", "sim_darned.csv",

@@ -48,8 +48,8 @@ __all__ = [
 
 _BATCH = 1 << 16
 # a darned walk draws and folds this many steps at a time: a whole number of
-# raw 64-bit words and of 8-step bytes
-_CHUNK = 1 << 15
+# raw 64-bit words, 64 steps each
+_CHUNK = 1 << 16
 # steps a hitting walker takes on one uniform: on the band law of a window of
 # more than 2 * _STRIDE + 1 sites, and on the dense law of a smaller one
 _STRIDE = 64
@@ -557,43 +557,43 @@ def _bridges(low: np.ndarray, x: np.ndarray, b: np.ndarray, u: np.ndarray,
     base = x * (width - 1) + width // 2
     at = np.empty((k + 1, x.size), dtype=np.int64)
     at[k] = base + b
-    move = np.array([-1, 1])
+    share = np.empty(x.size)
+    up = np.empty(x.size, dtype=bool)
     if held is not None:
         # flat index of the j-th stopped site in row x: x * s + j
         row_base = x * held.shape[2]
         held = held.reshape(held.shape[0], -1)
     for t in range(k, 0, -1):
-        here = at[t]
+        here, there = at[t], at[t - 1]
         v = u[t - 1]
-        step = move[(v >= low[t - 1][here]).view(np.uint8)]
+        low[t - 1].take(here, out=share)
+        np.greater_equal(v, share, out=up)
+        # there = here - 1, plus 2 for a walker that stood at z + 1
+        np.subtract(here, 1, out=there)
+        np.add(there, up, out=there)
+        np.add(there, up, out=there)
         if held is not None:
             j = stop_index[here - base]
             stays = (j >= 0) & (v < held[t - 1][row_base + np.maximum(j, 0)])
-            step[stays] = 0
-        np.add(here, step, out=at[t - 1])
+            there[stays] = here[stays]
     return at - base
 
 
 def _landings(law: np.ndarray):
-    """Where a walker lands from each site of a band law, listed per site on first use.
+    """Where a walker lands from each site of a band law of half-width h.
 
-    Returns the list and the function that fills in site i's entry: the
-    law's cumulated sums from i, capped at 1, up to its last site of
-    positive law, which takes every uniform past them; and the sites these
-    columns stand for.  A walker at i with uniform u lands on
-    ``sites[bisect_right(cdf, u)]``.
+    Returns the function that lists site i's cumulated law from i, capped
+    at 1, up to its last site of positive law, which takes every uniform
+    past them.  A walker at i with uniform u lands on site
+    ``i - h + bisect_right(row(i), u)``.
     """
-    m, width = law.shape
     cdf = _capped_cdf(law)
     last = _last_landings(cdf).tolist()
-    rows = [None] * m
 
-    def row(i: int):
-        rows[i] = (cdf[i, :last[i]].tolist() + [math.inf],
-                   range(i - width // 2, i - width // 2 + last[i] + 1))
-        return rows[i]
+    def row(i: int) -> list:
+        return cdf[i, :last[i]].tolist() + [math.inf]
 
-    return rows, row
+    return row
 
 
 def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
@@ -629,13 +629,17 @@ def _strided_walk(chain: GridChain, i0: int, steps: int, rng):
     held = np.zeros((k, m, stop_sites.size)) if stop_sites.size else None
     stop_index = np.full(m, -1)
     stop_index[stop_sites] = np.arange(stop_sites.size)
-    rows, row = _landings(_band_laws(chain.p_right, chain.absorbing, k, h, low, held))
+    row = _landings(_band_laws(chain.p_right, chain.absorbing, k, h, low, held))
+    # each site's cumulated law, listed on the walk's first visit
+    rows = [None] * m
     pos = i0
     while steps > 0:
         ends = [pos]
         for u in rng.random(min(_WALK_CHUNK // k, -(-steps // k))).tolist():
-            cdf, sites = rows[pos] or row(pos)
-            pos = sites[bisect_right(cdf, u)]
+            cdf = rows[pos]
+            if cdf is None:
+                cdf = rows[pos] = row(pos)
+            pos += bisect_right(cdf, u) - h
             ends.append(pos)
             if stopped[pos]:
                 break
@@ -923,15 +927,16 @@ def simulate_darned(
     normalised image masses.  Atoms and the unresolved residue aggregates
     are assigned to their nearest sites, ties to the left.
 
-    Draws: step t goes up when the top bit of the t-th 32-bit half of the
-    generator's raw 64-bit words is set, low half first; these are the bits
-    ``rng.integers(0, 2, n_steps, dtype=np.int64)`` reads.  The free walk
-    (the walk before folding) is drawn in ``_CHUNK``-step pieces, each
-    starting where the last one ended, so memory stays flat in ``n_steps``.
-    Each piece packs its steps into bytes, splits them into g-step symbols
-    (``_symbol_width``) and counts (start residue, symbol) pairs; steps past
-    the last whole byte are folded one by one.  Once per walk the pair
-    counts are spread onto the residues the symbols' steps land on.
+    Draws: step t goes up when bit t mod 64 of the generator's raw 64-bit
+    word floor(t / 64) is set (``rng.bit_generator.random_raw``), so each
+    word's little-endian bytes are 8 steps each, low bit first.  The free
+    walk (the walk before folding) is drawn in ``_CHUNK``-step pieces, a
+    whole number of words each, every piece starting where the last one
+    ended, so memory stays flat in ``n_steps``.  Each piece splits its
+    bytes into g-step symbols (``_symbol_width``) and counts (start
+    residue, symbol) pairs; steps past the last whole byte are folded one
+    by one.  Once per walk the pair counts are spread onto the residues the
+    symbols' steps land on.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
@@ -967,21 +972,19 @@ def simulate_darned(
     pairs = np.zeros(period << g, dtype=np.int64)
     h = np.zeros(period, dtype=np.int64)
     free = i0
-    up = np.empty((_CHUNK // 2, 2), dtype=bool)
     lanes = np.arange(0, 8, g, dtype=np.uint8)  # first bit of each symbol in a byte
     for start in range(0, n_steps, _CHUNK):
         c = min(_CHUNK, n_steps - start)
-        words = rng.bit_generator.random_raw((c + 1) // 2)
-        # bits 31 and 63 read arithmetically, the same on any byte order
-        np.greater_equal(words.astype(np.uint32), 1 << 31, out=up[:words.size, 0])
-        np.greater_equal(words, 1 << 63, out=up[:words.size, 1])
-        steps = up.ravel()[:c]
-        whole = c - c % 8
+        # step t of the piece is bit t % 8 of byte t // 8 of its words, read
+        # little-endian on any byte order
+        words = rng.bit_generator.random_raw(-(-c // 64))
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        whole = c // 8
         if whole:
-            sym = np.packbits(steps[:whole], bitorder="little")
+            sym = octets[:whole]
             if g < 8:
                 sym = ((sym[:, None] >> lanes) & ((1 << g) - 1)).ravel()
-            moves = move[sym]
+            moves = move.take(sym)
             cell = np.cumsum(moves)
             cell += free
             free = int(cell[-1]) % period
@@ -992,8 +995,9 @@ def simulate_darned(
             cell <<= g
             cell |= sym
             np.add.at(pairs, cell, 1)
-        if whole < c:
-            walk = free + np.cumsum(steps[whole:].astype(np.int64) * 2 - 1)
+        if c % 8:
+            up = int(octets[whole]) >> np.arange(c % 8) & 1
+            walk = free + np.cumsum(up * 2 - 1)
             np.add.at(h, walk % period, 1)
             free = int(walk[-1]) % period
     # entry r of pairs @ landings[:, o + g] counts the steps that land on

@@ -698,17 +698,28 @@ def test_simulate_trace_brownian_experiment_refuses_cells(tmp_path, capsys, carr
 
 
 def test_simulate_darned_occupation(tmp_path, capsys):
+    # the occupation fractions sum to 1 up to the rounding of their 63
+    # quotients and of the sums: within 4 machine epsilons (2 out of 3 runs
+    # miss 1.0 exactly, by at most 2.5 epsilons over 240 runs);
+    # occupation_tv is the total variation distance from the normalised
+    # site masses that the CSV lists
     out_dir = tmp_path / "out"
-    code, out = run(
-        capsys,
-        "simulate", "darned", "--preset", "ex215", "--depth", "6",
-        "--steps", "20000", "--seed", "9", "--out", str(out_dir), "--deterministic",
-    )
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["result"]["occupation_total"] == 1.0
-    lines = (out_dir / "sim_darned.csv").read_text().splitlines()
-    assert len(lines) - 2 == doc["result"]["site_count"]
+    for seed in range(9, 15):
+        code, out = run(
+            capsys,
+            "simulate", "darned", "--preset", "ex215", "--depth", "6",
+            "--steps", "20000", "--seed", str(seed), "--out", str(out_dir), "--deterministic",
+        )
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert abs(r["occupation_total"] - 1.0) <= 4 * sys.float_info.epsilon, seed
+        lines = (out_dir / "sim_darned.csv").read_text().splitlines()
+        assert len(lines) - 2 == r["site_count"]
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        total = math.fsum(m for _, m, _, _ in rows)
+        tv = 0.5 * math.fsum(abs(o - m / total) for _, m, _, o in rows)
+        assert 0.0 < r["occupation_tv"] <= 1.0
+        assert r["occupation_tv"] == pytest.approx(tv, rel=1e-12), seed
 
 
 # -- experiments --------------------------------------------------------------------

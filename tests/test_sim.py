@@ -583,10 +583,11 @@ def test_stride_end_times_bridge_is_every_path_probability(name, k):
     law = sim._band_laws(chain.p_right, chain.absorbing, k, h, low, held)
     stop_index = np.full(m, -1)
     stop_index[stop_sites] = np.arange(stop_sites.size)
-    rows, row = sim._landings(law)
+    row = sim._landings(law)
     checked = 0
     for x in np.flatnonzero(~chain.absorbing).tolist():
-        cdf, ends = rows[x] or row(x)
+        cdf = row(x)
+        ends = range(x - h, x - h + len(cdf))
         bounds = [0.0, *cdf[:-1], 1.0]
         landing = {b: hi - lo for b, lo, hi in zip(ends, bounds, bounds[1:])}
         for path, exact in _exact_paths(chain, x, k):
@@ -1352,17 +1353,18 @@ def test_darned_window_validation():
 
 def test_darned_visits_pinned_values():
     # recorded values: 98,309 steps end on a part byte, on an odd step, and
-    # past the edges of 32,768-step chunks
+    # past the edge of a 65,536-step chunk
     spec = darn(EX215, 0, depth=6)
     grid = np.linspace(0.0, 1.0, 65)
     stats = simulate_darned(spec, grid, 0.5, 98_309, seed=21)
     assert stats.visits.tolist() == [
-        1684, 1635, 1569, 1633, 1702, 1760, 1726, 1522, 1378, 1356, 1395, 1417, 1388,
-        1449, 1556, 1564, 1486, 1428, 1468, 1517, 1478, 1425, 1387, 1359, 1361, 1380,
-        1462, 1509, 1540, 1603, 1669, 1683, 1650, 1707, 1739, 1718, 1704, 1737, 1690,
-        1600, 1576, 1598, 1632, 1567, 1494, 1459, 1413, 1359, 1328, 1303, 1247, 1225,
-        1307, 1401, 1468, 1529, 1515, 1442, 1441, 1506, 1524, 1497, 1473, 1475, 1497,
+        1266, 1280, 1252, 1251, 1297, 1320, 1316, 1308, 1335, 1300, 1212, 1178, 1231,
+        1285, 1335, 1341, 1329, 1392, 1364, 1306, 1356, 1416, 1452, 1433, 1404, 1366,
+        1378, 1440, 1516, 1633, 1753, 1719, 1593, 1519, 1554, 1581, 1514, 1515, 1549,
+        1562, 1590, 1613, 1518, 1430, 1442, 1473, 1488, 1480, 1525, 1542, 1572, 1652,
+        1644, 1589, 1575, 1660, 1841, 1932, 1916, 1893, 1874, 1865, 1955, 2030, 2060,
     ]
+    assert stats.visits.sum() == 98_310
     short = simulate_darned(spec, grid, 0.5, 2, seed=21)
     assert short.visits.tolist() == [0] * 31 + [1, 2] + [0] * 32
 
@@ -1370,20 +1372,17 @@ def test_darned_visits_pinned_values():
 def _reference_darned_visits(sites, i0, steps, seed):
     """Visits per site of the darned walk on ``sites`` sites, folded step by step.
 
-    One ``rng.integers(0, 2)`` draw per step, in chunks of an even number of
-    steps (so that no chunk leaves half of a raw word unread).  The free
-    walk's residue j mod 2m is site j, or site 2m - 1 - j when j >= m.
-    ``simulate_darned`` must count exactly these visits.
+    Step t goes up when bit t % 64 of raw word t // 64 is set, read by
+    shifting each word, not through its bytes.  The free walk's residue
+    j mod 2m is site j, or site 2m - 1 - j when j >= m.  ``simulate_darned``
+    must count exactly these visits.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    visits = np.zeros(sites, dtype=np.int64)
-    free = i0
-    for start in range(0, steps, 1 << 15):
-        moves = rng.integers(0, 2, size=min(1 << 15, steps - start), dtype=np.int64) * 2 - 1
-        walk = free + np.cumsum(moves)
-        free = int(walk[-1])
-        h = np.bincount(np.mod(walk, 2 * sites), minlength=2 * sites)
-        visits += h[:sites] + h[:sites - 1:-1]
+    words = rng.bit_generator.random_raw(-(-steps // 64))
+    up = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    walk = i0 + np.cumsum(up.ravel()[:steps].astype(np.int64) * 2 - 1)
+    h = np.bincount(np.mod(walk, 2 * sites), minlength=2 * sites)
+    visits = h[:sites] + h[:sites - 1:-1]
     visits[i0] += 1
     return visits
 
@@ -1399,7 +1398,8 @@ def _ex215_spec():
     st.one_of(
         st.integers(0, 300_000),
         st.integers(0, 40),
-        # walks that end just before, on or just past a chunk edge
+        # walks that end just before, on or just past a word's or a chunk's edge
+        st.builds(lambda k, d: k * 64 + d, st.integers(1, 40), st.integers(-9, 9)),
         st.builds(lambda k, d: k * _CHUNK + d, st.integers(1, 9), st.integers(-9, 9)),
     ),
     st.integers(0, 2**63),
@@ -1462,6 +1462,9 @@ def test_darned_memory_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
 
+    # the first call in a process also allocates what numpy and the symbol
+    # landings cache, whatever its step count
+    peak(400_000)
     assert peak(4_000_003) <= 1.1 * peak(400_000)
 
 
