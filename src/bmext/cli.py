@@ -771,9 +771,19 @@ def _sim_hitting(args) -> int:
         chain, used, left, right, samples,
         seed=args.seed, budget=args.budget or 10_000_000,
     )
-    # the diffusion's exact P(hit left before right) from x0_used
-    tl, tx, tr = (ctx.config.interval(index).scale.eval(x) for x in (left, used, right))
-    target = (tr - tx) / (tr - tl)
+    # the diffusion's exact P(hit left before right) from x0_used: the exact
+    # increment of t over [x0_used, right] over that over [left, right],
+    # rounded once.  A stacked right end leaves no finite ratio; a stacked
+    # left end alone gives 0, or none from the end itself
+    scale = ctx.config.interval(index).scale
+    stacked_lo = left == scale.lo and scale.stack_lo
+    if right == scale.hi and scale.stack_hi or stacked_lo and used == left:
+        target = None
+    elif stacked_lo:
+        target = 0.0
+    else:
+        (_, _, ln, ld, _, _), (_, _, rn, rd, _, _) = scale.cell_ratios([left, used, right])
+        target = rn * ld / (ln * rd + rn * ld)
     result = {
         "kind": "hitting",
         "interval_index": index,
@@ -785,7 +795,7 @@ def _sim_hitting(args) -> int:
         "std_error": _jnum(est.std_error),
         "samples": est.samples,
         "excluded": est.excluded,
-        "target": target if math.isfinite(target) else None,
+        "target": target,
     }
     _emit(args, ctx, "simulate", {"samples": samples}, result)
     return 0

@@ -7,9 +7,11 @@ limits how much of the state space a walk can see.  Mean holding times
 integrate the two-sided exit kernel against the speed measure (Lebesgue on
 every interval), normalised so a Brownian cell of half-width h is left in
 mean time h**2.  Singular scale mass therefore slows crossings without ever
-adding residence time of its own.  A chain's step laws need scale values
-only; its holding times are built on their first read, and only paths read
-them, so hitting and trace walks never build them.
+adding residence time of its own.  One pass over the exact cell integrals
+gives every site both its step law and its holding time, each its exact
+ratio rounded once.  The holding times are checked on their first read, and
+only paths read them, so hitting and trace walks answer on windows whose
+holding times leave the float range.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,7 +29,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cantor import check_work, level_count
 from .config import ExtensionConfig, TraceMeasure
 from .darning import DarnedSpec, common_denominator
-from .scale import ScaleFunction
 
 __all__ = [
     "GridChain",
@@ -110,26 +110,30 @@ class GridChain:
     forced to 1 (resp. 0) at reflecting ends and left meaningless at
     absorbing sites.  Only the two window ends may absorb: an end that does
     not absorb reflects.  ``holding`` gives the mean holding time at each
-    site, or a function of no arguments that builds them; ``mean_holding``
-    reads them, building them on its first read.
+    site; ``mean_holding`` reads it, and its first read refuses the first
+    site that does not absorb and whose time is not finite or not positive.
     """
 
     sites: np.ndarray
     p_right: np.ndarray
-    holding: np.ndarray | Callable[[], np.ndarray]
+    holding: np.ndarray
     absorbing: np.ndarray
 
     def __post_init__(self):
         inner = np.flatnonzero(self.absorbing[1:-1])
         if inner.size:
             raise ValueError(f"absorbing site {int(inner[0]) + 1} is not a window end")
-        for arr in (self.sites, self.p_right, self.absorbing):
+        for arr in (self.sites, self.p_right, self.holding, self.absorbing):
             arr.setflags(write=False)
 
     @functools.cached_property
     def mean_holding(self) -> np.ndarray:
-        hold = self.holding() if callable(self.holding) else self.holding
-        hold.setflags(write=False)
+        hold = self.holding
+        bad = np.flatnonzero(~(self.absorbing | (np.isfinite(hold) & (hold > 0.0))))
+        if bad.size:
+            i = int(bad[0])
+            what = "finite" if not math.isfinite(hold[i]) else "positive"
+            raise ValueError(f"holding time at site {self.sites[i].item()!r} is not {what}")
         return hold
 
     def site_index(self, x: float) -> int:
@@ -244,61 +248,6 @@ def snap_grid(
     return np.array(out)
 
 
-def _p_right(dl: float, dr: float) -> float:
-    if math.isinf(dl) and math.isinf(dr):
-        raise ValueError("site is walled in by infinite scale on both sides")
-    if math.isinf(dr):
-        return 0.0
-    if math.isinf(dl):
-        return 1.0
-    return dl / (dl + dr)
-
-
-def _holding_times(scale: ScaleFunction, sites: np.ndarray, absorbing: np.ndarray) -> np.ndarray:
-    """Mean holding time at each site, twice the exit kernel's integral against
-    Lebesgue speed mass, as its exact ratio rounded once; 0 at absorbing sites.
-    With E and dt from :meth:`ScaleFunction.cell_ratios`, a = E(l, x) and
-    b = dt_r (r - x) - E(x, r), x holds 2 (a dt_r + b dt_l) / (dt_l + dt_r);
-    next to a stacked end, a wall, 2 (a + dt_l (r - x)) or 2 (b + dt_r (x - l));
-    at a reflecting end 2a or 2b.  A time not finite or not positive is refused."""
-    xs = sites.tolist()
-    walks = (~absorbing).tolist()
-    m = len(xs)
-    hold = np.zeros(m)
-    # the cells stream by, each read as the cell above one site and below the next
-    cells = itertools.chain(scale.cell_ratios(xs), [None])
-    above = None
-    for i in range(m):
-        below, above = above, next(cells)
-        if not walks[i]:
-            continue
-        if above is not None:
-            en, ed, pn, pd, grn, grd = above
-            bn, bd = pn * grn * ed - en * pd * grd, pd * grd * ed
-        if below is None:
-            # a wall below x, or no cell below the window's low end
-            gln, gld = (Fraction(xs[i]) - Fraction(xs[i - 1]) if i else Fraction(0)).as_integer_ratio()
-            num, den = 2 * (bn * pd * gld + pn * gln * bd), pd * gld * bd
-        else:
-            an, ad, qn, qd, _, _ = below
-            if above is None:
-                grn, grd = (Fraction(xs[i + 1]) - Fraction(xs[i]) if i < m - 1
-                            else Fraction(0)).as_integer_ratio()
-                num, den = 2 * (an * qd * grd + qn * grn * ad), ad * qd * grd
-            else:
-                num, den = 2 * (an * pn * bd * qd + bn * qn * ad * pd), ad * bd * (qn * pd + pn * qd)
-        try:
-            h = num / den
-        except OverflowError:
-            h = math.inf
-        if not math.isfinite(h):
-            raise ValueError(f"holding time at site {xs[i]!r} is not finite")
-        if not h > 0.0:
-            raise ValueError(f"holding time at site {xs[i]!r} is not positive")
-        hold[i] = h
-    return hold
-
-
 def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     """Jump chain of interval n's diffusion on the given sites.
 
@@ -306,8 +255,17 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
     when they sit on an included endpoint and absorb otherwise.  A site on
     an excluded endpoint that no interval contains is a trap: legal and
     absorbing, and the infinite scale walls it off from the rest of the grid.
-    The step laws need scale values only; the holding times are built, and
-    checked, when ``mean_holding`` is first read.
+
+    One stream of :meth:`ScaleFunction.cell_ratios` gives each site x between
+    l and r its cells' E and dt, and from them both its step law
+    p = dt_l / (dt_l + dt_r) and its holding time, twice the exit kernel's
+    integral against Lebesgue speed mass: with a = E(l, x) and
+    b = dt_r (r - x) - E(x, r), x holds 2 (a dt_r + b dt_l) / (dt_l + dt_r).
+    Each is its exact ratio rounded once.  A cell that ends on a stacked end
+    is a wall: p is 0 or 1 and x holds 2 (a + dt_l (r - x)) or
+    2 (b + dt_r (x - l)).  A reflecting end holds 2a or 2b; absorbing sites
+    hold 0.  The holding times are checked when ``mean_holding`` is first
+    read.
     """
     iv = config.interval(n)
     scale = iv.scale
@@ -334,24 +292,50 @@ def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
         # a one-site window cannot move; only useful for trap sites
         return GridChain(arr, np.zeros(1), np.zeros(1), np.ones(1, dtype=bool))
 
-    tvals = np.array([scale.eval(s) for s in arr])
-    if not np.all(np.diff(tvals) > 0):
-        raise ValueError("grid is too fine: scale values collide in float resolution")
-
-    ts = tvals.tolist()
+    xs = arr.tolist()
+    walks = (~absorbing).tolist()
     p = np.zeros(m)
-    for i in range(1, m - 1):
-        p[i] = _p_right(ts[i] - ts[i - 1], ts[i + 1] - ts[i])
-    if reflect_lo:
-        p[0] = 1.0
-    # a reflecting end steps into its one cell; when that cell's far end is
-    # a stacked end, the walk would enter a trap the diffusion never reaches
-    for reflects, i, j in ((reflect_lo, 0, 1), (reflect_hi, m - 1, m - 2)):
-        if reflects and math.isinf(ts[j]):
-            raise ValueError(f"reflecting end {arr[i].item()!r} would step into the stacked"
-                             f" end {arr[j].item()!r}, a trap the diffusion never reaches")
-    holding = functools.partial(_holding_times, scale, arr, absorbing)
-    return GridChain(arr, p, holding, absorbing)
+    hold = np.zeros(m)
+    # the cells stream by, each read as the cell above one site and below the next
+    cells = itertools.chain(scale.cell_ratios(xs), [None])
+    above = None
+    for i in range(m):
+        below, above = above, next(cells)
+        if not walks[i]:
+            continue
+        if below is None and above is None:
+            if 0 < i < m - 1:
+                raise ValueError("site is walled in by infinite scale on both sides")
+            # a reflecting end steps into its one cell; when that cell's far
+            # end is a stacked end, the walk would enter a trap the diffusion
+            # never reaches
+            raise ValueError(f"reflecting end {xs[i]!r} would step into the stacked"
+                             f" end {xs[1 if i == 0 else m - 2]!r}, a trap the diffusion"
+                             " never reaches")
+        if above is not None:
+            en, ed, trn, trd, grn, grd = above
+            bn, bd = trn * grn * ed - en * trd * grd, trd * grd * ed
+        if below is None:
+            # a wall below x, or no cell below the window's low end
+            p[i] = 1.0
+            gln, gld = (Fraction(xs[i]) - Fraction(xs[i - 1]) if i else Fraction(0)).as_integer_ratio()
+            num, den = 2 * (bn * trd * gld + trn * gln * bd), trd * gld * bd
+        else:
+            an, ad, tln, tld, _, _ = below
+            if above is None:
+                # a wall above x, or no cell above the window's high end: p stays 0
+                grn, grd = (Fraction(xs[i + 1]) - Fraction(xs[i]) if i < m - 1
+                            else Fraction(0)).as_integer_ratio()
+                num, den = 2 * (an * tld * grd + tln * grn * ad), ad * tld * grd
+            else:
+                sl, sr = tln * trd, trn * tld
+                p[i] = sl / (sl + sr)
+                num, den = 2 * (an * trn * bd * tld + bn * tln * ad * trd), ad * bd * (sl + sr)
+        try:
+            hold[i] = num / den
+        except OverflowError:
+            hold[i] = math.inf
+    return GridChain(arr, p, hold, absorbing)
 
 
 # -- exact strides -----------------------------------------------------------
@@ -667,14 +651,15 @@ def simulate_path(
     in strides: each stride's end is drawn from the exact law of the chain
     stopped at its absorbing sites, then the steps inside it from the exact
     law of the chain given both ends, so the path has the law of single
-    steps up to the rounding of those laws (about 1e-14).  The seeded path
+    steps up to rounding: each step law is its exact ratio rounded once, and
+    the stride laws add the float rounding of their products.  The seeded path
     follows the draw contract of :func:`_strided_walk`, on a generator from
     ``SeedSequence(seed)``.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     i = chain.site_index(x0)
-    # built and checked before the walk, which they may refuse
+    # checked before the walk, which they may refuse
     hold = chain.mean_holding
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     idx = np.concatenate([[i], *_strided_walk(chain, i, budget, rng)])
@@ -704,7 +689,8 @@ def hitting_probability(
 
     Walkers move up to K steps at a time on the exact law of the chain
     stopped at l and r, so where a walk ends has the law of single steps, up
-    to the rounding of that law (about 1e-14).  A window of
+    to rounding: each step law is its exact ratio rounded once, and the
+    K-step law adds the float rounding of its products.  A window of
     m <= 2 * ``_STRIDE`` + 1 sites from l to r takes
     K = ``_DENSE_STRIDE`` steps on its dense m x m law, built by repeated
     squaring; a wider one takes K = ``_STRIDE`` steps on the band of the

@@ -3,16 +3,18 @@
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from bmext import scale as scale_module
 from bmext import sim
-from bmext.cantor import CantorBlock
+from bmext.cantor import CantorBlock, _cantor_ratios
 from bmext.config import (
     PRESET_NAMES,
     ComplementSpec,
@@ -138,9 +140,9 @@ def test_chains_of_every_preset_absorb_only_at_their_window_ends(data):
     try:
         chain = build_chain(config, n, sites)
     except ValueError as exc:
-        # a grid too fine for the scale's float values, or an end another
-        # interval holds, is refused before any chain exists
-        assert "window end" not in str(exc)
+        # an end another interval holds, a site between two stacked ends or a
+        # reflecting end into a stacked one is refused before any chain exists
+        assert re.match("grid straddles|site is walled in|reflecting end", str(exc)), exc
         reject()
     assert not chain.absorbing[1:-1].any()
 
@@ -221,15 +223,15 @@ def _reference_c_and_s(y: Fraction, levels: int = 120) -> tuple[Fraction, Fracti
     return c, s
 
 
-def reference_holding(scale, sites, absorbing) -> list[Fraction]:
-    """Every site's holding time as an exact Fraction, up to the cut of C.
+def reference_cells(scale, sites) -> list[tuple[Fraction, Fraction] | None]:
+    """E(u, v) and t(v) - t(u) on each cell [u, v] as exact Fractions, up to
+    the cut of C; None on a cell that ends on a stacked end.
 
     Up to a constant, t(y) = y plus w * C((y - lo) / D) over every block and
     every stack shell (a unit-weight block) that some site sees, and its
     antiderivative is y**2 / 2 plus w * (D * S(...) + max(0, y - hi)); so
     E(l, x) is T(x) - T(l) - (x - l) t(l), exactly, however the antiderivative
-    cancels.  The holding times are twice the exit kernel's integral, with a
-    stacked neighbour as a wall and a reflecting end's one-cell forms.
+    cancels.
     """
     xs = [Fraction(x) for x in sites]
     blocks = [(b.lo, b.hi, b.weight) for b in scale.blocks]
@@ -252,10 +254,18 @@ def reference_holding(scale, sites, absorbing) -> list[Fraction]:
 
     stacked = {scale.lo if scale.stack_lo else None, scale.hi if scale.stack_hi else None}
     vals = [None if x in stacked else t_and_antiderivative(x) for x in xs]
-    cells = [
+    return [
         None if u is None or v is None else (v[1] - u[1] - (xs[c + 1] - xs[c]) * u[0], v[0] - u[0])
         for c, (u, v) in enumerate(zip(vals, vals[1:]))
     ]
+
+
+def reference_holding(scale, sites, absorbing) -> list[Fraction]:
+    """Every site's holding time as an exact Fraction, up to the cut of C:
+    twice the exit kernel's integral over :func:`reference_cells`, with a
+    stacked neighbour as a wall and a reflecting end's one-cell forms."""
+    xs = [Fraction(x) for x in sites]
+    cells = reference_cells(scale, sites)
     out = []
     for i, absorbs in enumerate(absorbing):
         left = cells[i - 1] if i > 0 else None
@@ -293,6 +303,23 @@ def test_reference_holding_gives_the_pinned_times():
         assert chain.mean_holding.tolist() == [float(r) for r in ref]
 
 
+def reference_step_laws(scale, sites, absorbing) -> list[float]:
+    """Every site's probability of stepping up: the float of the exact ratio
+    dt_l / (dt_l + dt_r) of :func:`reference_cells`' increments between
+    walls, 1 or 0 next to one, 1 at a reflecting low end, 0 elsewhere."""
+    cells = [None, *reference_cells(scale, sites), None]
+    out = []
+    for i, absorbs in enumerate(absorbing):
+        left, right = cells[i], cells[i + 1]
+        if absorbs or right is None:
+            out.append(0.0)
+        elif left is None:
+            out.append(1.0)
+        else:
+            out.append(float(left[1] / (left[1] + right[1])))
+    return out
+
+
 def _interval_scales():
     # random_scales carry blocks and stacks; random_configs' intervals are plain
     plain = random_configs().filter(lambda c: c.intervals).map(lambda c: c.intervals[0].scale)
@@ -318,12 +345,54 @@ def test_holding_times_match_the_fraction_reference(scale, cells, data):
     config = ExtensionConfig((IntervalSpec(scale),))
     try:
         chain = build_chain(config, 0, sites)
-    except ValueError:
-        # scale values that collide in floats, or a reflecting end into a stacked one
+    except ValueError as exc:
+        # a reflecting end into a stacked one, or a site between two stacked ends
+        assert re.match("reflecting end|site is walled in", str(exc)), exc
         reject()
     ref = reference_holding(scale, chain.sites.tolist(), chain.absorbing.tolist())
     for x, h, r in zip(sites, chain.mean_holding.tolist(), ref):
         assert abs(h - float(r)) <= 4 * math.ulp(float(r)), (x, h, float(r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scale=_interval_scales(), cells=st.integers(1, 2**21), data=st.data())
+def test_step_laws_are_the_exact_ratios_rounded_once(scale, cells, data):
+    # a run of neighbouring sites of a uniform grid of up to 2**21 cells over
+    # the interval's span, a block or a stack zone, stacked and reflecting
+    # ends included
+    spans = [(scale.lo if math.isfinite(scale.lo) else scale.e - 3.0,
+              scale.hi if math.isfinite(scale.hi) else scale.e + 3.0)]
+    spans += [(float(b.lo), float(b.hi)) for b in scale.blocks]
+    spans += [tuple(sorted(map(float, (s.at, s.at + (s.delta if s.side == "lo" else -s.delta)))))
+              for s in scale.stacks]
+    lo, hi = data.draw(st.sampled_from(spans), label="span")
+    k = data.draw(st.integers(2, min(8, cells + 1)), label="sites")
+    start = data.draw(st.integers(0, cells + 1 - k), label="start")
+    sites = [lo + (hi - lo) * (start + i) / cells for i in range(k)]
+    assume(all(a < b for a, b in zip(sites, sites[1:])) and sites[-1] <= hi)
+    try:
+        chain = build_chain(ExtensionConfig((IntervalSpec(scale),)), 0, sites)
+    except ValueError as exc:
+        assert re.match("reflecting end|site is walled in", str(exc)), exc
+        reject()
+    ref = reference_step_laws(scale, sites, chain.absorbing.tolist())
+    assert chain.p_right.tolist() == ref
+
+
+@pytest.mark.parametrize("sites", [
+    # t is linear in this gap of the stack's outer shell, so p[1] is exactly
+    # 1/2; the differences of rounded scale values stepped right with p = 0.444
+    [0.3, 0.3 + 1e-15, 0.3 + 2e-15],
+    # once refused as too fine for the scale's float values
+    [1e-3 + k * 1e-15 for k in range(6)],
+    [1e-9 * (1 + k * 1e-12) for k in range(6)],
+])
+def test_step_laws_on_cells_below_the_scale_values_ulp(sites):
+    chain = build_chain(EX216, 1, sites)
+    scale = EX216.interval(1).scale
+    assert chain.p_right.tolist() == reference_step_laws(scale, sites, chain.absorbing.tolist())
+    ref = reference_holding(scale, sites, chain.absorbing.tolist())
+    assert chain.mean_holding.tolist() == [float(r) for r in ref]
 
 
 @pytest.mark.parametrize("lo, hi", [(-0.5, -0.4995), (0.0, 0.001), (0.3, 0.3005), (0.9995, 1.0),
@@ -339,6 +408,22 @@ def test_holding_times_are_exact_on_the_two_million_cell_grid(lo, hi):
     worst = max(abs(h - float(r)) / float(r)
                 for h, r in zip(chain.mean_holding[1:-1].tolist(), ref[1:-1]))
     assert worst < 1e-13
+
+
+def test_a_chain_reads_each_block_sites_digits_once(monkeypatch):
+    # the uniform 50,001-site ex215 grid over (-0.5, 1.5) has 24,999 sites
+    # inside the block (0, 1); step laws and holding times share their reads
+    calls = 0
+
+    def counting(num, den):
+        nonlocal calls
+        calls += 1
+        return _cantor_ratios(num, den)
+
+    monkeypatch.setattr(scale_module, "_cantor_ratios", counting)
+    chain = build_chain(EX215, 0, np.linspace(-0.5, 1.5, 50_001))
+    chain.mean_holding
+    assert calls == 24_999
 
 
 def test_brownian_holding_times_are_the_rounded_products():
@@ -1219,6 +1304,7 @@ def test_extension_trace_confined_to_one_gap():
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40, unique=True))
+@example([0.0, 1.73e-165])
 def test_brownian_chain_matches_the_per_site_formulas(points):
     sites = np.array(sorted(points))
     assume(np.all(np.diff(sites) > 0))
@@ -1230,7 +1316,15 @@ def test_brownian_chain_matches_the_per_site_formulas(points):
         p[i] = (sites[i] - sites[i - 1]) / (sites[i + 1] - sites[i - 1])
         hold[i] = (sites[i] - sites[i - 1]) * (sites[i + 1] - sites[i])
     p[-1] = 0.0
-    assert chain.p_right.tolist() == p and chain.mean_holding.tolist() == hold
+    assert chain.p_right.tolist() == p and chain.holding.tolist() == hold
+    if 0.0 in hold:
+        # a product that underflows leaves its site no holding time: the
+        # first read refuses it
+        message = f"holding time at site {float(sites[hold.index(0.0)])!r} is not positive"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chain.mean_holding
+    else:
+        assert chain.mean_holding.tolist() == hold
 
 
 def test_brownian_trace_visits_every_dust_site():
