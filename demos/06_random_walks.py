@@ -3,7 +3,8 @@
 Grid chains discretize one interval at a time: jump probabilities come
 from scale ratios, holding times from the Green kernel, and walls from
 infinite scale values.  The embedded chain is exactly scale-harmonic,
-so hitting probabilities match the continuous answer on any grid.
+so hitting probabilities match the continuous answer on any grid, and
+the uniform grid of ``snap_grid`` serves every window.
 """
 
 import numpy as np
@@ -22,9 +23,9 @@ SEED = 20260814
 
 # Brownian motion started at 1/3 hits 0 before 1 with probability 2/3;
 # the singular block of ex215 bends the scale so the same start hits 0
-# first with probability 7/12 instead.
+# first with probability 7/12 instead, on 48 equal cells as on any others.
 cfg = preset("ex215")
-grid = snap_grid(cfg, 0, 0.0, 1.0, 48)
+grid = snap_grid(0.0, 1.0, 48)
 est = hitting_probability(build_chain(cfg, 0, grid), 1 / 3, 0.0, 1.0, 40_000, seed=SEED)
 print("P(hit 0 before 1 | start 1/3)")
 print(f"  ex215:    {est.estimate:.4f} +- {est.std_error:.4f}   (exact 7/12 = {7 / 12:.4f})")

@@ -19,7 +19,6 @@ from .cantor import (
     CantorBlock,
     cantor_eval,
     cantor_fraction,
-    cantor_integral,
 )
 from .config import (
     DEFAULT_SEED,
@@ -107,7 +106,6 @@ __all__ = [
     "build_trace_measure",
     "cantor_eval",
     "cantor_fraction",
-    "cantor_integral",
     "classify_point",
     "compensator",
     "darn",

@@ -24,8 +24,6 @@ from fractions import Fraction
 __all__ = [
     "cantor_fraction",
     "cantor_eval",
-    "cantor_integral",
-    "remnant_length",
     "level_count",
     "check_work",
     "WORK_BUDGET",
@@ -108,17 +106,6 @@ def cantor_eval(x) -> float:
     return float(cantor_fraction(x))
 
 
-def cantor_integral(x: float) -> float:
-    """Integral of the Cantor function, ∫_0^x C(y) dy, for x in [0, 1]: the
-    exact ratio that :func:`_cantor_ratios` reads, rounded once."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 0.5
-    _, _, sn, sd = _cantor_ratios(*Fraction(x).as_integer_ratio())
-    return sn / sd
-
-
 def _lefts(depth: int) -> list[int]:
     """Integers a, left to right, with the level-``depth`` remnants at 2a/3**depth.
 
@@ -131,15 +118,9 @@ def _lefts(depth: int) -> list[int]:
     return lefts
 
 
-def remnant_length(x, depth: int) -> Fraction:
-    """Lebesgue measure of [0, x] inside the level-``depth`` remnant, exactly."""
-    fx = Fraction(x)
-    den = fx.denominator
-    return Fraction(_remnant_numerator(fx.numerator, den, depth), 3**depth * den)
-
-
 def _remnant_numerator(num: int, den: int, depth: int) -> int:
-    """:func:`remnant_length` of num/den (den > 0) as a numerator over 3**depth * den.
+    """Lebesgue measure of [0, num/den] (den > 0) inside the level-``depth``
+    remnant, exactly, as a numerator over 3**depth * den.
 
     Reads the ternary digits of num/den off the integer numerator, as
     :func:`cantor_fraction` does.  Digits 0 and 2 pick the left or right
@@ -216,18 +197,6 @@ class CantorBlock:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def value_exact(self, x) -> Fraction:
-        """Mass of [lo, x]: weight * C((x-lo)/width), clipped outside."""
-        fx = Fraction(x)
-        if fx <= self.lo:
-            return Fraction(0)
-        if fx >= self.hi:
-            return self.weight
-        return self.weight * cantor_fraction((fx - self.lo) / self.width)
-
-    def value(self, x) -> float:
-        return float(self.value_exact(x))
 
     def _frame(self) -> tuple[int, int, int]:
         # integers with lo + (k / 3**L) * width == (off * 3**L + k * step) / (den * 3**L)

@@ -118,7 +118,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-DEFAULT_DEPTH = 8  # resolution of gap/atom/grid enumeration
+DEFAULT_DEPTH = 8  # resolution of gap/atom/trace-cell enumeration
 DEFAULT_TOL = 1e-9
 
 # flags that choose how a command runs, not what it computes: an experiment
@@ -746,7 +746,7 @@ def _hitting_grid(args, ctx):
         raise CommandError(f"x0={x0} lies in the trap complement;"
                            " pass --index to pick an interval")
     left, right = _need(args, "left"), _need(args, "right")
-    grid = snap_grid(ctx.config, index, left, right, args.cells or 48, depth=args.depth)
+    grid = snap_grid(left, right, args.cells or 48)
     if not left <= x0 <= right:
         raise CommandError(f"simulate {args.kind}: --x0 {x0} lies outside the window"
                            f" [{left}, {right}]")
@@ -1009,7 +1009,7 @@ def _add_command(sub, name: str, handler, help: str, *shared: str, depth=_NON_NE
     src.add_argument("--scenario", metavar="PATH", help="scenario file (JSON)")
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in configuration")
     p.add_argument("--depth", type=depth, default=DEFAULT_DEPTH,
-                   help="enumeration depth for gaps, atoms, and grids")
+                   help="enumeration depth for gaps, atoms, and trace cells")
     p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
                    help="tolerance used in yes/no judgements")
     p.add_argument("--experiment", type=int, default=None, metavar="I",

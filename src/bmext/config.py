@@ -123,7 +123,7 @@ class DustSpec:
         if b <= a:
             return Fraction(0)
         # (b - lo) / (hi - lo) and (a - lo) / (hi - lo) in the unit block; the
-        # width cancels against remnant_length's denominator
+        # width cancels against _remnant_numerator's denominator
         width = hi - lo
         return Fraction(
             _remnant_numerator(b - lo, width, self.depth)

@@ -453,8 +453,8 @@ class ScaleFunction:
         Every explicit block comes whole.  Each boundary stack gives its
         shells k < depth and then its unresolved tail zone, within
         delta/2**depth of the stacked endpoint; at depth 0 the tails are the
-        whole stack zones.  Darning, trace cells and grid snapping all walk
-        the support through this one enumerator.
+        whole stack zones.  Darning and trace cells walk the support through
+        this one enumerator.
         """
         if depth < 0:
             raise ValueError(f"depth must be non-negative, got {depth}")

@@ -2,8 +2,10 @@
 
 The embedded chain jumps between neighbouring grid sites with the classical
 scale-ratio probabilities, so the scale function is harmonic for the chain
-and hitting statistics reproduce the diffusion's exactly; the grid only
-limits how much of the state space a walk can see.  Mean holding times
+and hitting statistics reproduce the diffusion's exactly on any sites; the
+grid only limits how much of the state space a walk can see.  Hitting, path
+and extension-trace walks all run on the uniform grid of :func:`snap_grid`,
+which knows nothing of the scale.  Mean holding times
 integrate the two-sided exit kernel against the speed measure (Lebesgue on
 every interval), normalised so a Brownian cell of half-width h is left in
 mean time h**2.  Singular scale mass therefore slows crossings without ever
@@ -26,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cantor import check_work, level_count
+from .cantor import check_work
 from .config import ExtensionConfig, TraceMeasure
 from .darning import DarnedSpec, common_denominator
 
@@ -203,19 +205,12 @@ class OccupationStats:
 # -- chain construction ------------------------------------------------------
 
 
-def snap_grid(
-    config: ExtensionConfig,
-    n: int,
-    lo: float,
-    hi: float,
-    cells: int,
-    depth: int = 8,
-) -> np.ndarray:
-    """Uniform grid on [lo, hi] with interior points pulled onto gap endpoints.
+def snap_grid(lo: float, hi: float, cells: int) -> np.ndarray:
+    """The uniform grid on [lo, hi]: the ends of ``cells`` equal cells, less
+    any point that rounds to the same float as its neighbour.
 
-    Snapping keeps scale increments between neighbours exactly computable:
-    a site on a gap endpoint splits the singular mass cleanly between its
-    two cells.  Points move at most half a spacing; ties go left.
+    The first site is lo and the last hi.  A chain on any sites is exactly
+    scale-harmonic, so no site needs to sit on a remnant end.
     """
     if not (lo < hi):
         raise ValueError("need lo < hi")
@@ -223,29 +218,9 @@ def snap_grid(
         raise ValueError(f"the window [{lo!r}, {hi!r}] is wider than the float range")
     if cells < 1:
         raise ValueError("need at least one cell")
-    scale = config.interval(n).scale
-    check_work(
-        f"snap_grid on interval {n} at depth {depth}",
-        scale.block_count(depth) * (level_count(depth) - 1),
-    )
-    targets: set[float] = set()
-    for sup in scale.w_supports(depth):
-        blk = sup.block
-        if blk is None or float(blk.hi) < lo or float(blk.lo) > hi:
-            continue
-        # the block's ends and its gaps of levels <= depth: every remnant end
-        targets.update(x for pair in blk.float_remnants(depth) for x in pair)
-    base = np.linspace(lo, hi, cells + 1)[1:-1]
-    if targets:
-        ordered = np.array(sorted(targets))
-        near = ordered[_nearest_index(ordered, base)]
-        base = np.where(np.abs(near - base) <= (hi - lo) / (2 * cells), near, base)
-    out = [lo]
-    for best in base.tolist():
-        if out[-1] < best < hi:
-            out.append(best)
-    out.append(hi)
-    return np.array(out)
+    grid = np.linspace(lo, hi, cells + 1)
+    # np.unique would do, but its first call imports numpy.ma (about 12 ms)
+    return grid[np.append(True, grid[1:] > grid[:-1])]
 
 
 def build_chain(config: ExtensionConfig, n: int, sites) -> GridChain:
@@ -846,7 +821,7 @@ def simulate_trace_chain(
             raise ValueError("extension-trace chains need a bounded invariant interval")
         if not (iv.include_lo and iv.include_hi):
             raise ValueError("extension-trace chains need both endpoints in the interval")
-        chain = build_chain(config, n, np.linspace(iv.lo, iv.hi, cells + 1))
+        chain = build_chain(config, n, snap_grid(iv.lo, iv.hi, cells))
     elif mode == "brownian":
         chain = _brownian_chain(k_sites)
     else:

@@ -395,7 +395,7 @@ def check_trace_energies(seed: int) -> str:
 
 def check_hitting(seed: int) -> str:
     cfg = preset("ex215")
-    grid = snap_grid(cfg, 0, 0.0, 1.0, 48, depth=10)
+    grid = snap_grid(0.0, 1.0, 48)
     chain = build_chain(cfg, 0, grid)
     t0 = time.perf_counter()
     ext = hitting_probability(chain, 1 / 3, 0.0, 1.0, 100_000, seed=seed)
@@ -468,7 +468,7 @@ def check_walk_structure(seed: int) -> str:
 
 def check_reproducibility(seed: int) -> str:
     cfg = preset("ex215")
-    grid = snap_grid(cfg, 0, 0.0, 1.0, 24, depth=6)
+    grid = snap_grid(0.0, 1.0, 24)
     chain = build_chain(cfg, 0, grid)
     a = hitting_probability(chain, 1 / 3, 0.0, 1.0, 20_000, seed=seed)
     b = hitting_probability(chain, 1 / 3, 0.0, 1.0, 20_000, seed=seed)

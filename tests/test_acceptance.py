@@ -17,12 +17,11 @@ from bmext import verify
 SEED = verify.DEFAULT_SEED
 
 # sha256 of the `bmext verify --seed S --deterministic` report, recorded on
-# Python 3.11.7 when windows of at most 129 sites took 1,024-step hitting
-# strides (only the hitting line moved); a refactor keeps both reports byte
-# for byte
+# Python 3.11.7 when the walk grids became uniform (only the hitting line
+# moved); a refactor keeps both reports byte for byte
 VERIFY_DIGESTS = {
-    20260814: "cfebab2c9ae3e25fc24b71d42b17d4af24bf3e32b46e56775b643b79b9824697",
-    20260821: "1b329c17635a50b49b68744d671e4ff38404f846d3b69335631d3aadfb26d565",
+    20260814: "372848ad022070dc7d3475d547db6c4f82dd324a04b30a3eef317668fd8920d3",
+    20260821: "dd491400e79745fedbee6b9238c8ef0accb7174dfb35a3eb6f41e76dcdec8ef0",
 }
 
 

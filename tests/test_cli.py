@@ -846,8 +846,8 @@ def test_negative_depth_exits_2(capsys):
         (("darn", "--preset", "ex216", "--depth", "21"), 21 * 2**22 + 3),
         (("trace", "--preset", "ex215", "--depth", str(10**12), "--function", "identity"),
          "more than 2**64"),
-        (("simulate", "hitting", "--preset", "ex215", "--depth", "30",
-          "--x0", "0.3", "--left", "0", "--right", "1"), 2**30 - 1),
+        (("simulate", "hitting", "--preset", "ex218", "--depth", "30",
+          "--x0", "0.3", "--left", "0", "--right", "1"), 2**30 + 1),
     ],
 )
 def test_depth_over_the_work_budget_exits_1(capsys, argv, count):

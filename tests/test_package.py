@@ -20,7 +20,7 @@ ALL = [
     "OccupationStats", "PRESET_NAMES", "PathSample", "PiecewiseFn", "PointClass",
     "ScaleFunction", "TraceFn", "TraceKind", "TraceMeasure", "TraceStructure",
     "ValidationReport", "VisitTable", "bilinear", "build_chain", "build_trace_measure",
-    "cantor_eval", "cantor_fraction", "cantor_integral", "classify_point", "compensator",
+    "cantor_eval", "cantor_fraction", "classify_point", "compensator",
     "darn", "darned_energy", "darning_map", "energy", "energy_equivalence_check",
     "harmonic_extension", "hitting_probability", "in_extended_space", "is_in_complement",
     "jump_contributions", "make_scale", "named_function", "orthogonal_decompose", "preset",
