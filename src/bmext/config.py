@@ -150,16 +150,16 @@ class ComplementSpec:
     segments: tuple[tuple[float, float], ...] = ()
     dust: tuple[DustSpec, ...] = ()
 
-    def measure_in(self, u: float, v: float) -> float:
-        total = Fraction(0)
+    def measure_in(self, u: float, v: float) -> Fraction:
+        """Exact length of the segments and dust inside [u, v]."""
+        parts = [d.measure_in(u, v) for d in self.dust]
         for slo, shi in self.segments:
             a = max(Fraction(slo), Fraction(u))
             b = min(Fraction(shi), Fraction(v))
             if b > a:
-                total += b - a
-        for d in self.dust:
-            total += d.measure_in(u, v)
-        return float(total)
+                parts.append(b - a)
+        # no Fraction(0) to start from: validate reads this once per gap
+        return sum(parts[1:], parts[0]) if parts else Fraction(0)
 
     def materialized_measure(self) -> float:
         total = Fraction(0)
@@ -215,15 +215,25 @@ class ValidationReport:
     notes: list[str] = field(default_factory=list)
 
 
-_COVER_TOL = 1e-12
+def _covers(claimed: Fraction, lo: float, hi: float) -> bool:
+    """Whether ``claimed`` is the length of the gap (lo, hi) up to less than
+    half an ulp at each end, all the rounding the given float ends carry.
+
+    A float is a whole number of its ulps, so over the finer ulp's
+    denominator, a power of two, every term is an integer."""
+    (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    (un, ud), (vn, vd) = math.ulp(lo).as_integer_ratio(), math.ulp(hi).as_integer_ratio()
+    den, cd = max(ud, vd), claimed.denominator
+    gap = hn * (den // hd) - ln * (den // ld)
+    return 2 * abs(claimed.numerator * den - gap * cd) < (un * (den // ud) + vn * (den // vd)) * cd
 
 
 def validate(config: ExtensionConfig) -> ValidationReport:
     """Check disjointness, scale divergence rules, and complement accounting.
 
-    The complement must account exactly (up to float tolerance) for every
-    stretch of the line the intervals miss; shared endpoints may be
-    included by at most one neighbor.
+    The complement must account exactly, up to the rounding of the gap's
+    float ends, for every stretch of the line the intervals miss; shared
+    endpoints may be included by at most one neighbor.
     """
     errors: list[str] = []
     notes: list[str] = []
@@ -256,10 +266,10 @@ def validate(config: ExtensionConfig) -> ValidationReport:
         gap_lo, gap_hi = left.hi, right.lo
         gap_len = gap_hi - gap_lo
         claimed = config.complement.measure_in(gap_lo, gap_hi)
-        if abs(claimed - gap_len) > _COVER_TOL * (1.0 + gap_len):
+        if not _covers(claimed, gap_lo, gap_hi):
             errors.append(
                 f"gap ({gap_lo}, {gap_hi}) has length {gap_len} "
-                f"but the complement accounts for {claimed}"
+                f"but the complement accounts for {float(claimed)}"
             )
 
     # included endpoints cannot collide across intervals

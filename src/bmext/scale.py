@@ -25,9 +25,11 @@ whole line.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterator, NamedTuple
 
 from .cantor import CantorBlock, _cantor_ratios
@@ -65,11 +67,6 @@ class WSupport(NamedTuple):
         return depth if self.shell is None else max(2, depth - self.shell)
 
 
-def _shell_index(num: int, den: int) -> int:
-    """Index k with 1/2**(k+1) < num/den <= 1/2**k, for 0 < num <= den."""
-    return (den // num).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class _Stack:
     """Boundary stack of unit blocks on dyadic shells at a finite endpoint.
@@ -100,10 +97,10 @@ class _Stack:
             return [WSupport(self.at, self.at + tail, None)] + shells[::-1]
         return shells + [WSupport(self.at - tail, self.at, None)]
 
-    def mass_ratio(self, xn: int, xd: int) -> tuple[int, int] | None:
-        """Stack mass between xn/xd and the interior edge of the stack zone, as
-        an integer ratio; None, for infinite, at the stacked endpoint.  With
-        xd = 0, ±1/0 is a point beyond the zone's far side."""
+    def mass_ratio(self, xn: int, xd: int) -> tuple[int, int, int] | None:
+        """Stack mass M between xn/xd and the interior edge of the stack zone,
+        and the integral of M over the same stretch, as two integer numerators
+        over one denominator; None, for infinite, at the stacked endpoint."""
         an, ad = self.at.as_integer_ratio()
         dn, dd = self.delta.as_integer_ratio()
         # r = rn / rd = (distance from the endpoint) / delta
@@ -114,14 +111,27 @@ class _Stack:
             return None
         rd = xd * ad * dn
         if rn >= rd:
-            return 0, 1
+            return 0, 0, 1
         # shell k spans 1/2**(k+1) < r <= 1/2**k; its block sees x at
-        # 2**(k+1) r - 1 on a left stack and 2 - 2**(k+1) r on a right one
-        k = _shell_index(rn, rd)
+        # u = 2**(k+1) r - 1 on a left stack and 2 - 2**(k+1) r on a right one
+        k = (rd // rn).bit_length() - 1
         un = (rn << (k + 1)) - rd if self.side == "lo" else 2 * rd - (rn << (k + 1))
         g = math.gcd(un, rd)
-        cn, cd, _, _ = _cantor_ratios(un // g, rd // g) if un < rd else (1, 1, 0, 0)
-        return ((k + 1) * cd - cn, cd) if self.side == "lo" else (k * cd + cn, cd)
+        un, ud = un // g, rd // g
+        cn, cd, sn, sd = _cantor_ratios(un, ud) if un < ud else (1, 1, 1, 2)
+        # M is k + 1 - C(u) on a left stack and k + C(u) on a right one.  Over
+        # each shell j < k between x's shell and the edge, M averages j + 1/2
+        # on a width delta/2**(j+1), delta (3/2 - (2k+3)/2**(k+1)) in all, and
+        # x's own shell adds h ((k+1)(1-u) - 1/2 + S(u)) or h (k u + S(u)),
+        # h = delta/2**(k+1).  So ∫M = h bn / sd, where ud and 2 divide sd.
+        if self.side == "lo":
+            mn = (k + 1) * cd - cn
+            bn = sd * ((3 << k) - k) - 5 * (sd >> 1) - (k + 1) * un * (sd // ud) + sn
+        else:
+            mn = k * cd + cn
+            bn = sd * ((3 << k) - 2 * k - 3) + k * un * (sd // ud) + sn
+        q = (dd * sd) << (k + 1)
+        return mn * q, dn * bn * cd, cd * q
 
 
 @dataclass(frozen=True)
@@ -161,29 +171,20 @@ class ScaleFunction:
         lo, hi = self.lo, self.hi
         if not lo < hi:
             raise ValueError(f"scale interval: need lo < hi, got <{lo}, {hi}>")
-        if self.include_lo and not math.isfinite(lo):
-            raise ValueError("scale interval: cannot include an infinite endpoint")
-        if self.include_hi and not math.isfinite(hi):
+        ends = ((lo, self.include_lo, self.stack_lo), (hi, self.include_hi, self.stack_hi))
+        if any(include and not math.isfinite(x) for x, include, _ in ends):
             raise ValueError("scale interval: cannot include an infinite endpoint")
         # divergence at an endpoint iff the endpoint is excluded
-        if math.isfinite(lo):
-            if self.include_lo and self.stack_lo:
+        for x, include, stack in ends:
+            if not math.isfinite(x):
+                if stack:
+                    raise ValueError("boundary stack is meaningless at an infinite endpoint")
+            elif include and stack:
                 raise ValueError("included endpoint must keep a finite scale value; drop the stack")
-            if not self.include_lo and not self.stack_lo:
+            elif not include and not stack:
                 raise ValueError(
                     "excluded finite endpoint needs a boundary stack so the scale diverges there"
                 )
-        elif self.stack_lo:
-            raise ValueError("boundary stack is meaningless at an infinite endpoint")
-        if math.isfinite(hi):
-            if self.include_hi and self.stack_hi:
-                raise ValueError("included endpoint must keep a finite scale value; drop the stack")
-            if not self.include_hi and not self.stack_hi:
-                raise ValueError(
-                    "excluded finite endpoint needs a boundary stack so the scale diverges there"
-                )
-        elif self.stack_hi:
-            raise ValueError("boundary stack is meaningless at an infinite endpoint")
 
     def _check_blocks(self):
         zones = [
@@ -224,63 +225,94 @@ class ScaleFunction:
 
     @cached_property
     def _block_ratios(self) -> tuple:
-        """Integer ratios of each block's low end, high end, width and weight."""
-        return tuple(
-            (*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(),
-             *b.width.as_integer_ratio(), *b.weight.as_integer_ratio())
-            for b in self.blocks
-        )
+        """Per block: its ends and width as integer ratios; over one denominator,
+        the weight and weight times midpoint summed over the blocks before it,
+        its weight and its weight times width.  Then those sums over all."""
+        out, pn, qn, den = [], 0, 0, 1
+        for b in self.blocks:
+            (ln, ld), (hn, hd), (dn, dd), (wn, wd) = (
+                f.as_integer_ratio() for f in (b.lo, b.hi, b.width, b.weight))
+            # the common denominator grows to hold w D and w (lo + hi) / 2
+            grown = math.lcm(den, wd * dd, 2 * wd * ld * hd)
+            pn, qn, den = pn * (grown // den), qn * (grown // den), grown
+            out.append((ln, ld, hn, hd, dn, dd, den, pn, qn, wn * (den // wd),
+                        wn * dn * (den // (wd * dd))))
+            pn += wn * (den // wd)
+            qn += wn * (ln * hd + hn * ld) * (den // (2 * wd * ld * hd))
+        return tuple(out), (den, pn, qn)
 
-    def _w_ratio(self, x, num: int = 0, den: int = 1) -> tuple[int, int] | float:
-        """num/den plus the cumulative W-mass at x, as one integer numerator over
-        one positive denominator; -inf / +inf at a stacked end.
+    @cached_property
+    def _mass_ends(self) -> list[float]:
+        """The block and stack zone ends as floats, in order.  Rounding keeps
+        order, so a float strictly between two zones' float ends is clear of both."""
+        ends = [e for b in self.blocks for e in (b.lo, b.hi)]
+        for s in self.stacks:
+            ends += [s.at, s.at + s.delta if s.side == "lo" else s.at - s.delta]
+        return sorted(map(float, ends))
 
-        The one sum over the blocks' and stacks' masses: each block left of x
-        adds its weight, the block holding x weight * C((x - lo)/width) with C
-        read in lowest terms, a right stack its mass between x and the zone's
-        inner edge, and a left stack that mass negated.  ±inf reads as ±1/0.
+    def _w_ratio(self, x) -> tuple | float:
+        """x, W(x) and ∫W from one read of x's integer ratio: (xn, xd, wn, jn,
+        den) with x = xn/xd, W(x) = wn/den and ∫W = jn/den, den a multiple of
+        xd; -inf / +inf at a stacked end.
+
+        The one sum over the blocks' and stacks' masses.  A block left of x adds
+        its weight w to W and w (x - mid) to ∫W, summed ahead in
+        ``_block_ratios``; the block holding x adds w C(a) and w D S(a) at its
+        unit coordinate a, read in lowest terms; a stack adds its mass M
+        between the zone's inner edge and x, negated on a left stack, and ∫M.
+        An infinite x reads as ±1/0 and gets W alone (jn None): no cell
+        reaches it, and no stack holds mass there.
         """
         try:
             xn, xd = x.as_integer_ratio()
         except OverflowError:  # x is -inf or +inf
             xn, xd = (1 if x > 0 else -1), 0
-        # the blocks are sorted and disjoint: those past the first one that
-        # starts at or right of x add nothing
-        for ln, ld, hn, hd, sn, sd, wn, wd in self._block_ratios:
-            if xn * ld <= ln * xd:
-                break
+        blocks, (den, pn, qn) = self._block_ratios
+        inside = None
+        # the blocks are sorted and disjoint: those before the first one that
+        # ends right of x lie left of it, and only that one can hold x
+        for ln, ld, hn, hd, dn, dd, bden, bpn, bqn, wn, vn in blocks:
             if xn * hd < hn * xd:
-                un, ud = (xn * ld - ln * xd) * sd, xd * ld * sn
-                g = math.gcd(un, ud)
-                cn, cd, _, _ = _cantor_ratios(un // g, ud // g)
-                wn, wd = wn * cn, wd * cd
-            num, den = num * wd + wn * den, den * wd
+                den, pn, qn = bden, bpn, bqn
+                if ln * xd < xn * ld:
+                    un, ud = (xn * ld - ln * xd) * dd, xd * ld * dn
+                    g = math.gcd(un, ud)
+                    inside = _cantor_ratios(un // g, ud // g)
+                break
+        if not xd:
+            return xn, xd, pn, None, den
+        num, jn, den = pn * xd, pn * xn - qn * xd, den * xd
+        if inside:
+            cn, cd, sn, sd = inside
+            num, jn = (num * cd + wn * cn * xd) * sd, (jn * sd + vn * sn * xd) * cd
+            den *= cd * sd
         for s in self.stacks:
             ratio = s.mass_ratio(xn, xd)
             if ratio is None:
                 return -math.inf if s.side == "lo" else math.inf
-            mn, md = ratio
-            num, den = num * md + (mn if s.side == "hi" else -mn) * den, den * md
-        return num, den
+            mn, mj, md = ratio
+            if mn:  # x lies in the stack zone
+                mn = mn if s.side == "hi" else -mn
+                num, jn, den = num * md + mn * den, jn * md + mj * den, den * md
+        return xn, xd, num, jn, den
 
     @cached_property
-    def _anchor_ratio(self) -> tuple[int, int]:
-        """The cumulative W-mass at the anchor e, where every value of t and
-        every function on this interval is measured from."""
+    def _anchor_ratio(self) -> tuple:
+        """The :meth:`_w_ratio` reading at the anchor e, where t is measured from."""
         return self._w_ratio(self.e)
 
     @cached_property
     def _eval_offset(self) -> tuple[int, int]:
         """e plus its cumulative W-mass, the ratio :meth:`eval` subtracts from x."""
-        return (Fraction(self.e) + Fraction(*self._anchor_ratio)).as_integer_ratio()
+        _, _, wn, _, den = self._anchor_ratio
+        return (Fraction(self.e) + Fraction(wn, den)).as_integer_ratio()
 
     def cumulative_mass(self, x) -> Fraction | float:
-        """Exact W-mass accumulated up to x, up to a constant: every W-mass is
-        a difference of two of these.  It is the :meth:`_w_ratio` sum as a
-        Fraction: -inf / +inf at a stacked end, and 0 or the total block
-        weight at an infinite end."""
+        """Exact W-mass accumulated up to x, up to a constant: the :meth:`_w_ratio`
+        sum as a Fraction; -inf / +inf at a stacked end, and 0 or the total
+        block weight at an infinite end."""
         w = self._w_ratio(x)
-        return w if isinstance(w, float) else Fraction(*w)
+        return w if isinstance(w, float) else Fraction(w[2], w[4])
 
     def singular_between(self, u, v) -> float:
         """Total W-mass (blocks plus stacks) strictly between u and v.
@@ -296,18 +328,19 @@ class ScaleFunction:
         a, b = (self._anchor_ratio if x == self.e else self._w_ratio(x) for x in (u, v))
         if isinstance(a, float) or isinstance(b, float):
             return math.inf
-        return abs(b[0] * a[1] - a[0] * b[1]) / (a[1] * b[1])
+        return abs(b[2] * a[4] - a[2] * b[4]) / (a[4] * b[4])
 
     def signed_mass(self, x) -> Fraction | float:
         """Exact W-mass from the anchor to x, signed: the darning image of x."""
-        return self.cumulative_mass(x) - Fraction(*self._anchor_ratio)
+        _, _, wn, _, den = self._anchor_ratio
+        return self.cumulative_mass(x) - Fraction(wn, den)
 
     def eval(self, x) -> float:
         """Scale value t(x); signed infinity at excluded finite endpoints.
 
         Accepts floats or Fractions.  The exact value x - e + signed_mass(x)
-        is kept as one integer numerator over one integer denominator: the
-        :meth:`_w_ratio` sum started from x less e and less the anchor's
+        is kept as one integer numerator over one integer denominator: x and
+        W(x) from one :meth:`_w_ratio` reading, less e and the anchor's
         cumulative mass.  One integer division rounds it, correctly, as
         float() of the same Fraction does, so rational breakpoints evaluate
         to correctly rounded values.
@@ -317,10 +350,9 @@ class ScaleFunction:
         if x == self.hi and not self.include_hi:
             return math.inf
         self._check_in_closure(float(x))
+        xn, xd, wn, _, den = self._w_ratio(x)
         cn, cd = self._eval_offset
-        xn, xd = x.as_integer_ratio()
-        num, den = self._w_ratio(x, xn * cd - cn * xd, xd * cd)
-        return num / den
+        return ((xn * (den // xd) + wn) * cd - cn * den) / (den * cd)
 
     __call__ = eval
 
@@ -364,86 +396,53 @@ class ScaleFunction:
         (en, ed, tn, td, ln, ld); None on a cell that ends on a stacked end.
         ``sites`` increase in the closure.
 
-        All are cell-local, so nothing of the size of t cancels.  Lebesgue measure
-        gives (v - u)**2 / 2 and v - u.  A block or stack shell (a unit-weight
-        block) of weight w and width D that meets the cell, from unit coordinate
-        a to b, adds w * D * (S(b) - S(a) - C(a) * (b - a)) and w * (C(b) - C(a)),
-        with S the integral of C, b - 1/2 past the block.  Each site's C and S
-        are read once."""
-        m = len(sites)
-        first = 1 if self.stack_lo and sites[0] == self.lo else 0
-        last = m - 2 if self.stack_hi and sites[-1] == self.hi else m - 1
-        yield from [None] * min(first, m - 1)
-        if last <= first:
-            yield from [None] * (m - 1 - first)
-            return
-        u, v = Fraction(sites[first]), Fraction(sites[last])
-        # each stack's shells down to the one that holds its nearest site
-        depth = max((_shell_index(*r.as_integer_ratio()) + 1 for s in self.stacks
-                     if (r := abs((u if s.side == "lo" else v) - s.at) / s.delta) < 1), default=0)
-        sups = [(*b.lo.as_integer_ratio(), *b.hi.as_integer_ratio(), *b.width.as_integer_ratio(),
-                 *b.weight.as_integer_ratio(), *(b.weight * b.width).as_integer_ratio())
-                for w in self.w_supports(depth) if (b := w.block) and b.lo < v and b.hi > u]
-        n = len(sups)
-        vn = vd = rb = None
-        at = j = 0
-        for c in range(first, last + 1):
-            un, ud, ra = vn, vd, rb
-            vn, vd = sites[c].as_integer_ratio()
-            # the site's unit coordinate, C and S in the support holding it
-            while at < n and sups[at][2] * vd <= vn * sups[at][3]:
-                at += 1
-            rb = None
-            if at < n and sups[at][0] * vd < vn * sups[at][1]:
-                lon, lod, _, _, dn, dd = sups[at][:6]
-                bn, bd = (vn * lod - lon * vd) * dd, vd * lod * dn
-                g = math.gcd(bn, bd)
-                rb = (at, bn // g, bd // g, *_cantor_ratios(bn // g, bd // g))
-            if c == first:
-                continue
+        Each is a difference of the :meth:`_w_ratio` readings at the cell's
+        ends, so each site's digits are read once: t(v) - t(u) is
+        v - u + W(v) - W(u), and E is (v - u)**2 / 2 + ∫W(v) - ∫W(u) - W(u) (v - u).
+        A cell that meets no mass, W(u) = W(v), gets Lebesgue measure's terms
+        alone, unread when it lies clear of every block and stack zone; the
+        others are put in lowest terms."""
+        ends, b = self._mass_ends, None
+        for x, y in pairwise(sites):
+            a, b = b, None
+            g = bisect_left(ends, x)
+            if not g % 2 and g == bisect_left(ends, y) and (g == len(ends) or ends[g] != y):
+                (un, ud), (vn, vd), dw = x.as_integer_ratio(), y.as_integer_ratio(), 0
+            else:
+                a, b = a or self._w_ratio(x), self._w_ratio(y)
+                if isinstance(a, float) or isinstance(b, float):
+                    yield None
+                    continue
+                (un, ud, wu, ju, du), (vn, vd, wv, jv, dv) = a, b
+                dw = wv * du - wu * dv
             ld = math.lcm(ud, vd)
             ln = vn * (ld // vd) - un * (ld // ud)
-            en, ed, tn, td = ln * ln, 2 * ld * ld, ln, ld
-            while j < n and sups[j][2] * ud <= un * sups[j][3]:
-                j += 1
-            k = j
-            while k < n and sups[k][0] * vd < vn * sups[k][1]:
-                lon, lod, hn, hd, dn, dd, wn, wd, on, od = sups[k]
-                _, an, ad, can, cad, san, sad = ra if ra and ra[0] == k else (k, 0, 1, 0, 1, 0, 1)
-                if rb and rb[0] == k:
-                    _, bn, bd, cbn, cbd, sbn, sbd = rb
-                else:
-                    bn, bd = (vn * lod - lon * vd) * dd, vd * lod * dn
-                    cbn, cbd, sbn, sbd = 1, 1, 2 * bn - bd, 2 * bd
-                # w * D * (S(b) - S(a) - C(a) (b - a)), and w * (C(b) - C(a))
-                pn = (sbn * sad - san * sbd) * cad * ad * bd - can * (bn * ad - an * bd) * sbd * sad
-                pd = sbd * sad * cad * ad * bd
-                en, ed = en * pd * od + pn * on * ed, ed * pd * od
-                tn, td = tn * wd * cbd * cad + wn * (cbn * cad - can * cbd) * td, td * wd * cbd * cad
-                k += 1
-            if k > j:
-                # the terms multiply the denominators; one gcd each shrinks them
-                g, h = math.gcd(en, ed), math.gcd(tn, td)
-                en, ed, tn, td = en // g, ed // g, tn // h, td // h
-            yield en, ed, tn, td, ln, ld
-        yield from [None] * (m - 1 - last)
+            if not dw:
+                yield ln * ln, 2 * ld * ld, ln, ld, ln, ld
+                continue
+            dd = du * dv
+            en = ln * ln * dd + 2 * ld * ((jv * du - ju * dv) * ld - wu * dv * ln)
+            ed = 2 * ld * ld * dd
+            tn, td = ln * dd + dw * ld, ld * dd
+            g, h = math.gcd(en, ed), math.gcd(tn, td)
+            yield en // g, ed // g, tn // h, td // h, ln, ld
 
     def integral_t(self, u: float, v: float) -> float:
         """∫_u^v t(y) dy on a cell with u <= v strictly inside the interval:
-        E(u, v) of :meth:`cell_ratios` plus (v - u) * t(u), rounded once."""
+        (v**2 - u**2) / 2 less (e + W(e)) (v - u), plus ∫W(v) - ∫W(u) from the
+        two :meth:`_w_ratio` readings, rounded once."""
         if u > v:
             raise ValueError("integral_t: need u <= v")
         self._check_in_closure(u)
         self._check_in_closure(v)
         if u == v:
             return 0.0
-        cell = next(self.cell_ratios([u, v]))
-        if cell is None:
+        a, b = self._w_ratio(u), self._w_ratio(v)
+        if isinstance(a, float) or isinstance(b, float):
             raise ValueError("integral_t: the cell touches a stacked end")
-        cn, cd = self._eval_offset
-        un, ud = u.as_integer_ratio()
-        t_u = Fraction(*self._w_ratio(u, un * cd - cn * ud, ud * cd))
-        return float(Fraction(*cell[:2]) + Fraction(*cell[4:]) * t_u)
+        xu, xv = Fraction(a[0], a[1]), Fraction(b[0], b[1])
+        return float((xv * xv - xu * xu) / 2 - Fraction(*self._eval_offset) * (xv - xu)
+                     + Fraction(b[3], b[4]) - Fraction(a[3], a[4]))
 
     # -- W-support enumeration --------------------------------------------
 

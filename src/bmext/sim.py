@@ -29,8 +29,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cantor import check_work
-from .config import ExtensionConfig, TraceMeasure
+from .config import ExtensionConfig, IntervalSpec, TraceMeasure
 from .darning import DarnedSpec, common_denominator
+from .scale import make_scale
 
 __all__ = [
     "GridChain",
@@ -747,22 +748,6 @@ def hitting_probability(
 # -- trace chains ------------------------------------------------------------
 
 
-def _brownian_chain(sites: np.ndarray) -> GridChain:
-    # global Brownian walk on the window: identity scale, reflecting ends
-    m = sites.size
-    p = np.zeros(m)
-    hold = np.zeros(m)
-    dl = sites[1:-1] - sites[:-2]
-    p[1:-1] = dl / (sites[2:] - sites[:-2])
-    hold[1:-1] = dl * (sites[2:] - sites[1:-1])
-    p[0] = 1.0
-    p[-1] = 0.0
-    if m > 1:
-        hold[0] = (sites[1] - sites[0]) ** 2
-        hold[-1] = (sites[-1] - sites[-2]) ** 2
-    return GridChain(sites, p, hold, np.zeros(m, dtype=bool))
-
-
 def _site_weights(mu: TraceMeasure | None, sites: np.ndarray) -> np.ndarray:
     # each site weighs the measure of its cell, cut at the midpoints to its neighbours
     if mu is None or sites.size == 1:
@@ -823,7 +808,9 @@ def simulate_trace_chain(
             raise ValueError("extension-trace chains need both endpoints in the interval")
         chain = build_chain(config, n, snap_grid(iv.lo, iv.hi, cells))
     elif mode == "brownian":
-        chain = _brownian_chain(k_sites)
+        # a free Brownian walk: the identity scale on the window, both ends reflecting
+        window = make_scale(k_sites[0], k_sites[-1], include_lo=True, include_hi=True)
+        chain = build_chain(ExtensionConfig((IntervalSpec(window),)), 0, k_sites)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'extension' or 'brownian'")
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bmext.cantor import CantorBlock
@@ -375,6 +375,56 @@ def test_validate_rejects_unaccounted_gap():
     rep = validate(cfg)
     assert not rep.ok
     assert any("gap" in e for e in rep.errors)
+
+
+def test_validate_refuses_a_cover_short_of_the_gap_end():
+    # 1e-12 of the line, 9,007 ulps at 0.7, belongs to nothing
+    cfg = ExtensionConfig(
+        (
+            IntervalSpec(make_scale(-math.inf, 0.3, include_hi=True)),
+            IntervalSpec(make_scale(0.7, math.inf, include_lo=True)),
+        ),
+        ComplementSpec(segments=((0.3, 0.7 - 1e-12),)),
+    )
+    rep = validate(cfg)
+    assert not rep.ok
+    assert rep.errors == ["gap (0.3, 0.7) has length 0.39999999999999997 but the complement "
+                          "accounts for 0.399999999999"]
+
+
+# about one drawn configuration in nine has a gap between neighbouring intervals
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_configs(), st.data())
+def test_validate_refuses_a_sliver_cut_from_a_gap(config, data):
+    # one segment on each gap between neighbouring intervals covers it; a
+    # sliver of one ulp of the gap's coarser end or more, cut at either end,
+    # leaves part of the gap to nothing
+    ivs = config.intervals
+    gaps = [(left.hi, right.lo) for left, right in zip(ivs, ivs[1:]) if left.hi < right.lo]
+    assume(gaps)
+
+    def gap_errors(segments):
+        rep = validate(ExtensionConfig(ivs, ComplementSpec(segments=tuple(segments))))
+        return [e for e in rep.errors if e.startswith("gap (")]
+
+    assert gap_errors(gaps) == []
+    i = data.draw(st.integers(0, len(gaps) - 1))
+    lo, hi = gaps[i]
+    ulp = max(math.ulp(lo), math.ulp(hi))
+    step = ulp * data.draw(st.integers(1, 2**40))
+    cut = (lo + step, hi) if data.draw(st.booleans()) else (lo, hi - step)
+    assume(Fraction(cut[1]) - Fraction(cut[0]) <= Fraction(hi) - Fraction(lo) - Fraction(ulp))
+    errors = gap_errors(gaps[:i] + [cut] + gaps[i + 1:])
+    assert len(errors) == 1 and errors[0].startswith(f"gap ({lo}, {hi}) has length")
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_validate_at_depths_1_to_12(name):
+    # the dust counts exact remnants, the gap intervals end on their floats:
+    # every difference stays within half an ulp at each end
+    for depth in range(1, 13):
+        rep = validate(preset(name, depth))
+        assert rep.ok, (depth, rep.errors)
 
 
 def test_validate_rejects_double_included_endpoint():

@@ -326,7 +326,7 @@ def _stack_points(draw):
 def test_stack_mass_to_edge_matches_the_fraction_formula(case):
     stack, x = case
     ratio = stack.mass_ratio(*x.as_integer_ratio())
-    got = math.inf if ratio is None else Fraction(*ratio)
+    got = math.inf if ratio is None else Fraction(ratio[0], ratio[2])
     want = _mass_to_edge_by_fraction(stack, x)
     assert type(got) is type(want) and got == want
 

@@ -25,7 +25,7 @@ from bmext.config import (
     validate,
 )
 from bmext.darning import darn
-from bmext.scale import make_scale
+from bmext.scale import ScaleFunction, make_scale
 from bmext.sim import (
     _CHUNK,
     _DENSE_STRIDE,
@@ -200,19 +200,26 @@ def test_holding_times_solve_for_the_exact_mean_exit_time(cells):
 # -- holding times against an exact reference --------------------------------
 
 
-def _reference_c_and_s(y: Fraction, levels: int = 120) -> tuple[Fraction, Fraction]:
+def _reference_c_and_s(y: Fraction, levels: int = 1500) -> tuple[Fraction, Fraction]:
     """C(y) and S(y), the integral of C from 0 to y, for y in [0, 1], by the
     self-similar recursion: C(y) = C(3y)/2 and S(y) = S(3y)/6 on the left
     third, C(y) = 1/2 + C(3y - 2)/2 and S(y) = y/2 - 1/12 + S(3y - 2)/6 on the
-    right one, C(y) = 1/2 and S(y) = y/2 - 1/12 between.  Cut after
-    ``levels`` levels: C is then off by at most 2**-levels."""
+    right one, C(y) = 1/2 and S(y) = y/2 - 1/12 between.  A y met again
+    closes both: C(y) is the fixed point of the affine map between its two
+    visits, and so is S(y).  Cut after ``levels`` levels: C is then off by at
+    most 2**-levels."""
     c = s = Fraction(0)
     wc = ws = Fraction(1)
+    seen = {}
     for _ in range(levels):
         if y <= 0:
             break
         if y >= 1:
             return c + wc, s + ws / 2
+        if y in seen:
+            c0, s0, wc0, ws0 = seen[y]
+            return c0 + wc0 * (c - c0) / (wc0 - wc), s0 + ws0 * (s - s0) / (ws0 - ws)
+        seen[y] = c, s, wc, ws
         if y < Fraction(1, 3):
             y *= 3
         else:
@@ -380,6 +387,66 @@ def test_step_laws_are_the_exact_ratios_rounded_once(scale, cells, data):
         reject()
     ref = reference_step_laws(scale, sites, chain.absorbing.tolist())
     assert chain.p_right.tolist() == ref
+
+
+@st.composite
+def _scale_sites(draw):
+    """A scale and 2-8 increasing sites in its closure: its finite ends
+    (stacked or reflecting), its blocks' float remnant ends, its stacks' shell
+    ends and points inside shells down to shell 60, and floats anywhere."""
+    scale = draw(_interval_scales())
+    lo = scale.lo if math.isfinite(scale.lo) else scale.e - 3.0
+    hi = scale.hi if math.isfinite(scale.hi) else scale.e + 3.0
+    marks = [scale.e] + [x for x in (scale.lo, scale.hi) if math.isfinite(x)]
+    for b in scale.blocks:
+        marks += [x for pair in b.float_remnants(draw(st.integers(0, 6))) for x in pair]
+    for s in scale.stacks:
+        sign = 1 if s.side == "lo" else -1
+        marks += [float(s.at + sign * s.delta / 2**k) for k in range(61)]
+        marks += [float(s.at + sign * s.delta * (1 + Fraction(f)) / 2 ** (k + 1))
+                  for k, f in draw(st.lists(st.tuples(st.integers(0, 60), st.floats(0, 1)),
+                                            max_size=3))]
+    point = st.one_of(st.sampled_from(marks), st.floats(lo, hi))
+    sites = sorted(set(draw(st.lists(point, min_size=2, max_size=8))))
+    assume(len(sites) >= 2)
+    return scale, sites
+
+
+def _assert_cells_are_the_reference(scale, sites):
+    want = reference_cells(scale, sites)
+    got = list(scale.cell_ratios(sites))
+    assert len(got) == len(want)
+    for g, w, u, v in zip(got, want, sites, sites[1:]):
+        if w is None:
+            assert g is None, (u, v)
+        else:
+            dx = Fraction(v) - Fraction(u)
+            assert (Fraction(g[0], g[1]), Fraction(g[2], g[3]), Fraction(g[4], g[5])) == (*w, dx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scale_sites())
+def test_cell_ratios_are_the_reference_cells(case):
+    # E, dt and dx of every cell, as exact rationals: remnant ends, stacked
+    # ends and deep shells included
+    _assert_cells_are_the_reference(*case)
+
+
+def test_cell_ratios_down_to_the_least_float():
+    # the sites 5e-324 and 1e-300 sit in ex216's stack shells 1,073 and 995
+    sites = [5e-324, 1e-320, 1e-300, 1e-100, 1e-10, 0.01, 0.25, 0.3, 0.5]
+    _assert_cells_are_the_reference(EX216.interval(1).scale, sites)
+
+
+def test_a_stack_window_lists_no_support(monkeypatch):
+    # each site's W and its integral come in closed form, down to shell 995
+    # at 1e-300: no stack shell is listed
+    calls = []
+    listed = ScaleFunction.w_supports
+    monkeypatch.setattr(ScaleFunction, "w_supports", lambda *a: calls.append(a) or listed(*a))
+    chain = build_chain(EX216, 1, snap_grid(1e-300, 0.5, 48))
+    chain.mean_holding
+    assert calls == []
 
 
 @pytest.mark.parametrize("sites", [
@@ -1288,16 +1355,23 @@ def test_extension_trace_confined_to_one_gap():
 @given(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=40, unique=True))
 @example([0.0, 1.73e-165])
 def test_brownian_chain_matches_the_per_site_formulas(points):
+    # the brownian trace walk's chain: each step law and holding time is the
+    # identity scale's per-site formula, exact, rounded once
     sites = np.array(sorted(points))
     assume(np.all(np.diff(sites) > 0))
-    chain = sim._brownian_chain(sites)
-    m = sites.size
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "build_chain", lambda *a: built.append(build_chain(*a)) or built[-1])
+        simulate_trace_chain(BROWNIAN, None, sites, sites[0], 0, mode="brownian")
+    (chain,) = built
+    xs = [Fraction(x) for x in sites.tolist()]
+    m = len(xs)
     p = [1.0] + [0.0] * (m - 1)
-    hold = [(sites[1] - sites[0]) ** 2] + [0.0] * (m - 2) + [(sites[-1] - sites[-2]) ** 2]
+    hold = [float((xs[1] - xs[0]) ** 2)] + [0.0] * (m - 2) + [float((xs[-1] - xs[-2]) ** 2)]
     for i in range(1, m - 1):
-        p[i] = (sites[i] - sites[i - 1]) / (sites[i + 1] - sites[i - 1])
-        hold[i] = (sites[i] - sites[i - 1]) * (sites[i + 1] - sites[i])
-    p[-1] = 0.0
+        p[i] = float((xs[i] - xs[i - 1]) / (xs[i + 1] - xs[i - 1]))
+        hold[i] = float((xs[i] - xs[i - 1]) * (xs[i + 1] - xs[i]))
+    assert chain.sites.tolist() == sites.tolist()
     assert chain.p_right.tolist() == p and chain.holding.tolist() == hold
     if 0.0 in hold:
         # a product that underflows leaves its site no holding time: the
